@@ -17,16 +17,6 @@ from fractions import Fraction
 from . import formats
 from .formats import FormatError
 
-DISPATCH = {}
-
-
-def _register(path):
-    def wrap(fn):
-        DISPATCH[path] = fn
-        return fn
-    return wrap
-
-
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -43,7 +33,6 @@ def _okfail(b):
 # spaces
 
 
-@_register(("check",))
 def cmd_check(args):
     sf = formats.parse_space(_read(args.path), args.path)
     if not sf.entourages and not sf.coverings and sf.opens is None:
@@ -92,7 +81,6 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-@_register(("convert",))
 def cmd_convert(args):
     sf = formats.parse_space(_read(args.path), args.path)
     if args.weil_to_tukey:
@@ -107,7 +95,6 @@ def cmd_convert(args):
     return 0
 
 
-@_register(("derive",))
 def cmd_derive(args):
     sf = formats.parse_space(_read(args.path), args.path)
     u = sf.uniformity()
@@ -124,12 +111,10 @@ def cmd_derive(args):
     return 0
 
 
-@_register(("pervin",))
 def cmd_pervin(args):
     return _topology_to_uniformity(args, "pervin")
 
 
-@_register(("kunzi",))
 def cmd_kunzi(args):
     return _topology_to_uniformity(args, "kunzi")
 
@@ -143,7 +128,6 @@ def _topology_to_uniformity(args, which):
     return 0
 
 
-@_register(("quotient",))
 def cmd_quotient(args):
     from .quniform import hausdorff_quotient
     sf = formats.parse_space(_read(args.path), args.path)
@@ -173,29 +157,6 @@ def _load_tower(args):
                       uniformity=uniformity)
 
 
-def _parse_block(tower, text):
-    """Block named as the reports print it (b2,3 / r1a0 / d010 / elabel)."""
-    gen = tower.gen
-    kind = tower.kind
-    try:
-        if kind == "metric_disk" and text.startswith("b"):
-            i, _, j = text[1:].partition(",")
-            return (int(i), int(j))
-        if kind == "sectorial_disk" and text.startswith("r"):
-            i, _, a = text[1:].partition("a")
-            return (int(i), int(a))
-        if kind == "padic_disk" and text.startswith("d"):
-            return text[1:]
-        if kind == "formal" and text.startswith("d"):
-            return int(text[1:])
-        if kind == "finite" and text.startswith("e"):
-            return gen.u.base.index(text[1:])
-    except (ValueError, KeyError):
-        pass
-    raise ValueError("bad block name %r for generator %s" % (text, kind))
-
-
-@_register(("tower", "build"))
 def cmd_tower_build(args):
     from .tower import verify_tower
     rep = verify_tower(_load_tower(args))
@@ -203,7 +164,6 @@ def cmd_tower_build(args):
     return 0 if rep.ok else 1
 
 
-@_register(("tower", "threads"))
 def cmd_tower_threads(args):
     from .tower import enumerate_threads
     rep = enumerate_threads(_load_tower(args))
@@ -211,7 +171,6 @@ def cmd_tower_threads(args):
     return 0
 
 
-@_register(("tower", "uniform-cover"))
 def cmd_tower_uniform_cover(args):
     from .tower import is_uniform_covering, named_covering
     tower = _load_tower(args)
@@ -220,7 +179,6 @@ def cmd_tower_uniform_cover(args):
     return 0 if rep.ok else 1
 
 
-@_register(("tower", "tukey"))
 def cmd_tower_tukey(args):
     from .tower import is_tukey_at_depth, named_covering
     tower = _load_tower(args)
@@ -229,16 +187,13 @@ def cmd_tower_tukey(args):
     return 0 if rep.ok else 1
 
 
-@_register(("tower", "continuity"))
 def cmd_tower_continuity(args):
-    from .tower import check_uniform_continuity, make_tower
+    from .tower import CoveringTower, check_uniform_continuity, make_tower
     src = _load_tower(args)
     dst_depth = (args.target_depth if args.target_depth is not None
                  else src.depth)
     if args.map == "identity":
-        dst = make_tower(src.kind, dst_depth,
-                         p=src.gen.params.get("p"),
-                         uniformity=getattr(src.gen, "u", None))
+        dst = CoveringTower(src.gen, dst_depth)
     elif args.map == "polar_to_cartesian":
         dst = make_tower("metric_disk", dst_depth)
     else:
@@ -248,11 +203,10 @@ def cmd_tower_continuity(args):
     return 0 if rep.ok else 1
 
 
-@_register(("tower", "bornology"))
 def cmd_tower_bornology(args):
     from .tower import bornology_at_depth
     tower = _load_tower(args)
-    blocks = [_parse_block(tower, t) for t in args.blocks.split(";")]
+    blocks = [tower.gen.parse_block(t) for t in args.blocks.split(";")]
     rep = bornology_at_depth(tower, args.level, blocks)
     print("\n".join(rep.lines()))
     return 0 if rep.bounded else 1
@@ -265,7 +219,6 @@ def _load_pair(args):
     return formats.parse_space(_read(args.path), args.path).dense_pair()
 
 
-@_register(("gtop", "ucheck"))
 def cmd_gtop_ucheck(args):
     pair = _load_pair(args)
     labels = tuple(t for t in args.labels.split(",") if t)
@@ -274,7 +227,6 @@ def cmd_gtop_ucheck(args):
     return 0
 
 
-@_register(("gtop", "l7"))
 def cmd_gtop_l7(args):
     from .gtop import check_l7
     rep = check_l7(_load_pair(args))
@@ -293,7 +245,6 @@ def cmd_gtop_l7(args):
     return 0 if rep.items1to5_ok else 1
 
 
-@_register(("gtop", "groth"))
 def cmd_gtop_groth(args):
     from .gtop import check_grothendieck, uniform_g_topology
     g = uniform_g_topology(_load_pair(args),
@@ -309,7 +260,6 @@ def cmd_gtop_groth(args):
     return 0 if rep.valid else 1
 
 
-@_register(("gtop", "cohomology"))
 def cmd_gtop_cohomology(args):
     from .gtop import sheaf_cohomology
     _, sheaf = formats.parse_sheaf(_read(args.path), args.path)
@@ -319,7 +269,6 @@ def cmd_gtop_cohomology(args):
     return 0
 
 
-@_register(("gtop", "cech"))
 def cmd_gtop_cech(args):
     from .gtop import cech_cohomology, constant_sheaf, sheaf_cohomology
     sf = formats.parse_space(_read(args.path), args.path)
@@ -353,7 +302,6 @@ def _load_operator(args):
     return formats.parse_operator(_read(args.path), args.path)
 
 
-@_register(("dmod", "delta"))
 def cmd_dmod_delta(args):
     from .dmod import to_delta_form
     spec = _load_operator(args)
@@ -363,7 +311,6 @@ def cmd_dmod_delta(args):
     return 0
 
 
-@_register(("dmod", "polygon"))
 def cmd_dmod_polygon(args):
     from .dmod import newton_polygon
     spec = _load_operator(args)
@@ -378,7 +325,6 @@ def cmd_dmod_polygon(args):
     return 0
 
 
-@_register(("dmod", "irregularity"))
 def cmd_dmod_irregularity(args):
     from .dmod import format_point, irregularity, _point_key
     spec = _load_operator(args)
@@ -392,14 +338,12 @@ def cmd_dmod_irregularity(args):
     return 0
 
 
-@_register(("dmod", "chi"))
 def cmd_dmod_chi(args):
     from .dmod import deligne_chi
     print("chi=%d" % deligne_chi(_load_operator(args)))
     return 0
 
 
-@_register(("dmod", "oracle"))
 def cmd_dmod_oracle(args):
     from .dmod import derham_oracle
     spec = _load_operator(args)
@@ -411,7 +355,6 @@ def cmd_dmod_oracle(args):
     return 0 if stab else 1
 
 
-@_register(("dmod", "report"))
 def cmd_dmod_report(args):
     from .dmod import index_report
     spec = _load_operator(args)
@@ -423,7 +366,6 @@ def cmd_dmod_report(args):
 # the acceptance suite
 
 
-@_register(("corpus", "run"))
 def cmd_corpus_run(args):
     from .acceptance import run_all
     return 0 if run_all(criteria=args.criteria) else 1

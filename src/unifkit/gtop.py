@@ -447,7 +447,7 @@ class PosetSheaf:
             return self._sections[mask]
         except KeyError:
             pass
-        if mask not in set(self.top.open_masks):
+        if not self.top.is_open_mask(mask):
             raise ValueError("sections are only defined on opens")
         points = [i for i in range(len(self.top.base)) if mask >> i & 1]
         offs = {}
@@ -495,6 +495,20 @@ def constant_sheaf(top, dim=1):
     return PosetSheaf(top, [dim] * len(top.base), mats)
 
 
+def _betti(dims, differentials):
+    """Betti numbers of a cochain complex with cochain dimensions dims
+    and the matrices of d^0, d^1, ... ([] for a zero map): dims[q] -
+    rank d^q - rank d^(q-1), trailing zero degrees above degree 0
+    dropped.  Each matrix is ranked as it arrives, so a generator keeps
+    one alive at a time."""
+    ranks = [linalg.rank(d) for d in differentials]
+    betti = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
+             for q in range(len(dims))]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
 def sheaf_cohomology(f):
     """Betti numbers of the ordered-chain complex: cochains assign to a
     strict chain a vector in the stalk of its top point; the coboundary
@@ -520,7 +534,7 @@ def sheaf_cohomology(f):
 
     def differential(q):
         if q + 1 not in by_len:
-            return None
+            return []
         rows = dims_q[q + 1]
         cols = dims_q.get(q, 0)
         m = linalg.zeros(rows, cols)
@@ -543,17 +557,8 @@ def sheaf_cohomology(f):
                         m[roff + r][coff + cc] += sign * rmat[r][cc]
         return m
 
-    ranks = {}
-    for q in range(maxq + 1):
-        d = differential(q)
-        ranks[q] = linalg.rank(d) if d else 0
-    betti = []
-    for q in range(maxq + 1):
-        b = dims_q.get(q, 0) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        betti.append(b)
-    while len(betti) > 1 and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
+    return _betti([dims_q.get(q, 0) for q in range(maxq + 1)],
+                  (differential(q) for q in range(maxq + 1)))
 
 
 def simplicial_cohomology(top):
@@ -568,14 +573,11 @@ def simplicial_cohomology(top):
     for q, cs in by_len.items():
         for k, c in enumerate(cs):
             index[c] = k
-    ranks = {}
-    for q in range(maxq + 1):
+
+    def differential(q):
         if q + 1 not in by_len:
-            ranks[q] = 0
-            continue
-        rows = len(by_len[q + 1])
-        cols = len(by_len[q])
-        m = linalg.zeros(rows, cols)
+            return []
+        m = linalg.zeros(len(by_len[q + 1]), len(by_len[q]))
         for c in by_len[q + 1]:
             r = index[c]
             sign = 1
@@ -583,14 +585,10 @@ def simplicial_cohomology(top):
                 face = c[:t] + c[t + 1:]
                 m[r][index[face]] += sign
                 sign = -sign
-        ranks[q] = linalg.rank(m)
-    betti = []
-    for q in range(maxq + 1):
-        betti.append(len(by_len.get(q, [])) - ranks.get(q, 0)
-                     - ranks.get(q - 1, 0))
-    while len(betti) > 1 and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
+        return m
+
+    return _betti([len(by_len.get(q, [])) for q in range(maxq + 1)],
+                  (differential(q) for q in range(maxq + 1)))
 
 
 # Cech side
@@ -677,13 +675,11 @@ def cech_cohomology(pair, f, members):
             off += f.dim_sections(w_of[sigma])
         dims_q[size - 1] = off
 
-    ranks = {}
-    for q in range(r):
+    def differential(q):
         rows = dims_q.get(q + 1, 0)
         cols = dims_q.get(q, 0)
         if rows == 0 or cols == 0:
-            ranks[q] = 0
-            continue
+            return []
         m = linalg.zeros(rows, cols)
         for sigma in itertools.combinations(range(r), q + 2):
             roff = index[sigma]
@@ -701,14 +697,10 @@ def cech_cohomology(pair, f, members):
                         if rmat[rr][cc]:
                             m[roff + rr][coff + cc] += sign * rmat[rr][cc]
                 sign = -sign
-        ranks[q] = linalg.rank(m)
+        return m
 
-    betti = []
-    for q in range(r):
-        betti.append(dims_q.get(q, 0) - ranks.get(q, 0) - ranks.get(q - 1, 0))
-    while len(betti) > 1 and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
+    return _betti([dims_q.get(q, 0) for q in range(r)],
+                  (differential(q) for q in range(r)))
 
 
 def check_gluing(pair, f, max_family_size=2):

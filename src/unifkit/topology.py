@@ -91,7 +91,16 @@ class FiniteTopology:
         return "FiniteTopology(%r, %d opens)" % (self.base.labels, len(self.open_masks))
 
     def is_open(self, labels):
-        return self.base.mask_of(labels) in set(self.open_masks)
+        return self.is_open_mask(self.base.mask_of(labels))
+
+    def is_open_mask(self, mask):
+        """Open exactly when the set holds the minimal open of each of
+        its points, which stays true where only a basis of the opens is
+        stored."""
+        if mask >> len(self.base):
+            return False
+        return all(self._min_open[i] & ~mask == 0
+                   for i in range(len(self.base)) if mask >> i & 1)
 
     def min_open_mask(self, i):
         return self._min_open[i]

@@ -19,6 +19,14 @@ for the square generators (the star of a block spans 7 level units and
 a block three levels up spans 24, leaving room to place one whatever
 the alignment) and to level k-1 for the residue generators, whose
 levels are honest partitions with singleton stars.
+
+Each generator class holds its own geometry: its blocks and their
+names (block_name, and parse_block for reading them back), parents and
+stars, containment and overlap, and coverage of a block by a covering
+member.  The operations below ask the generator instead of switching
+on its kind (only make_tower and the domains of the chart-change maps
+name kinds), so adding or changing a uniform structure touches one
+class.
 """
 
 from __future__ import annotations
@@ -138,19 +146,89 @@ class Covering:
 # generators
 
 
-class _MetricGen:
-    """Punctured square [-1,1]^2 minus the origin with the euclidean
-    uniformity: overlapping cartesian boxes halving per level.  At
-    level k each axis carries positions i with block [2i, 2i+3] in
-    units of 2^-(k+1): width 3, stride 2, so adjacent positions share
-    a unit-wide strip and positions two apart are disjoint."""
+class _Generator:
+    """What a generator owns: its blocks and their names, parents, stars,
+    containment, overlap and coverage by a covering member.  The defaults
+    fit a generator whose levels all repeat one covering by pairwise
+    disjoint blocks; the others override what differs."""
 
-    kind = "metric_disk"
     symmetric = True
-    star_lag = 3
+    star_lag = 1
+    thread_notes = ()
 
     def __init__(self):
         self.params = {}
+
+    def parse_block(self, text):
+        """The block a report names: the inverse of block_name."""
+        try:
+            if text.startswith(self.block_prefix):
+                return self.block_from(text[1:])
+        except (ValueError, KeyError):
+            pass
+        raise ValueError("bad block name %r for generator %s"
+                         % (text, self.kind))
+
+    def parent(self, k, b):
+        return b
+
+    def inside_parent(self, k, b):
+        return self.parent(k, b) == b
+
+    def path(self, n, b):
+        return (b,) * n
+
+    def neighbors(self, k, b):
+        return iter(())  # one level's blocks are disjoint
+
+    def check_star(self, k, b):
+        return True  # the star of a disjoint block is the block itself
+
+    def scan_ids(self, k):
+        """Deterministic scan for checks on very large levels."""
+        return self.block_ids(k)
+
+    def puncture_first(self, k):
+        """The level's blocks, those a sector can never hold first, so
+        that scans of failing levels stay cheap."""
+        return self.block_ids(k)
+
+    def identity_fits(self, n, b, m):
+        """Block b of level n lies inside a single level-m block."""
+        return True  # the levels repeat one covering
+
+    def tangential_cycle_ok(self, n):
+        return False
+
+
+class _SquareGen(_Generator):
+    """Punctured square [-1,1]^2 minus the origin.  Both of its
+    uniformities halve blocks per level along two axes and certify stars
+    three levels up."""
+
+    star_lag = 3
+
+    def parent(self, k, b):
+        return (b[0] // 2, b[1] // 2)
+
+    def path(self, n, b):
+        out = [b]
+        for k in range(n, 1, -1):
+            b = self.parent(k, b)
+            out.append(b)
+        out.reverse()
+        return tuple(out)
+
+
+class _MetricGen(_SquareGen):
+    """The punctured square with the euclidean uniformity: overlapping
+    cartesian boxes halving per level.  At level k each axis carries
+    positions i with block [2i, 2i+3] in units of 2^-(k+1): width 3,
+    stride 2, so adjacent positions share a unit-wide strip and
+    positions two apart are disjoint."""
+
+    kind = "metric_disk"
+    block_prefix = "b"
 
     def half_range(self, k):
         return 1 << (k + 1)
@@ -180,6 +258,10 @@ class _MetricGen:
     def block_name(self, k, b):
         return "b%d,%d" % b
 
+    def block_from(self, body):
+        i, _, j = body.partition(",")
+        return (int(i), int(j))
+
     def block_box(self, k, b):
         x0, x1 = self.interval(k, b[0])
         y0, y1 = self.interval(k, b[1])
@@ -191,8 +273,11 @@ class _MetricGen:
     def is_origin(self, b):
         return b[0] in (-1, 0) and b[1] in (-1, 0)
 
-    def parent(self, k, b):
-        return (b[0] // 2, b[1] // 2)
+    def inside_parent(self, k, b):
+        x0, x1, y0, y1 = self.block_box(k, b)
+        px0, px1, py0, py1 = self.block_box(k - 1, self.parent(k, b))
+        return (2 * px0 <= x0 and x1 <= 2 * px1
+                and 2 * py0 <= y0 and y1 <= 2 * py1)
 
     def neighbors(self, k, b):
         imin, imax = self.irange(k)
@@ -225,20 +310,102 @@ class _MetricGen:
                 return False
         return True
 
+    def scan_ids(self, k):
+        # every block near the range boundary or the origin plus a
+        # fixed stride through the interior
+        imin, imax = self.irange(k)
+        edge = {imin, imin + 1, -2, -1, 0, 1, imax - 1, imax}
+        for i in range(imin, imax + 1):
+            for j in range(imin, imax + 1):
+                if i in edge or j in edge or (i % 37 == 0 and j % 11 == 0):
+                    yield (i, j)
+
+    def puncture_first(self, k):
+        yield from self.origin_ids()
+        for b in self.block_ids(k):
+            if not self.is_origin(b):
+                yield b
+
+    def identity_fits(self, n, b, m):
+        f = 1 << max(m - n, 0)
+        g = 1 << max(n - m, 0)
+        imin, imax = self.irange(m)
+        for ax in (0, 1):
+            lo, hi = self.interval(n, b[ax])
+            if _fit_linear(lo * f, hi * f, g,
+                           lambda i: self.interval(m, i), imin, imax) is None:
+                return False
+        return True
+
+    def blocks_meet(self, k1, b1, k2, b2):
+        lvl = max(k1, k2)
+        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+        a = tuple(c * f1 for c in self.block_box(k1, b1))
+        b = tuple(c * f2 for c in self.block_box(k2, b2))
+        return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
+
+    def covers_block(self, cov_level, mset, k, b):
+        """Exact coverage of block b of level k by the union of a
+        member's level-cov_level blocks."""
+        lvl = max(cov_level, k)
+        fb = 1 << (lvl - k)
+        fm = 1 << (lvl - cov_level)
+        x0, x1, y0, y1 = (c * fb for c in self.block_box(k, b))
+        imin, imax = self.irange(cov_level)
+        region = [(x0, x1, y0, y1)]
+        for i in _interval_candidates(x0 // fm, -(-x1 // fm), imin, imax):
+            for j in _interval_candidates(y0 // fm, -(-y1 // fm), imin, imax):
+                if (i, j) not in mset:
+                    continue
+                bb = self.block_box(cov_level, (i, j))
+                region = _box_minus(region, tuple(c * fm for c in bb))
+                if not region:
+                    return True
+        return not region
+
+    def absorbs_origin(self, level, member):
+        """The member contains a full punctured neighborhood of the
+        origin: each open corner quadrant is filled near 0 by some
+        block."""
+        need = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        for b in member:
+            if not self.is_origin(b):
+                continue
+            x0, x1, y0, y1 = self.block_box(level, b)
+            for sx, sy in tuple(need):
+                okx = (x0 <= 0 < x1) if sx > 0 else (x0 < 0 <= x1)
+                oky = (y0 <= 0 < y1) if sy > 0 else (y0 < 0 <= y1)
+                if okx and oky:
+                    need.discard((sx, sy))
+            if not need:
+                return True
+        return not need
+
+    def sector_members(self, k):
+        extents = [(b, self.tau_extent(k, b)) for b in self.block_ids(k)]
+        members = []
+        for q in range(4):
+            lo = 2 * q
+            mem = []
+            for b, ext in extents:
+                if ext is None:
+                    continue
+                es, el = ext
+                if (es - lo) % FULL_CIRCLE + el <= 4:
+                    mem.append(b)
+            members.append(mem)
+        return members
+
+    def puncture_space(self, n):
+        base = FiniteSet(("p0",))
+        return FiniteTopology.indiscrete(base), ("p0",)
+
     def classes(self, n):
         origin = self.origin_ids()
         yield ThreadClass("puncture", n, origin[0], origin)
         for b in self.block_ids(n):
             if not self.is_origin(b):
                 yield ThreadClass("interior", n, b, (b,))
-
-    def path(self, n, b):
-        out = [b]
-        for k in range(n, 1, -1):
-            b = self.parent(k, b)
-            out.append(b)
-        out.reverse()
-        return tuple(out)
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -314,19 +481,15 @@ class _MetricGen:
         return taus[start_at], (FULL_CIRCLE - best_gap) % FULL_CIRCLE
 
 
-class _SectorialGen:
-    """Same punctured square, finer uniformity: polar blocks, a radial
-    interval times an angular window on the boundary circle.  The
+class _SectorialGen(_SquareGen):
+    """The same punctured square, finer uniformity: polar blocks, a
+    radial interval times an angular window on the boundary circle.  The
     radial axis reuses the width-3 stride-2 schedule on [0, top]; the
     angular windows are (start 2a, length 3) mod 2^(k+1) for 2^k values
     of a, so the tip carries exactly 2^k angular positions."""
 
     kind = "sectorial_disk"
-    symmetric = True
-    star_lag = 3
-
-    def __init__(self):
-        self.params = {}
+    block_prefix = "r"
 
     def radial_top(self, k):
         return 1 << (k + 1)
@@ -360,11 +523,23 @@ class _SectorialGen:
     def block_name(self, k, b):
         return "r%da%d" % b
 
+    def block_from(self, body):
+        i, _, a = body.partition("a")
+        return (int(i), int(a))
+
     def is_tip(self, b):
         return b[0] == 0
 
-    def parent(self, k, b):
-        return (b[0] // 2, b[1] // 2)
+    def inside_parent(self, k, b):
+        pb = self.parent(k, b)
+        lo, hi = self.radial_interval(k, b[0])
+        plo, phi = self.radial_interval(k - 1, pb[0])
+        if 2 * plo > lo or hi > 2 * phi:
+            return False
+        mod = self.angular_mod(k)
+        ws, wl = self.angular_window(k, b[1])
+        ps, pl = self.angular_window(k - 1, pb[1])
+        return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
 
     def neighbors(self, k, b):
         c = self.counts(k)
@@ -398,6 +573,146 @@ class _SectorialGen:
         return _circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod,
                               tl * f, mod)
 
+    def scan_ids(self, k):
+        # every block near the radial ends or the angular cut plus a
+        # fixed stride through the interior
+        c = self.counts(k)
+        edge = {0, 1, c - 2, c - 1}
+        for i in range(c):
+            for a in range(c):
+                if i in edge or a in edge or (i % 37 == 0 and a % 11 == 0):
+                    yield (i, a)
+
+    def identity_fits(self, n, b, m):
+        f = 1 << max(m - n, 0)
+        g = 1 << max(n - m, 0)
+        lo, hi = self.radial_interval(n, b[0])
+        if _fit_linear(lo * f, hi * f, g,
+                       lambda i: self.radial_interval(m, i), 0,
+                       self.counts(m) - 1) is None:
+            return False
+        mod = self.angular_mod(max(n, m))
+        ws, wl = self.angular_window(n, b[1])
+        ws, wl = (ws * f) % mod, wl * f
+        a = (ws // (2 * g)) % self.counts(m)
+        ts, tl = self.angular_window(m, a)
+        return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
+
+    def blocks_meet(self, k1, b1, k2, b2):
+        lvl = max(k1, k2)
+        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+        lo1, hi1 = self.radial_interval(k1, b1[0])
+        lo2, hi2 = self.radial_interval(k2, b2[0])
+        if hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1:
+            return False
+        mod = self.angular_mod(lvl)
+        s1, l1 = self.angular_window(k1, b1[1])
+        s2, l2 = self.angular_window(k2, b2[1])
+        return _circ_intersects((s1 * f1) % mod, l1 * f1,
+                                (s2 * f2) % mod, l2 * f2, mod)
+
+    def covers_block(self, cov_level, mset, k, b):
+        """Coverage of polar block b of level k by a member union: cut
+        the circle at the block's window start and subtract (radius,
+        angle) boxes; a member window can wrap across the cut, so both
+        lifts are taken."""
+        lvl = max(cov_level, k)
+        fb = 1 << (lvl - k)
+        fm = 1 << (lvl - cov_level)
+        mod = self.angular_mod(lvl)
+        lo, hi = self.radial_interval(k, b[0])
+        ws, wl = self.angular_window(k, b[1])
+        lo, hi, ws, wl = lo * fb, hi * fb, (ws * fb) % mod, wl * fb
+        region = [(lo, hi, 0, wl)]
+        for i in _interval_candidates(lo // fm, -(-hi // fm), 0,
+                                      self.counts(cov_level) - 1):
+            for a in range(self.counts(cov_level)):
+                if (i, a) not in mset:
+                    continue
+                blo, bhi = self.radial_interval(cov_level, i)
+                bs, bl = self.angular_window(cov_level, a)
+                rel = (bs * fm - ws) % mod
+                for start in (rel, rel - mod):
+                    region = _box_minus(region, (blo * fm, bhi * fm,
+                                                 start, start + bl * fm))
+                if not region:
+                    return True
+        return not region
+
+    def tips_cover(self, cov_level, member, ws, wl, n):
+        """The member's tip blocks cover the level-n angular window, so
+        the member absorbs a thin sector over the whole window."""
+        lvl = max(cov_level, n)
+        fb = 1 << (lvl - n)
+        fm = 1 << (lvl - cov_level)
+        mod = self.angular_mod(lvl)
+        ws, wl = (ws * fb) % mod, wl * fb
+        pieces = [(0, wl)]  # the window, cut open at its start
+        for b in member:
+            if not self.is_tip(b):
+                continue
+            bs, bl = self.angular_window(cov_level, b[1])
+            rel = (bs * fm - ws) % mod
+            for start in (rel, rel - mod):
+                cut_lo, cut_hi = start, start + bl * fm
+                nxt = []
+                for lo, hi in pieces:
+                    if cut_hi <= lo or cut_lo >= hi:
+                        nxt.append((lo, hi))
+                        continue
+                    if lo < cut_lo:
+                        nxt.append((lo, cut_lo))
+                    if cut_hi < hi:
+                        nxt.append((cut_hi, hi))
+                pieces = nxt
+            if not pieces:
+                return True
+        return not pieces
+
+    def sector_members(self, k):
+        mod = self.angular_mod(k)
+        members = []
+        for q in range(4):
+            ws = (q * (1 << (k - 1))) % mod
+            wl = 1 << k
+            members.append([b for b in self.block_ids(k)
+                            if _circ_contains(2 * b[1], 3, ws, wl, mod)])
+        return members
+
+    def tangential_cycle_ok(self, n):
+        mod = self.angular_mod(n)
+        count = self.counts(n)
+        if count < 3:
+            return False
+        for a in range(count):
+            s1, l1 = self.angular_window(n, a)
+            for b in range(count):
+                if a == b:
+                    continue
+                s2, l2 = self.angular_window(n, b)
+                meets = _circ_intersects(s1, l1, s2, l2, mod)
+                expected = (a - b) % count in (1, count - 1)
+                if meets != expected:
+                    return False
+        return True
+
+    def puncture_space(self, n):
+        """The circle of angular classes with a junction point between
+        each adjacent pair, every junction specializing to its two
+        neighbors."""
+        mcount = self.counts(n)
+        labels = tuple("c%d" % a for a in range(mcount)) + tuple(
+            "j%d" % a for a in range(mcount))
+        base = FiniteSet(labels)
+        mins = [1 << a for a in range(mcount)]
+        for a in range(mcount):
+            mins.append(1 << (mcount + a) | 1 << a | 1 << ((a + 1) % mcount))
+        if len(labels) <= 16:
+            # small enough for the honest full open lattice
+            from .relations import Relation
+            return FiniteTopology.from_preorder(Relation(base, mins)), labels
+        return _basis_topology(base, mins), labels
+
     def classes(self, n):
         c = self.counts(n)
         for a in range(c):
@@ -405,14 +720,6 @@ class _SectorialGen:
         for b in self.block_ids(n):
             if not self.is_tip(b):
                 yield ThreadClass("interior", n, b, (b,))
-
-    def path(self, n, b):
-        out = [b]
-        for k in range(n, 1, -1):
-            b = self.parent(k, b)
-            out.append(b)
-        out.reverse()
-        return tuple(out)
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -461,19 +768,30 @@ class _SectorialGen:
         return len(covered) == mod
 
 
-class _PadicGen:
-    """Residue disk tree: level k partitions the integer disk into the
-    p^k residue disks of radius p^-k, one per length-k digit string."""
+class _ResidueGen(_Generator):
+    """Residue disks of the integers under a prime p; their levels are
+    honest partitions with singleton stars."""
 
-    kind = "padic_disk"
-    symmetric = True
-    star_lag = 1
+    block_prefix = "d"
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, p)):
             raise ValueError("p must be prime")
         self.p = p
         self.params = {"p": p}
+
+    def covers_space(self, k):
+        return True  # each level partitions the disk
+
+
+class _PadicGen(_ResidueGen):
+    """Residue disk tree: level k partitions the integer disk into the
+    p^k residue disks of radius p^-k, one per length-k digit string."""
+
+    kind = "padic_disk"
+    thread_notes = ("stable-radius chains and limit points of disk "
+                    "sequences with empty intersection have no finite "
+                    "block chain at this depth and are not enumerated",)
 
     def block_ids(self, k):
         digits = [str(d) for d in range(self.p)]
@@ -490,24 +808,41 @@ class _PadicGen:
     def block_name(self, k, b):
         return "d" + b
 
+    def block_from(self, body):
+        return body
+
     def parent(self, k, b):
         return b[:-1]
 
-    def neighbors(self, k, b):
-        return iter(())  # one level's residue disks are disjoint
+    def inside_parent(self, k, b):
+        return b[:k - 1] == self.parent(k, b)
 
-    def star_cert(self, k, b):
-        return k - 1, b[:-1]
+    def path(self, n, b):
+        return tuple(b[:k] for k in range(1, n + 1))
 
-    def check_star(self, k, b):
-        return True  # the star of a disjoint block is the block itself
+    def identity_fits(self, n, b, m):
+        return n >= m
+
+    def blocks_meet(self, k1, b1, k2, b2):
+        return b1.startswith(b2) or b2.startswith(b1)
+
+    def covers_block(self, cov_level, mset, k, b):
+        """Residue-disk coverage, recursing into child disks down to the
+        member radius p^-cov_level."""
+        cap = max(cov_level, len(b))
+
+        def covered(s):
+            if any(s.startswith(m) for m in mset):
+                return True
+            if len(s) >= cap:
+                return False
+            return all(covered(s + str(d)) for d in range(self.p))
+
+        return covered(b)
 
     def classes(self, n):
         for b in self.block_ids(n):
             yield ThreadClass("end", n, b, (b,))
-
-    def path(self, n, b):
-        return tuple(b[:k] for k in range(1, n + 1))
 
     def samples(self, depth):
         width = min(depth, 8 if self.p == 2 else 5)
@@ -521,23 +856,12 @@ class _PadicGen:
             raise ValueError("sample too short for this level")
         return [s[:k]]
 
-    def covers_space(self, k):
-        return True
 
-
-class _FormalGen:
+class _FormalGen(_ResidueGen):
     """One-level residue covering repeated at every depth: blocks never
     shrink, so every thread keeps a stable radius."""
 
     kind = "formal"
-    symmetric = True
-    star_lag = 1
-
-    def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, p)):
-            raise ValueError("p must be prime")
-        self.p = p
-        self.params = {"p": p}
 
     def block_ids(self, k):
         return iter(range(self.p))
@@ -551,24 +875,18 @@ class _FormalGen:
     def block_name(self, k, b):
         return "d%d" % b
 
-    def parent(self, k, b):
-        return b
+    def block_from(self, body):
+        return int(body)
 
-    def neighbors(self, k, b):
-        return iter(())
+    def blocks_meet(self, k1, b1, k2, b2):
+        return b1 == b2
 
-    def star_cert(self, k, b):
-        return k - 1, b
-
-    def check_star(self, k, b):
-        return True
+    def covers_block(self, cov_level, mset, k, b):
+        return b in mset
 
     def classes(self, n):
         for b in range(self.p):
             yield ThreadClass("branch", n, b, (b,))
-
-    def path(self, n, b):
-        return (b,) * n
 
     def samples(self, depth):
         return list(range(self.p))
@@ -579,21 +897,18 @@ class _FormalGen:
     def member_blocks(self, k, s):
         return [s]
 
-    def covers_space(self, k):
-        return True
 
-
-class _FiniteGen:
+class _FiniteGen(_Generator):
     """Tower induced by a finite entourage model: one block per
     distinct minimal ball, identical at every level."""
 
     kind = "finite"
-    star_lag = 1
+    block_prefix = "e"
 
     def __init__(self, uniformity):
+        super().__init__()
         self.u = uniformity
         self.symmetric = uniformity.symmetric_flag
-        self.params = {}
         rows = uniformity.e_min.rows
         seen = {}
         for x, row in enumerate(rows):
@@ -613,15 +928,12 @@ class _FiniteGen:
     def block_name(self, k, b):
         return "e%s" % self.u.base.labels[b]
 
-    def parent(self, k, b):
-        return b
+    def block_from(self, body):
+        return self.u.base.index(body)
 
     def neighbors(self, k, b):
         m = self.masks[b]
         return iter(x for x in self.reps if x != b and self.masks[x] & m)
-
-    def star_cert(self, k, b):
-        return k - 1, b
 
     def check_star(self, k, b):
         # levels repeat, so the certificate is honest only when the
@@ -634,12 +946,18 @@ class _FiniteGen:
                 star |= self.masks[x]
         return any(star & ~self.masks[x] == 0 for x in self.reps)
 
+    def blocks_meet(self, k1, b1, k2, b2):
+        return self.masks[b1] & self.masks[b2] != 0
+
+    def covers_block(self, cov_level, mset, k, b):
+        acc = 0
+        for x in mset:
+            acc |= self.masks[x]
+        return self.masks[b] & ~acc == 0
+
     def classes(self, n):
         for b in self.reps:
             yield ThreadClass("interior", n, b, (b,))
-
-    def path(self, n, b):
-        return (b,) * n
 
     def samples(self, depth):
         return list(range(len(self.u.base)))
@@ -780,49 +1098,6 @@ class TowerReport:
         return out
 
 
-def _block_inside_parent(gen, k, b):
-    pb = gen.parent(k, b)
-    if gen.kind == "metric_disk":
-        x0, x1, y0, y1 = gen.block_box(k, b)
-        px0, px1, py0, py1 = gen.block_box(k - 1, pb)
-        return (2 * px0 <= x0 and x1 <= 2 * px1
-                and 2 * py0 <= y0 and y1 <= 2 * py1)
-    if gen.kind == "sectorial_disk":
-        lo, hi = gen.radial_interval(k, b[0])
-        plo, phi = gen.radial_interval(k - 1, pb[0])
-        if 2 * plo > lo or hi > 2 * phi:
-            return False
-        mod = gen.angular_mod(k)
-        ws, wl = gen.angular_window(k, b[1])
-        ps, pl = gen.angular_window(k - 1, pb[1])
-        return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
-    if gen.kind == "padic_disk":
-        return b[:k - 1] == pb
-    return pb == b
-
-
-def _sample_scan_ids(gen, k):
-    """Deterministic scan for checks on very large levels: every block
-    near the range boundary or the origin plus a fixed stride through
-    the interior."""
-    if gen.kind == "metric_disk":
-        imin, imax = gen.irange(k)
-        edge = {imin, imin + 1, -2, -1, 0, 1, imax - 1, imax}
-        for i in range(imin, imax + 1):
-            for j in range(imin, imax + 1):
-                if i in edge or j in edge or (i % 37 == 0 and j % 11 == 0):
-                    yield (i, j)
-    elif gen.kind == "sectorial_disk":
-        c = gen.counts(k)
-        edge = {0, 1, c - 2, c - 1}
-        for i in range(c):
-            for a in range(c):
-                if i in edge or a in edge or (i % 37 == 0 and a % 11 == 0):
-                    yield (i, a)
-    else:
-        yield from gen.block_ids(k)
-
-
 def verify_tower(tower, block_budget=200000):
     """Check parent containment, star certificates, covering of the
     space, and pairwise adjacency of the blocks containing each sample
@@ -834,12 +1109,12 @@ def verify_tower(tower, block_budget=200000):
     def level_ids(k):
         if gen.block_count(k) <= block_budget:
             return tower.block_ids(k)
-        return _sample_scan_ids(gen, k)
+        return gen.scan_ids(k)
 
     refinement_ok = True
     for k in range(2, tower.depth + 1):
         for b in level_ids(k):
-            if not _block_inside_parent(gen, k, b):
+            if not gen.inside_parent(k, b):
                 refinement_ok = False
                 witness = "parent@%d:%s" % (k, gen.block_name(k, b))
                 break
@@ -897,12 +1172,7 @@ class ThreadReport:
 
     def __init__(self, tower):
         self.tower = tower
-        notes = []
-        if tower.kind == "padic_disk":
-            notes.append("stable-radius chains and limit points of disk "
-                         "sequences with empty intersection have no finite "
-                         "block chain at this depth and are not enumerated")
-        self.notes = tuple(notes)
+        self.notes = tuple(tower.gen.thread_notes)
 
     def iter_classes(self):
         return self.tower.gen.classes(self.tower.depth)
@@ -922,25 +1192,7 @@ class ThreadReport:
     def tangential_cycle_ok(self):
         """The classes over the puncture form one cycle under block
         adjacency: each meets exactly its two angular neighbors."""
-        if self.tower.kind != "sectorial_disk":
-            return False
-        gen = self.tower.gen
-        n = self.tower.depth
-        mod = gen.angular_mod(n)
-        count = gen.counts(n)
-        if count < 3:
-            return False
-        for a in range(count):
-            s1, l1 = gen.angular_window(n, a)
-            for b in range(count):
-                if a == b:
-                    continue
-                s2, l2 = gen.angular_window(n, b)
-                meets = _circ_intersects(s1, l1, s2, l2, mod)
-                expected = (a - b) % count in (1, count - 1)
-                if meets != expected:
-                    return False
-        return True
+        return self.tower.gen.tangential_cycle_ok(self.tower.depth)
 
     def class_line(self, c):
         gen = self.tower.gen
@@ -974,39 +1226,18 @@ def sector_covering(tower, k=None):
     boundary circle: each member collects the level-k blocks whose
     directions stay within a half-circle window starting at that
     quarter."""
-    if tower.kind not in ("metric_disk", "sectorial_disk"):
+    if not isinstance(tower.gen, _SquareGen):
         raise ValueError("sector covering needs a square generator")
     if k is None:
         k = min(tower.depth, 3)
     tower._check_level(k)
     if k < 2:
         raise ValueError("sector covering needs level 2 or deeper")
-    gen = tower.gen
-    members = []
-    if tower.kind == "sectorial_disk":
-        mod = gen.angular_mod(k)
-        for q in range(4):
-            ws = (q * (1 << (k - 1))) % mod
-            wl = 1 << k
-            members.append([b for b in gen.block_ids(k)
-                            if _circ_contains(2 * b[1], 3, ws, wl, mod)])
-    else:
-        extents = [(b, gen.tau_extent(k, b)) for b in gen.block_ids(k)]
-        for q in range(4):
-            lo = 2 * q
-            mem = []
-            for b, ext in extents:
-                if ext is None:
-                    continue
-                es, el = ext
-                if (es - lo) % FULL_CIRCLE + el <= 4:
-                    mem.append(b)
-            members.append(mem)
-    return Covering("sectors@%d" % k, k, members)
+    return Covering("sectors@%d" % k, k, tower.gen.sector_members(k))
 
 
 def residue_covering(tower):
-    if tower.kind not in ("padic_disk", "formal"):
+    if not isinstance(tower.gen, _ResidueGen):
         raise ValueError("residue covering needs a residue generator")
     return Covering("residues", 1, [(b,) for b in tower.block_ids(1)])
 
@@ -1033,117 +1264,6 @@ def _validate_covering(tower, cov):
 
 
 # uniform coverings
-
-
-def _member_covers_box(gen, cov_level, mset, box, box_level):
-    """Exact coverage of a closed cartesian box (in box_level units) by
-    the union of a member's blocks."""
-    lvl = max(cov_level, box_level)
-    fb = 1 << (lvl - box_level)
-    fm = 1 << (lvl - cov_level)
-    x0, x1, y0, y1 = (c * fb for c in box)
-    imin, imax = gen.irange(cov_level)
-    region = [(x0, x1, y0, y1)]
-    for i in _interval_candidates(x0 // fm, -(-x1 // fm), imin, imax):
-        for j in _interval_candidates(y0 // fm, -(-y1 // fm), imin, imax):
-            if (i, j) not in mset:
-                continue
-            bb = gen.block_box(cov_level, (i, j))
-            region = _box_minus(region, tuple(c * fm for c in bb))
-            if not region:
-                return True
-    return not region
-
-
-def _member_covers_polar(gen, cov_level, mset, block, block_level):
-    """Coverage of one polar block by a member union: cut the circle at
-    the block's window start and subtract (radius, angle) boxes; a
-    member window can wrap across the cut, so both lifts are taken."""
-    lvl = max(cov_level, block_level)
-    fb = 1 << (lvl - block_level)
-    fm = 1 << (lvl - cov_level)
-    mod = gen.angular_mod(lvl)
-    lo, hi = gen.radial_interval(block_level, block[0])
-    ws, wl = gen.angular_window(block_level, block[1])
-    lo, hi, ws, wl = lo * fb, hi * fb, (ws * fb) % mod, wl * fb
-    region = [(lo, hi, 0, wl)]
-    for i in _interval_candidates(lo // fm, -(-hi // fm), 0,
-                                  gen.counts(cov_level) - 1):
-        for a in range(gen.counts(cov_level)):
-            if (i, a) not in mset:
-                continue
-            blo, bhi = gen.radial_interval(cov_level, i)
-            bs, bl = gen.angular_window(cov_level, a)
-            rel = (bs * fm - ws) % mod
-            for start in (rel, rel - mod):
-                region = _box_minus(region, (blo * fm, bhi * fm,
-                                             start, start + bl * fm))
-            if not region:
-                return True
-    return not region
-
-
-def _member_covers_disk(p, mset, block, cap):
-    """Residue-disk coverage, recursing into child disks down to the
-    finest member radius."""
-
-    def covered(s):
-        if any(s.startswith(m) for m in mset):
-            return True
-        if len(s) >= cap:
-            return False
-        return all(covered(s + str(d)) for d in range(p))
-
-    return covered(block)
-
-
-def _member_absorbs_origin(gen, level, member):
-    """The member contains a full punctured neighborhood of the origin:
-    each open corner quadrant is filled near 0 by some block."""
-    need = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    for b in member:
-        if not gen.is_origin(b):
-            continue
-        x0, x1, y0, y1 = gen.block_box(level, b)
-        for sx, sy in tuple(need):
-            okx = (x0 <= 0 < x1) if sx > 0 else (x0 < 0 <= x1)
-            oky = (y0 <= 0 < y1) if sy > 0 else (y0 < 0 <= y1)
-            if okx and oky:
-                need.discard((sx, sy))
-        if not need:
-            return True
-    return not need
-
-
-def _member_tips_cover(gen, cov_level, member, ws, wl, n):
-    """The member's tip blocks cover the angular window, so the member
-    absorbs a thin sector over the whole window."""
-    lvl = max(cov_level, n)
-    fb = 1 << (lvl - n)
-    fm = 1 << (lvl - cov_level)
-    mod = gen.angular_mod(lvl)
-    ws, wl = (ws * fb) % mod, wl * fb
-    pieces = [(0, wl)]  # the window, cut open at its start
-    for b in member:
-        if not gen.is_tip(b):
-            continue
-        bs, bl = gen.angular_window(cov_level, b[1])
-        rel = (bs * fm - ws) % mod
-        for start in (rel, rel - mod):
-            cut_lo, cut_hi = start, start + bl * fm
-            nxt = []
-            for lo, hi in pieces:
-                if cut_hi <= lo or cut_lo >= hi:
-                    nxt.append((lo, hi))
-                    continue
-                if lo < cut_lo:
-                    nxt.append((lo, cut_lo))
-                if cut_hi < hi:
-                    nxt.append((cut_hi, hi))
-            pieces = nxt
-        if not pieces:
-            return True
-    return not pieces
 
 
 class UniformCoverReport:
@@ -1186,42 +1306,19 @@ def is_uniform_covering(tower, cov):
 
 
 def _class_absorbed(tower, cov, cls, msets, present):
-    gen = tower.gen
     n = tower.depth
+    if cls.tag not in ("puncture", "tangential"):
+        return _block_in_some_member(tower, cov, msets, present, n, cls.rep)
+    # an enclosing block in some member settles a limit class too: a
+    # metric origin block contains the origin in its ambient interior, a
+    # tip block's window contains the class window
     if cov.level <= n and tower.ancestor(n, cls.rep, cov.level) in present:
-        # an enclosing block sits in some member outright; that settles
-        # every tag: a metric origin block contains the origin in its
-        # ambient interior, a tip block's window contains the class
-        # window, a residue prefix contains the whole disk
         return True
-    if cls.tag == "interior":
-        if gen.kind == "metric_disk":
-            box = gen.block_box(n, cls.rep)
-            return any(_member_covers_box(gen, cov.level, ms, box, n)
-                       for ms in msets)
-        if gen.kind == "sectorial_disk":
-            return any(_member_covers_polar(gen, cov.level, ms, cls.rep, n)
-                       for ms in msets)
-        masks = gen.masks
-        target = masks[cls.rep]
-        for ms in msets:
-            acc = 0
-            for b in ms:
-                acc |= masks[b]
-            if target & ~acc == 0:
-                return True
-        return False
+    gen = tower.gen
     if cls.tag == "puncture":
-        return any(_member_absorbs_origin(gen, cov.level, ms) for ms in msets)
-    if cls.tag == "tangential":
-        ws, wl = gen.angular_window(n, cls.rep[1])
-        return any(_member_tips_cover(gen, cov.level, ms, ws, wl, n)
-                   for ms in msets)
-    if tower.kind == "formal":
-        return any(cls.rep in ms for ms in msets)
-    cap = max((len(b) for ms in msets for b in ms), default=1)
-    return any(_member_covers_disk(gen.p, ms, cls.rep,
-                                   max(cap, len(cls.rep))) for ms in msets)
+        return any(gen.absorbs_origin(cov.level, ms) for ms in msets)
+    ws, wl = gen.angular_window(n, cls.rep[1])
+    return any(gen.tips_cover(cov.level, ms, ws, wl, n) for ms in msets)
 
 
 # Tukey refinement
@@ -1260,7 +1357,7 @@ def is_tukey_at_depth(tower, cov):
     witness = None
     for k in tower.levels():
         level_witness = None
-        for b in _scan_puncture_first(gen, k):
+        for b in gen.puncture_first(k):
             if not _block_in_some_member(tower, cov, msets, present, k, b):
                 level_witness = "%d:%s" % (k, gen.block_name(k, b))
                 break
@@ -1273,44 +1370,10 @@ def is_tukey_at_depth(tower, cov):
                        cov, len(cov.members))
 
 
-def _scan_puncture_first(gen, k):
-    # the blocks around the puncture are the ones a sector can never
-    # hold; scanning them first keeps failing levels cheap
-    if gen.kind == "metric_disk":
-        yield from gen.origin_ids()
-        for b in gen.block_ids(k):
-            if not gen.is_origin(b):
-                yield b
-    else:
-        yield from gen.block_ids(k)
-
-
 def _block_in_some_member(tower, cov, msets, present, k, b):
-    gen = tower.gen
     if cov.level <= k and tower.ancestor(k, b, cov.level) in present:
-        return True
-    if gen.kind == "metric_disk":
-        box = gen.block_box(k, b)
-        return any(_member_covers_box(gen, cov.level, ms, box, k)
-                   for ms in msets)
-    if gen.kind == "sectorial_disk":
-        return any(_member_covers_polar(gen, cov.level, ms, b, k)
-                   for ms in msets)
-    if gen.kind == "formal":
-        return any(b in ms for ms in msets)
-    if gen.kind == "padic_disk":
-        cap = max((len(m) for ms in msets for m in ms), default=1)
-        return any(_member_covers_disk(gen.p, ms, b, max(cap, len(b)))
-                   for ms in msets)
-    masks = gen.masks
-    target = masks[b]
-    for ms in msets:
-        acc = 0
-        for x in ms:
-            acc |= masks[x]
-        if target & ~acc == 0:
-            return True
-    return False
+        return True  # an enclosing block sits in some member outright
+    return any(tower.gen.covers_block(cov.level, ms, k, b) for ms in msets)
 
 
 # uniform continuity
@@ -1382,7 +1445,7 @@ def _first_unmapped(kind, src, n, dst, m):
     gen = src.gen
     if kind == "identity":
         for b in src.block_ids(n):
-            if not _identity_fits(gen, n, b, m):
+            if not gen.identity_fits(n, b, m):
                 return b
         return None
     if kind == "polar_to_cartesian":
@@ -1394,7 +1457,7 @@ def _first_unmapped(kind, src, n, dst, m):
                 if not _polar_block_fits(gen, n, (i, a), dst.gen, m):
                     return (i, a)
         return None
-    for b in _scan_puncture_first(gen, n):
+    for b in gen.puncture_first(n):
         if not _cartesian_block_fits(gen, n, b, dst.gen, m):
             return b
     return None
@@ -1411,36 +1474,6 @@ def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
         if blo * scale <= lo and hi <= bhi * scale:
             return i
     return None
-
-
-def _identity_fits(gen, n, b, m):
-    if gen.kind == "metric_disk":
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        imin, imax = gen.irange(m)
-        for ax in (0, 1):
-            lo, hi = gen.interval(n, b[ax])
-            if _fit_linear(lo * f, hi * f, g,
-                           lambda i: gen.interval(m, i), imin, imax) is None:
-                return False
-        return True
-    if gen.kind == "sectorial_disk":
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        lo, hi = gen.radial_interval(n, b[0])
-        if _fit_linear(lo * f, hi * f, g,
-                       lambda i: gen.radial_interval(m, i), 0,
-                       gen.counts(m) - 1) is None:
-            return False
-        mod = gen.angular_mod(max(n, m))
-        ws, wl = gen.angular_window(n, b[1])
-        ws, wl = (ws * f) % mod, wl * f
-        a = (ws // (2 * g)) % gen.counts(m)
-        ts, tl = gen.angular_window(m, a)
-        return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
-    if gen.kind == "padic_disk":
-        return n >= m
-    return True  # formal and finite levels repeat one covering
 
 
 def _find_metric_block(gen, m, box):
@@ -1571,7 +1604,7 @@ def bornology_at_depth(tower, level, blocks):
     counts = []
     for k in tower.levels():
         c = sum(1 for b in tower.block_ids(k)
-                if any(_blocks_meet(gen, k, b, level, t) for t in blocks))
+                if any(gen.blocks_meet(k, b, level, t) for t in blocks))
         counts.append((k, c))
     bset = set(blocks)
     seen = set()
@@ -1608,41 +1641,17 @@ def bornology_at_depth(tower, level, blocks):
                            n, level)
 
 
-def _blocks_meet(gen, k1, b1, k2, b2):
-    if gen.kind == "metric_disk":
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        a = tuple(c * f1 for c in gen.block_box(k1, b1))
-        b = tuple(c * f2 for c in gen.block_box(k2, b2))
-        return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
-    if gen.kind == "sectorial_disk":
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        lo1, hi1 = gen.radial_interval(k1, b1[0])
-        lo2, hi2 = gen.radial_interval(k2, b2[0])
-        if hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1:
-            return False
-        mod = gen.angular_mod(lvl)
-        s1, l1 = gen.angular_window(k1, b1[1])
-        s2, l2 = gen.angular_window(k2, b2[1])
-        return _circ_intersects((s1 * f1) % mod, l1 * f1,
-                                (s2 * f2) % mod, l2 * f2, mod)
-    if gen.kind == "padic_disk":
-        return b1.startswith(b2) or b2.startswith(b1)
-    if gen.kind == "formal":
-        return b1 == b2
-    return gen.masks[b1] & gen.masks[b2] != 0
-
-
 # the puncture quotient as a finite space
 
 
 def _basis_topology(base, min_masks):
     """Alexandrov space stored by its minimal-open basis plus the empty
-    and full sets.  Specialization, chains, and Hasse data only read
-    the minimal opens, so the sheaf machinery works on it; the full
-    open lattice is deliberately not materialized, and interior or
-    closure of arbitrary sets must not be asked of these instances."""
+    and full sets; the full open lattice is deliberately not
+    materialized.  Every open is a union of minimal opens, so openness,
+    interior, closure, specialization, chains and Hasse data are those
+    of the lattice, and the sheaf machinery works on it.  Only
+    open_masks, opens and equality list the basis instead of the
+    lattice."""
     n = len(base)
     full = (1 << n) - 1
     mins = tuple(min_masks)
@@ -1666,23 +1675,9 @@ def puncture_quotient(tower):
     point for the metric tower; for the sectorial tower the circle of
     angular classes with a junction point between each adjacent pair,
     every junction specializing to its two neighbors."""
-    if tower.kind == "metric_disk":
-        base = FiniteSet(("p0",))
-        return FiniteTopology.indiscrete(base), ("p0",)
-    if tower.kind != "sectorial_disk":
+    if not isinstance(tower.gen, _SquareGen):
         raise ValueError("puncture quotient needs a square generator")
-    mcount = tower.gen.counts(tower.depth)
-    labels = tuple("c%d" % a for a in range(mcount)) + tuple(
-        "j%d" % a for a in range(mcount))
-    base = FiniteSet(labels)
-    mins = [1 << a for a in range(mcount)]
-    for a in range(mcount):
-        mins.append(1 << (mcount + a) | 1 << a | 1 << ((a + 1) % mcount))
-    if len(labels) <= 16:
-        # small enough for the honest full open lattice
-        from .relations import Relation
-        return FiniteTopology.from_preorder(Relation(base, mins)), labels
-    return _basis_topology(base, mins), labels
+    return tower.gen.puncture_space(tower.depth)
 
 
 def puncture_cohomology(tower):

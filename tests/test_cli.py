@@ -1,12 +1,13 @@
 """Command line behavior, including the pinned golden outputs."""
 
+import argparse
 import contextlib
 import io
 
 import pytest
 
 from unifkit import formats
-from unifkit.cli import DISPATCH, main
+from unifkit.cli import _parser, main
 from unifkit.dmod import corpus
 from unifkit.gtop import constant_sheaf, sierpinski_pair
 from unifkit.quniform import pervin, symmetrize
@@ -258,8 +259,21 @@ def test_missing_file_is_input_error(tmp_path):
     assert "error:" in err
 
 
+def command_paths(parser, prefix=()):
+    """Every command path of the argparse tree that sets a handler."""
+    func = parser.get_default("func")
+    if func is not None:
+        yield prefix, func
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from command_paths(sub, prefix + (name,))
+
+
 def test_dispatch_covers_documented_surface():
-    assert set(DISPATCH) == {
+    handlers = dict(command_paths(_parser()))
+    assert all(callable(fn) for fn in handlers.values())
+    assert set(handlers) == {
         ("check",), ("convert",), ("derive",), ("pervin",), ("kunzi",),
         ("quotient",),
         ("tower", "build"), ("tower", "threads"), ("tower", "uniform-cover"),

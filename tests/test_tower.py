@@ -1,14 +1,21 @@
+import contextlib
+import io
+
 import pytest
 
+from unifkit import formats
+from unifkit.cli import main
 from unifkit.enumeration import standard_base
+from unifkit.gtop import constant_sheaf
 from unifkit.quniform import QUniformity, pervin, symmetrize
 from unifkit.relations import FiniteSet, Relation
 from unifkit.topology import FiniteTopology
-from unifkit.tower import (bornology_at_depth, check_uniform_continuity,
-                           enumerate_threads, is_tukey_at_depth,
-                           is_uniform_covering, level_covering, make_tower,
-                           named_covering, puncture_cohomology,
-                           puncture_quotient, verify_tower)
+from unifkit.tower import (Covering, bornology_at_depth,
+                           check_uniform_continuity, enumerate_threads,
+                           is_tukey_at_depth, is_uniform_covering,
+                           level_covering, make_tower, named_covering,
+                           puncture_cohomology, puncture_quotient,
+                           verify_tower)
 
 
 def finite_uniformity():
@@ -172,8 +179,204 @@ def test_puncture_quotients():
     assert tuple(complex_betti) == (1, 1)
 
 
+def test_basis_only_quotient_knows_every_open():
+    top, _ = puncture_quotient(make_tower("sectorial_disk", 4))
+    assert len(top.base) == 32  # stored by its minimal opens only
+    assert top.is_open(("c0", "c1"))
+    assert top.is_open(("c0", "c1", "j0"))
+    assert not top.is_open(("j0",))
+    assert not top.is_open(("c0", "j1"))
+    sheaf = constant_sheaf(top)
+    assert sheaf.dim_sections(top.base.mask_of(("c0", "c1"))) == 2
+    assert sheaf.dim_sections(top.base.mask_of(("c0", "c1", "j0"))) == 1
+    with pytest.raises(ValueError):
+        sheaf.dim_sections(top.base.mask_of(("j0",)))
+
+
 def test_finite_embedding_tower():
     t = make_tower("finite", 1, uniformity=finite_uniformity())
     assert verify_tower(t).ok
     names = {t.block_name(1, b) for b in t.gen.block_ids(1)}
     assert names == {"ea", "ec"}
+
+
+# pinned report lines: every generator against the operations whose
+# per-generator geometry the tests above leave uncovered
+
+
+def sierpinski_pervin():
+    base = FiniteSet(["o", "c"])
+    return pervin(FiniteTopology.from_opens(base, [[], ["o"], ["o", "c"]]))
+
+
+TOWERS = {
+    "metric": lambda d: make_tower("metric_disk", d),
+    "sectorial": lambda d: make_tower("sectorial_disk", d),
+    "padic2": lambda d: make_tower("padic_disk", d, p=2),
+    "padic3": lambda d: make_tower("padic_disk", d, p=3),
+    "formal": lambda d: make_tower("formal", d, p=3),
+    "finite": lambda d: make_tower("finite", d,
+                                   uniformity=sierpinski_pervin()),
+}
+
+
+def covering(tower, spec):
+    if isinstance(spec, str):
+        return named_covering(tower, spec)
+    return Covering(*spec)
+
+
+OPS = {
+    "bornology": lambda t, a: bornology_at_depth(t, a[0], a[1]),
+    "tukey": lambda t, a: is_tukey_at_depth(t, covering(t, a)),
+    "uniform": lambda t, a: is_uniform_covering(t, covering(t, a)),
+    "identity": lambda t, a: check_uniform_continuity(
+        "identity", t, TOWERS[a[0]](a[1])),
+    "verify": lambda t, a: verify_tower(t, block_budget=a),
+}
+
+PINNED = [
+    ("sectorial", 3, "bornology", (2, [(1, 0), (1, 3)]),
+     ["precompact=true", "bounded=true", "meets[1]=4", "meets[2]=12",
+      "meets[3]=35", "Z=r1a0", "iterations=2"]),
+    ("sectorial", 4, "bornology", (3, [(0, 0), (0, 1), (5, 7)]),
+     ["precompact=true", "bounded=true", "meets[1]=4", "meets[2]=12",
+      "meets[3]=17", "meets[4]=53", "Z=r0a0,r5a7", "iterations=2"]),
+    ("padic2", 3, "bornology", (2, ["01", "10"]),
+     ["precompact=true", "bounded=true", "meets[1]=2", "meets[2]=2",
+      "meets[3]=4", "Z=d01,d10", "iterations=1"]),
+    ("padic3", 3, "bornology", (1, ["2"]),
+     ["precompact=true", "bounded=true", "meets[1]=1", "meets[2]=3",
+      "meets[3]=9", "Z=d2", "iterations=1"]),
+    ("formal", 3, "bornology", (2, [0, 2]),
+     ["precompact=true", "bounded=true", "meets[1]=2", "meets[2]=2",
+      "meets[3]=2", "Z=d0,d2", "iterations=1"]),
+    ("finite", 2, "bornology", (1, [1]),
+     ["precompact=true", "bounded=true", "meets[1]=2", "meets[2]=2", "Z=ec",
+      "iterations=1"]),
+    ("finite", 2, "bornology", (2, [0, 1]),
+     ["precompact=true", "bounded=true", "meets[1]=2", "meets[2]=2", "Z=eo",
+      "iterations=2"]),
+    ("padic2", 3, "tukey", "residues",
+     ["covering=residues", "tukey=true", "refining_level=1",
+      "finite_subcover_size=2"]),
+    ("padic2", 3, "tukey", "level:3",
+     ["covering=level:3", "tukey=true", "refining_level=3",
+      "finite_subcover_size=8"]),
+    ("padic2", 3, "tukey", ("half", 2, [("00", "01", "10")]),
+     ["covering=half", "tukey=false", "witness=3:d110",
+      "finite_subcover_size=1"]),
+    ("padic3", 2, "tukey", "level:1",
+     ["covering=level:1", "tukey=true", "refining_level=1",
+      "finite_subcover_size=3"]),
+    ("formal", 3, "tukey", "level:2",
+     ["covering=level:2", "tukey=true", "refining_level=1",
+      "finite_subcover_size=3"]),
+    ("formal", 3, "tukey", ("pair", 1, [(0, 1), (2,)]),
+     ["covering=pair", "tukey=true", "refining_level=1",
+      "finite_subcover_size=2"]),
+    ("finite", 2, "tukey", "level:1",
+     ["covering=level:1", "tukey=true", "refining_level=1",
+      "finite_subcover_size=2"]),
+    ("finite", 2, "tukey", ("open", 1, [(1,)]),
+     ["covering=open", "tukey=true", "refining_level=1",
+      "finite_subcover_size=1"]),
+    ("finite", 2, "uniform", "level:1",
+     ["covering=level:1", "uniform=true"]),
+    ("finite", 2, "uniform", "level:2",
+     ["covering=level:2", "uniform=true"]),
+    ("finite", 2, "uniform", ("open", 2, [(1,)]),
+     ["covering=open", "uniform=true"]),
+    ("formal", 3, "uniform", "level:2",
+     ["covering=level:2", "uniform=true"]),
+    ("formal", 3, "uniform", ("pair", 1, [(0, 1), (2,)]),
+     ["covering=pair", "uniform=true"]),
+    ("formal", 3, "uniform", ("gap", 3, [(0, 1)]),
+     ["covering=gap", "uniform=false", "witness=branch d2"]),
+    ("sectorial", 3, "identity", ("sectorial", 3),
+     ["map=identity", "uniformly_continuous=true", "target=1 source=1",
+      "target=2 source=2", "target=3 source=3"]),
+    ("sectorial", 2, "identity", ("sectorial", 4),
+     ["map=identity", "uniformly_continuous=false", "target=1 source=1",
+      "target=2 source=2", "target=3 FAIL witness=2:r0a0",
+      "target=4 FAIL witness=2:r0a0"]),
+    ("sectorial", 4, "identity", ("sectorial", 2),
+     ["map=identity", "uniformly_continuous=true", "target=1 source=1",
+      "target=2 source=2"]),
+    ("padic2", 3, "identity", ("padic2", 3),
+     ["map=identity", "uniformly_continuous=true", "target=1 source=1",
+      "target=2 source=2", "target=3 source=3"]),
+    ("padic2", 2, "identity", ("padic2", 4),
+     ["map=identity", "uniformly_continuous=false", "target=1 source=1",
+      "target=2 source=2", "target=3 FAIL witness=2:d00",
+      "target=4 FAIL witness=2:d00"]),
+    ("padic3", 4, "identity", ("padic3", 2),
+     ["map=identity", "uniformly_continuous=true", "target=1 source=1",
+      "target=2 source=2"]),
+    ("metric", 4, "verify", 10,
+     ["generator=metric_disk", "depth=4", "symmetric=true", "star_lag=3",
+      "blocks[1]=16", "blocks[2]=64", "blocks[3]=256", "blocks[4]=1024",
+      "refinement=ok", "star=ok", "covering=ok", "sample=ok"]),
+    ("metric", 5, "verify", 10,
+     ["generator=metric_disk", "depth=5", "symmetric=true", "star_lag=3",
+      "blocks[1]=16", "blocks[2]=64", "blocks[3]=256", "blocks[4]=1024",
+      "blocks[5]=4096", "refinement=ok", "star=ok", "covering=ok",
+      "sample=ok"]),
+    ("sectorial", 4, "verify", 10,
+     ["generator=sectorial_disk", "depth=4", "symmetric=true", "star_lag=3",
+      "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256",
+      "refinement=ok", "star=ok", "covering=ok", "sample=ok"]),
+    ("sectorial", 5, "verify", 10,
+     ["generator=sectorial_disk", "depth=5", "symmetric=true", "star_lag=3",
+      "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256",
+      "blocks[5]=1024", "refinement=ok", "star=ok", "covering=ok",
+      "sample=ok"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,depth,op,arg,want", PINNED,
+    ids=["%s-%d-%s-%d" % (c[0], c[1], c[2], i) for i, c in enumerate(PINNED)])
+def test_pinned_report_lines(name, depth, op, arg, want):
+    assert OPS[op](TOWERS[name](depth), arg).lines() == want
+
+
+ROUND_TRIP = {
+    # generator -> (tower file line, a name no block carries)
+    "metric": ("tower metric_disk depth=2", "r0a0"),
+    "sectorial": ("tower sectorial_disk depth=2", "b0,0"),
+    "padic2": ("tower padic_disk depth=3 p=2", "e1"),
+    "padic3": ("tower padic_disk depth=2 p=3", "b1,1"),
+    "formal": ("tower formal depth=2 p=3", "dx"),
+    "finite": ("tower finite depth=2 space=sp.space", "ez"),
+}
+
+
+def cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_block_names_read_back(tmp_path, name):
+    """Every block name the reports print is accepted by the command
+    line and names the same block again."""
+    decl, bad = ROUND_TRIP[name]
+    (tmp_path / "sp.space").write_text(formats.print_space(
+        formats.SpaceFile.from_uniformity("sp", sierpinski_pervin())))
+    path = tmp_path / "t.tower"
+    path.write_text(decl + "\n")
+    tower = TOWERS[name](int(decl.split("depth=")[1].split()[0]))
+    for k in tower.levels():
+        for b in tower.block_ids(k):
+            text = tower.block_name(k, b)
+            code, out, _ = cli(["tower", "bornology", str(path),
+                                "--level", str(k), "--blocks", text])
+            assert code == 0 and "Z=%s" % text in out
+    code, _, err = cli(["tower", "bornology", str(path), "--level", "1",
+                        "--blocks", bad])
+    assert code == 2
+    assert err == "error: bad block name %r for generator %s\n" % (
+        bad, tower.kind)
