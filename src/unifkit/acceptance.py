@@ -8,8 +8,10 @@ test suite share a single gate.
 """
 
 import itertools
+import os
 import random
 import time
+import traceback
 
 from .enumeration import (all_partial_orders, all_preorders, dense_subsets,
                           standard_base)
@@ -333,6 +335,19 @@ CRITERIA = (
 )
 
 
+def _crash_detail(exc):
+    """Exception type, innermost unifkit frame and message of an
+    exception caught in run_all (so run_all's frame is the outermost)."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if os.path.dirname(os.path.abspath(f.filename)) == package][-1]
+    return "crashed: %s at %s:%d in %s: %s" % (
+        type(exc).__name__,
+        os.path.relpath(os.path.abspath(frame.filename),
+                        os.path.dirname(package)),
+        frame.lineno, frame.name, exc)
+
+
 def run_all(criteria=None, out=print):
     """Run the numbered criteria (all by default; `criteria` may be an
     iterable of numbers or a comma-separated string).  One line per
@@ -344,12 +359,12 @@ def run_all(criteria=None, out=print):
     for num, title, fn, budget in CRITERIA:
         if wanted is not None and num not in wanted:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as e:  # a crash is a failure, not an abort
-            ok, detail = False, "crashed: %s" % e
-        dt = time.time() - t0
+            ok, detail = False, _crash_detail(e)
+        dt = time.perf_counter() - t0
         if ok and dt > budget:
             ok, detail = False, "over budget: %s" % detail
         all_ok = all_ok and ok

@@ -299,6 +299,9 @@ def print_space(sf):
 
 # tower files
 
+# parameters only some generators take, and which
+_GENERATOR_PARAMS = {"p": ("padic_disk", "formal"), "space": ("finite",)}
+
 
 def parse_tower(text, path="<tower>"):
     decl = None
@@ -321,6 +324,11 @@ def parse_tower(text, path="<tower>"):
                 raise FormatError(path, lineno, col,
                                   "parameters are key=value")
             key, _, val = t.partition("=")
+            if key in _GENERATOR_PARAMS and \
+                    decl["generator"] not in _GENERATOR_PARAMS[key]:
+                raise FormatError(path, lineno, col,
+                                  "generator %s takes no %s= parameter"
+                                  % (decl["generator"], key))
             if key in ("depth", "p"):
                 try:
                     decl[key] = int(val)

@@ -1,12 +1,22 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra over the rationals on one integer kernel.
 
-Matrices are lists of rows of Fractions.  Sizes stay in the low
-hundreds, so no pivoting strategy beyond "first nonzero" is needed.
+Matrices are lists of rows of Fractions.  Elimination runs
+fraction-free on Python ints: each row is multiplied by the lcm of its
+denominators, and a pivot row with pivot p clears the entry f of
+another row by cross-multiplication, row := (p/g)*row - (f/g)*pivot_row
+with g = gcd(p, f), after which the new row is divided by its content
+(the gcd of its entries).  Every row therefore stays the primitive
+integer vector along the row that elimination over Q would give, so
+entry sizes stay bounded by the matching minors.  Rows with a zero in
+the pivot column are not touched, which is most rows of the sparse
+0/+-1 differentials of the order complexes.  Pivots are the first
+nonzero entry in their column; results leave the kernel as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,9 +54,21 @@ def mat_vec(a, v):
     return [sum((aij * vj for aij, vj in zip(row, v)), ZERO) for row in a]
 
 
-def rref(m):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
+def _echelon(m, reduced):
+    """Fraction-free elimination of the rational matrix m.  Returns
+    (rows, pivot_columns) with rows of ints: the first len(pivot_columns)
+    rows are the pivot rows in pivot order, the rest are zero.
+    reduced=False stops after the forward phase (row echelon form);
+    reduced=True also clears each pivot column above its pivot
+    (Gauss-Jordan), so row k divided by its entry in pivot column k is
+    row k of the rref."""
+    rows = []
+    for row in m:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (den // x.denominator) for x in row])
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -60,12 +82,19 @@ def rref(m):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, nr):
+            f = rows[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(rows[i], prow)]
+            content = gcd(*new)
+            if content > 1:
+                new = [x // content for x in new]
+            rows[i] = new
         pivots.append(c)
         r += 1
         if r == nr:
@@ -73,10 +102,20 @@ def rref(m):
     return rows, pivots
 
 
+def rref(m):
+    """Reduced row echelon form. Returns (rows, pivot_columns)."""
+    rows, pivots = _echelon(m, True)
+    nc = len(rows[0]) if rows else 0
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row]
+           for row, c in zip(rows, pivots)]
+    out.extend([ZERO] * nc for _ in range(len(rows) - len(pivots)))
+    return out, pivots
+
+
 def rank(m):
     if not m or not m[0]:
         return 0
-    return len(rref(m)[1])
+    return len(_echelon(m, False)[1])
 
 
 def kernel_basis(m, ncols=None):
@@ -86,14 +125,15 @@ def kernel_basis(m, ncols=None):
     if not m or ncols == 0:
         return [[ONE if i == j else ZERO for j in range(ncols)]
                 for i in range(ncols)]
-    rows, pivots = rref(m)
+    rows, pivots = _echelon(m, True)
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
         v = [ZERO] * ncols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         out.append(v)
     return out
 
@@ -106,13 +146,14 @@ def solve_many(a, bs):
     nc = len(a[0]) if a else 0
     k = len(bs)
     aug = [list(a[i]) + [b[i] for b in bs] for i in range(nr)]
-    rows, pivots = rref(aug)
+    rows, pivots = _echelon(aug, True)
     sols = []
     piv_in_a = [p for p in pivots if p < nc]
     for t in range(k):
         v = [ZERO] * nc
-        for r, pc in enumerate(piv_in_a):
-            v[pc] = rows[r][nc + t]
+        for row, pc in zip(rows, piv_in_a):
+            if row[nc + t]:
+                v[pc] = Fraction(row[nc + t], row[pc])
         # verify by multiplication; rref bookkeeping alone can miss an
         # inconsistent right-hand side when several share a bad row
         for i in range(nr):

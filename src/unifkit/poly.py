@@ -72,7 +72,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -82,7 +82,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return Polynomial([c * other for c in self.coeffs])
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial()
@@ -141,11 +141,10 @@ class Polynomial:
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
         inv = 1 / self.lc()
-        return Polynomial(tuple(c * inv for c in self.coeffs))
+        return Polynomial([c * inv for c in self.coeffs])
 
     def deriv(self):
-        return Polynomial(tuple(i * c for i, c in
-                                enumerate(self.coeffs) if i))
+        return Polynomial([i * c for i, c in enumerate(self.coeffs) if i])
 
     def eval(self, x):
         x = Fraction(x)

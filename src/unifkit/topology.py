@@ -78,14 +78,16 @@ class FiniteTopology:
         return tuple(self.base.labels_of(m) for m in self.open_masks)
 
     def __eq__(self, other):
+        """Equal when the minimal opens agree: they determine every open
+        of a finite space, also when only a basis is stored."""
         return (
             isinstance(other, FiniteTopology)
             and self.base == other.base
-            and self.open_masks == other.open_masks
+            and self._min_open == other._min_open
         )
 
     def __hash__(self):
-        return hash((self.base, self.open_masks))
+        return hash((self.base, self._min_open))
 
     def __repr__(self):
         return "FiniteTopology(%r, %d opens)" % (self.base.labels, len(self.open_masks))

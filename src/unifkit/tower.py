@@ -1649,9 +1649,10 @@ def _basis_topology(base, min_masks):
     and full sets; the full open lattice is deliberately not
     materialized.  Every open is a union of minimal opens, so openness,
     interior, closure, specialization, chains and Hasse data are those
-    of the lattice, and the sheaf machinery works on it.  Only
-    open_masks, opens and equality list the basis instead of the
-    lattice."""
+    of the lattice, and the sheaf machinery works on it; equality and
+    hash read the minimal opens, so it equals the same space stored as
+    a lattice.  Only open_masks and opens list the basis instead of
+    the lattice."""
     n = len(base)
     full = (1 << n) - 1
     mins = tuple(min_masks)

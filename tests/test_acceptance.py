@@ -6,9 +6,12 @@ them, in which case the verdict line says so.
 """
 
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from unifkit import acceptance, linalg
 from unifkit.acceptance import CRITERIA, run_all
 
 
@@ -70,3 +73,22 @@ def test_criterion_09_index_formula(verdicts):
 
 def test_criterion_10_irregularity_values(verdicts):
     _check(verdicts, 10)
+
+
+def test_crash_line_names_type_and_innermost_frame(monkeypatch):
+    def inconsistent():
+        one = Fraction(1)
+        linalg.solve_many([[one], [one]], [[one, one + one]])
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        ((7, "raises inside the library", inconsistent, 60),))
+    lines = []
+    assert not run_all(out=lines.append)
+    [line] = lines
+    m = re.fullmatch(r"criterion  7 FAIL raises inside the library "
+                     r"\(crashed: ValueError at unifkit/linalg\.py:(\d+) in "
+                     r"solve_many: inconsistent system; \d+\.\ds, budget 60s\)",
+                     line)
+    assert m, line
+    src = Path(linalg.__file__).read_text().splitlines()
+    assert "raise ValueError" in src[int(m.group(1)) - 1]

@@ -204,6 +204,16 @@ def test_finite_tower_reads_space_reference(tmp_path, pervin_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("param", ["p=7", "space=nowhere.space"])
+def test_tower_rejects_parameter_the_generator_does_not_take(tmp_path, param):
+    t = tmp_path / "met.tower"
+    t.write_text("tower metric_disk depth=2 %s\n" % param)
+    code, out, err = run(["tower", "build", str(t)])
+    assert code == 2 and out == ""
+    assert err == "error: %s:1:27: generator metric_disk takes no %s= " \
+        "parameter\n" % (t, param.partition("=")[0])
+
+
 def test_gtop_ucheck(sier_file):
     code, out, _ = run(["gtop", "ucheck", sier_file, "--labels", "p1"])
     assert code == 0

@@ -10,7 +10,7 @@ from unifkit.gtop import constant_sheaf
 from unifkit.quniform import QUniformity, pervin, symmetrize
 from unifkit.relations import FiniteSet, Relation
 from unifkit.topology import FiniteTopology
-from unifkit.tower import (Covering, bornology_at_depth,
+from unifkit.tower import (Covering, _basis_topology, bornology_at_depth,
                            check_uniform_continuity, enumerate_threads,
                            is_tukey_at_depth, is_uniform_covering,
                            level_covering, make_tower, named_covering,
@@ -191,6 +191,17 @@ def test_basis_only_quotient_knows_every_open():
     assert sheaf.dim_sections(top.base.mask_of(("c0", "c1", "j0"))) == 1
     with pytest.raises(ValueError):
         sheaf.dim_sections(top.base.mask_of(("j0",)))
+
+
+def test_basis_only_quotient_equals_its_lattice():
+    lattice, _ = puncture_quotient(make_tower("sectorial_disk", 3))
+    n = len(lattice.base)
+    basis = _basis_topology(lattice.base,
+                            [lattice.min_open_mask(i) for i in range(n)])
+    assert len(lattice.open_masks) == 2207 and len(basis.open_masks) == 18
+    assert basis == lattice and lattice == basis
+    assert hash(basis) == hash(lattice)
+    assert basis != FiniteTopology.discrete(lattice.base)
 
 
 def test_finite_embedding_tower():
