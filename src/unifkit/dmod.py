@@ -400,8 +400,8 @@ class _OracleSession:
         h0 = n_inner - rank_inner
         out_rows = [row for c, row in zip(coords, full)
                     if c not in inner_set or _beyond(c, d)]
-        k_out = len(linalg.kernel_basis(out_rows, len(outer)))
-        k_full = len(linalg.kernel_basis(full, len(outer)))
+        k_out = len(outer) - linalg.rank(out_rows)
+        k_full = len(outer) - linalg.rank(full)
         h1 = n_inner - (k_out - k_full)
         return h0, h1
 

@@ -10,20 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from .relations import FiniteSet, Relation
+from .relations import FiniteSet, Relation, is_transitive_rows
 from .topology import FiniteTopology
-
-
-def _transitive_rows(rows):
-    for r in rows:
-        m, acc = r, 0
-        while m:
-            low = m & -m
-            acc |= rows[low.bit_length() - 1]
-            m ^= low
-        if acc & ~r:
-            return False
-    return True
 
 
 def all_preorders(base):
@@ -33,7 +21,7 @@ def all_preorders(base):
     others = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
     out = []
     for rows in itertools.product(*others):
-        if _transitive_rows(rows):
+        if is_transitive_rows(rows):
             out.append(Relation(base, rows))
     return out
 
@@ -52,7 +40,7 @@ def all_partial_orders(base):
                 rows[i] |= 1 << j
             elif c == 2:
                 rows[j] |= 1 << i
-        if _transitive_rows(rows):
+        if is_transitive_rows(rows):
             out.append(Relation(base, tuple(rows)))
     return out
 

@@ -31,7 +31,7 @@ class DensePair:
     subspace topology."""
 
     __slots__ = ("xhat", "x_mask", "_ucheck_cache", "_reach_cache",
-                 "_trace_opens")
+                 "_trace_opens", "_trace_set")
 
     def __init__(self, xhat, x_labels):
         x_mask = xhat.base.mask_of(x_labels)
@@ -42,7 +42,8 @@ class DensePair:
         self.x_mask = x_mask
         self._ucheck_cache = {}
         self._reach_cache = {}
-        self._trace_opens = tuple(sorted({m & x_mask for m in xhat.open_masks}))
+        self._trace_set = frozenset(m & x_mask for m in xhat.open_masks)
+        self._trace_opens = tuple(sorted(self._trace_set))
 
     @property
     def x_labels(self):
@@ -62,7 +63,7 @@ class DensePair:
         return self._trace_opens
 
     def is_trace_open(self, um):
-        return um in self._ucheck_cache or um in set(self._trace_opens)
+        return um in self._trace_set
 
     def u_check_mask(self, um):
         """Largest open of Xhat with trace exactly um."""
@@ -70,7 +71,7 @@ class DensePair:
             return self._ucheck_cache[um]
         except KeyError:
             pass
-        if um not in set(self._trace_opens):
+        if um not in self._trace_set:
             raise ValueError("set is not open in the dense subspace")
         acc = 0
         for m in self.xhat.open_masks:
@@ -229,9 +230,8 @@ class GCoveringSystem:
     def is_g_covering(self, um, members):
         pair = self.pair
         members = tuple(members)
-        trace_set = set(pair.trace_open_masks())
         for m in members:
-            if m not in trace_set:
+            if not pair.is_trace_open(m):
                 raise ValueError("covering member is not a subspace open")
             if m & ~um:
                 raise ValueError("covering member sticks out of its open")
@@ -747,7 +747,7 @@ def check_gluing(pair, f, max_family_size=2):
                         for cc in range(len(rb[t]) if rb else 0):
                             row[offs[b] + cc] -= rb[t][cc]
                         rows2.append(row)
-            ker = len(linalg.kernel_basis(rows2, total))
+            ker = total - linalg.rank(rows2)
             composed = linalg.matmul(rows2, alpha) if rows2 else []
             square_zero = all(all(x == 0 for x in row) for row in composed)
             if linalg.rank(alpha) != d_u or ker != d_u or not square_zero:

@@ -575,19 +575,9 @@ def smirnov_proximity(top, dense_labels):
 
 
 def topology_from(u):
-    """Opens are the E_min-stable sets."""
-    n = len(u.base)
-    rows = u.e_min.rows
-    masks = []
-    for v in range(1 << n):
-        ok = True
-        for i in range(n):
-            if v >> i & 1 and rows[i] & ~v:
-                ok = False
-                break
-        if ok:
-            masks.append(v)
-    return FiniteTopology(u.base, masks, validate=False)
+    """Opens are the E_min-stable sets, which are the sets stable under
+    the reflexive-transitive closure of E_min."""
+    return FiniteTopology.from_preorder(u.e_min.reflexive_transitive_closure())
 
 
 def pervin(top):

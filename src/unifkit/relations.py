@@ -225,16 +225,7 @@ class Relation:
         )
 
     def is_transitive(self):
-        # E transitive iff every successor's row folds back into the row
-        for i, r in enumerate(self.rows):
-            m, acc = r, 0
-            while m:
-                low = m & -m
-                acc |= self.rows[low.bit_length() - 1]
-                m ^= low
-            if acc & ~r:
-                return False
-        return True
+        return is_transitive_rows(self.rows)
 
     def is_preorder(self):
         return self.contains_diagonal() and self.is_transitive()
@@ -270,6 +261,20 @@ class Relation:
 
     def reflexive_transitive_closure(self):
         return self.union(Relation.diagonal(self.base)).transitive_closure()
+
+
+def is_transitive_rows(rows):
+    """Transitivity on raw successor rows: every successor's row folds
+    back into the row."""
+    for r in rows:
+        m, acc = r, 0
+        while m:
+            low = m & -m
+            acc |= rows[low.bit_length() - 1]
+            m ^= low
+        if acc & ~r:
+            return False
+    return True
 
 
 def intersect_all(relations):

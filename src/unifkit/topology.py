@@ -1,38 +1,66 @@
-"""Finite topological spaces as explicit open-set lattices.
+"""Finite topological spaces, stored by the minimal open of each point.
 
 A finite topology is the same thing as a preorder (take minimal opens
 for neighborhoods), and both directions of that dictionary are used
-constantly here.  Opens are stored as bitmasks over the base set.
+constantly here.  The minimal opens determine every open (the space is
+an Alexandrov space), so a space is stored, compared and hashed by
+them; its open lattice, as bitmasks over the base set, is listed only
+when asked for.
 """
 
 from __future__ import annotations
 
-from .relations import FiniteSet, Relation
+from .relations import Relation
+
+
+def up_sets(mins, within):
+    """Every subset of within that holds mins[i] & within for each of
+    its points i, sorted: the opens of the subspace on within, given
+    the minimal opens of a finite space.  Points with the same
+    restricted minimal open come and go together; taking those classes
+    by increasing size, every point a class needs is already placed, so
+    each class extends the sets listed so far that hold its need and
+    the work follows the output, not the 2^n subsets."""
+    classes = {}
+    rest = within
+    while rest:
+        low = rest & -rest
+        key = mins[low.bit_length() - 1] & within
+        classes[key] = classes.get(key, 0) | low
+        rest ^= low
+    out = [0]
+    for m in sorted(classes, key=int.bit_count):
+        cls = classes[m]
+        need = m & ~cls
+        out += [s | cls for s in out if need & ~s == 0]
+    out.sort()
+    return out
 
 
 class FiniteTopology:
-    """Open-set family on a FiniteSet, validated at construction.
+    """Finite space stored by its minimal opens.
 
-    Must contain the empty set and the whole space and be closed under
-    binary union and intersection (enough for closure under all of them,
-    the family being finite).
+    Built from an open family, the family is validated and kept: it must
+    contain the empty set and the whole space and be closed under binary
+    union and intersection (enough for closure under all of them, the
+    family being finite).  Built from a preorder, only the minimal opens
+    are stored and open_masks lists the lattice on first use.
     """
 
-    __slots__ = ("base", "open_masks", "_min_open")
+    __slots__ = ("base", "_min_open", "_opens")
 
-    def __init__(self, base, open_masks, validate=True):
+    def __init__(self, base, open_masks):
         self.base = base
         masks = tuple(sorted(set(open_masks)))
         full = (1 << len(base)) - 1
-        if validate:
-            have = set(masks)
-            if 0 not in have or full not in have:
-                raise ValueError("topology must contain the empty set and the space")
-            for a in masks:
-                for b in masks:
-                    if a | b not in have or a & b not in have:
-                        raise ValueError("opens not closed under union/intersection")
-        self.open_masks = masks
+        have = set(masks)
+        if 0 not in have or full not in have:
+            raise ValueError("topology must contain the empty set and the space")
+        for a in masks:
+            for b in masks:
+                if a | b not in have or a & b not in have:
+                    raise ValueError("opens not closed under union/intersection")
+        self._opens = masks
         # minimal open of i = intersection of opens containing i
         mins = []
         for i in range(len(base)):
@@ -44,34 +72,34 @@ class FiniteTopology:
         self._min_open = tuple(mins)
 
     @classmethod
-    def from_opens(cls, base, opens, validate=True):
-        return cls(base, (base.mask_of(o) for o in opens), validate=validate)
+    def from_opens(cls, base, opens):
+        return cls(base, (base.mask_of(o) for o in opens))
 
     @classmethod
     def from_preorder(cls, rel):
-        """Opens are the up-closed sets of the preorder, read along rows."""
+        """Opens are the up-closed sets of the preorder, read along rows:
+        row i is the minimal open of i."""
         if not rel.is_preorder():
             raise ValueError("relation is not a preorder")
-        n = len(rel.base)
-        masks = []
-        for v in range(1 << n):
-            ok = True
-            for i in range(n):
-                if v >> i & 1 and rel.rows[i] & ~v:
-                    ok = False
-                    break
-            if ok:
-                masks.append(v)
-        return cls(rel.base, masks, validate=False)
+        top = cls.__new__(cls)
+        top.base = rel.base
+        top._min_open = rel.rows
+        top._opens = None
+        return top
 
     @classmethod
     def discrete(cls, base):
-        n = len(base)
-        return cls(base, range(1 << n), validate=False)
+        return cls.from_preorder(Relation.diagonal(base))
 
     @classmethod
     def indiscrete(cls, base):
-        return cls(base, [0, (1 << len(base)) - 1], validate=False)
+        return cls.from_preorder(Relation.full(base))
+
+    @property
+    def open_masks(self):
+        if self._opens is None:
+            self._opens = tuple(up_sets(self._min_open, (1 << len(self.base)) - 1))
+        return self._opens
 
     @property
     def opens(self):
@@ -79,7 +107,7 @@ class FiniteTopology:
 
     def __eq__(self, other):
         """Equal when the minimal opens agree: they determine every open
-        of a finite space, also when only a basis is stored."""
+        of a finite space."""
         return (
             isinstance(other, FiniteTopology)
             and self.base == other.base
@@ -90,15 +118,15 @@ class FiniteTopology:
         return hash((self.base, self._min_open))
 
     def __repr__(self):
-        return "FiniteTopology(%r, %d opens)" % (self.base.labels, len(self.open_masks))
+        return "FiniteTopology(%r, minimal opens %r)" % (self.base.labels,
+                                                       self._min_open)
 
     def is_open(self, labels):
         return self.is_open_mask(self.base.mask_of(labels))
 
     def is_open_mask(self, mask):
         """Open exactly when the set holds the minimal open of each of
-        its points, which stays true where only a basis of the opens is
-        stored."""
+        its points."""
         if mask >> len(self.base):
             return False
         return all(self._min_open[i] & ~mask == 0
@@ -111,22 +139,23 @@ class FiniteTopology:
         return self.base.labels_of(self._min_open[self.base.index(label)])
 
     def interior_mask(self, mask):
+        """The points whose minimal open lies inside the set."""
         acc = 0
-        for m in self.open_masks:
+        for i, m in enumerate(self._min_open):
             if m & ~mask == 0:
-                acc |= m
+                acc |= 1 << i
         return acc
 
     def interior(self, labels):
         return self.base.labels_of(self.interior_mask(self.base.mask_of(labels)))
 
     def closure_mask(self, mask):
-        # complement of the union of opens missing the set
+        """The points whose minimal open meets the set."""
         acc = 0
-        for m in self.open_masks:
-            if m & mask == 0:
-                acc |= m
-        return ~acc & ((1 << len(self.base)) - 1)
+        for i, m in enumerate(self._min_open):
+            if m & mask:
+                acc |= 1 << i
+        return acc
 
     def closure(self, labels):
         return self.base.labels_of(self.closure_mask(self.base.mask_of(labels)))

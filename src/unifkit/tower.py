@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from .relations import FiniteSet
+from .relations import FiniteSet, Relation
 from .topology import FiniteTopology
 
 FULL_CIRCLE = 8  # arc length of the boundary square
@@ -707,11 +707,7 @@ class _SectorialGen(_SquareGen):
         mins = [1 << a for a in range(mcount)]
         for a in range(mcount):
             mins.append(1 << (mcount + a) | 1 << a | 1 << ((a + 1) % mcount))
-        if len(labels) <= 16:
-            # small enough for the honest full open lattice
-            from .relations import Relation
-            return FiniteTopology.from_preorder(Relation(base, mins)), labels
-        return _basis_topology(base, mins), labels
+        return FiniteTopology.from_preorder(Relation(base, mins)), labels
 
     def classes(self, n):
         c = self.counts(n)
@@ -1642,33 +1638,6 @@ def bornology_at_depth(tower, level, blocks):
 
 
 # the puncture quotient as a finite space
-
-
-def _basis_topology(base, min_masks):
-    """Alexandrov space stored by its minimal-open basis plus the empty
-    and full sets; the full open lattice is deliberately not
-    materialized.  Every open is a union of minimal opens, so openness,
-    interior, closure, specialization, chains and Hasse data are those
-    of the lattice, and the sheaf machinery works on it; equality and
-    hash read the minimal opens, so it equals the same space stored as
-    a lattice.  Only open_masks and opens list the basis instead of
-    the lattice."""
-    n = len(base)
-    full = (1 << n) - 1
-    mins = tuple(min_masks)
-    for i, m in enumerate(mins):
-        if not m >> i & 1:
-            raise ValueError("minimal open must contain its point")
-        rest = m
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            if mins[j] & ~m:
-                raise ValueError("minimal opens must be transitive")
-            rest ^= low
-    top = FiniteTopology(base, sorted({0, full} | set(mins)), validate=False)
-    assert top._min_open == mins
-    return top
 
 
 def puncture_quotient(tower):

@@ -1,8 +1,12 @@
+import random
+
 from unifkit.enumeration import (all_equivalences, all_partial_orders,
                                  all_preorders, all_topologies,
                                  dense_subsets, standard_base)
-from unifkit.relations import FiniteSet, Relation
-from unifkit.topology import FiniteTopology
+from unifkit.quniform import QUniformity, topology_from
+from unifkit.relations import FiniteSet, Relation, random_relation
+from unifkit.topology import FiniteTopology, up_sets
+from unifkit.tower import make_tower, puncture_quotient
 
 
 def chain3():
@@ -77,3 +81,106 @@ def test_enumeration_counts():
     assert len(all_partial_orders(standard_base(5))) == 4231
     assert len(all_equivalences(standard_base(4))) == 15
     assert len(all_topologies(standard_base(3))) == 29
+
+
+# differential check against the direct definitions: the opens of a
+# preorder are the subsets closed along its rows, found by testing all
+# 2^n of them; interior and closure walk that whole lattice
+
+
+def _scan_up_sets(rows):
+    n = len(rows)
+    masks = []
+    for v in range(1 << n):
+        ok = True
+        for i in range(n):
+            if v >> i & 1 and rows[i] & ~v:
+                ok = False
+                break
+        if ok:
+            masks.append(v)
+    return masks
+
+
+def _walk_interior(opens, mask):
+    acc = 0
+    for m in opens:
+        if m & ~mask == 0:
+            acc |= m
+    return acc
+
+
+def _walk_closure(opens, mask, n):
+    acc = 0
+    for m in opens:
+        if m & mask == 0:
+            acc |= m
+    return ~acc & ((1 << n) - 1)
+
+
+def _agrees_with_scan(rel):
+    n = len(rel.base)
+    top = FiniteTopology.from_preorder(rel)
+    opens = _scan_up_sets(rel.rows)
+    assert list(top.open_masks) == opens
+    for m in range(1 << n):
+        assert top.interior_mask(m) == _walk_interior(opens, m)
+        assert top.closure_mask(m) == _walk_closure(opens, m, n)
+    rebuilt = FiniteTopology(rel.base, top.open_masks)
+    assert rebuilt == top and hash(rebuilt) == hash(top)
+    assert list(rebuilt.open_masks) == opens
+
+
+def test_lattice_matches_scan_on_every_small_preorder():
+    for n in range(5):
+        for r in all_preorders(standard_base(n)):
+            _agrees_with_scan(r)
+
+
+def test_lattice_matches_scan_on_every_5_point_order():
+    for r in all_partial_orders(standard_base(5)):
+        _agrees_with_scan(r)
+
+
+def _scan_within(rows, within):
+    out = []
+    v = within
+    while True:
+        if all(rows[i] & within & ~v == 0
+               for i in range(len(rows)) if v >> i & 1):
+            out.append(v)
+        if v == 0:
+            return sorted(out)
+        v = (v - 1) & within
+
+
+def test_up_sets_of_every_subspace():
+    rels = [r for n in range(5) for r in all_preorders(standard_base(n))]
+    rels += all_partial_orders(standard_base(5))
+    for r in rels:
+        for within in range(1 << len(r.base)):
+            assert up_sets(r.rows, within) == _scan_within(r.rows, within)
+
+
+def test_topology_from_matches_e_min_scan():
+    rng = random.Random(11)
+    seen_intransitive = 0
+    for n in range(1, 6):
+        base = standard_base(n)
+        diag = Relation.diagonal(base)
+        for _ in range(40):
+            gens = [random_relation(base, rng, density=0.3).union(diag)
+                    for _ in range(rng.randint(1, 3))]
+            u = QUniformity(base, gens)
+            seen_intransitive += not u.e_min.is_transitive()
+            top = topology_from(u)
+            assert list(top.open_masks) == _scan_up_sets(u.e_min.rows)
+    assert seen_intransitive > 0
+
+
+def test_sectorial_quotient_lists_the_scanned_lattice():
+    top, _ = puncture_quotient(make_tower("sectorial_disk", 3))
+    assert len(top.base) == 16
+    opens = _scan_up_sets(top.specialization().rows)
+    assert len(opens) == 2207
+    assert list(top.open_masks) == opens

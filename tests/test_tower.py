@@ -3,14 +3,14 @@ import io
 
 import pytest
 
-from unifkit import formats
+from unifkit import formats, topology
 from unifkit.cli import main
 from unifkit.enumeration import standard_base
 from unifkit.gtop import constant_sheaf
 from unifkit.quniform import QUniformity, pervin, symmetrize
 from unifkit.relations import FiniteSet, Relation
 from unifkit.topology import FiniteTopology
-from unifkit.tower import (Covering, _basis_topology, bornology_at_depth,
+from unifkit.tower import (Covering, bornology_at_depth,
                            check_uniform_continuity, enumerate_threads,
                            is_tukey_at_depth, is_uniform_covering,
                            level_covering, make_tower, named_covering,
@@ -193,15 +193,26 @@ def test_basis_only_quotient_knows_every_open():
         sheaf.dim_sections(top.base.mask_of(("j0",)))
 
 
-def test_basis_only_quotient_equals_its_lattice():
-    lattice, _ = puncture_quotient(make_tower("sectorial_disk", 3))
-    n = len(lattice.base)
-    basis = _basis_topology(lattice.base,
-                            [lattice.min_open_mask(i) for i in range(n)])
-    assert len(lattice.open_masks) == 2207 and len(basis.open_masks) == 18
-    assert basis == lattice and lattice == basis
-    assert hash(basis) == hash(lattice)
-    assert basis != FiniteTopology.discrete(lattice.base)
+def test_quotient_from_opens_equals_quotient_from_preorder():
+    top, _ = puncture_quotient(make_tower("sectorial_disk", 3))
+    listed = FiniteTopology(top.base, top.open_masks)
+    assert len(listed.open_masks) == 2207
+    assert listed == top and top == listed
+    assert hash(listed) == hash(top)
+    assert listed != FiniteTopology.discrete(top.base)
+
+
+def test_large_quotients_never_list_their_lattice(monkeypatch):
+    listed = []
+    real = topology.up_sets
+    monkeypatch.setattr(topology, "up_sets", lambda mins, within: (
+        listed.append(len(mins)) or real(mins, within)))
+    for depth in (4, 5, 6):  # 32, 64 and 128 points
+        tower = make_tower("sectorial_disk", depth)
+        sheaf_betti, complex_betti = puncture_cohomology(tower)
+        assert tuple(sheaf_betti) == (1, 1) == tuple(complex_betti)
+        assert "minimal opens" in repr(puncture_quotient(tower)[0])
+    assert listed == []
 
 
 def test_finite_embedding_tower():
