@@ -347,7 +347,7 @@ def cmd_dmod_chi(args):
 def cmd_dmod_oracle(args):
     from .dmod import derham_oracle
     spec = _load_operator(args)
-    h0, h1, stab = derham_oracle(spec, args.dmax if args.dmax else 30)
+    h0, h1, stab = derham_oracle(spec, args.dmax)
     print("h0=%d" % h0)
     print("h1=%d" % h1)
     print("chi_oracle=%d" % (h0 - h1))
@@ -358,7 +358,7 @@ def cmd_dmod_oracle(args):
 def cmd_dmod_report(args):
     from .dmod import index_report
     spec = _load_operator(args)
-    rep = index_report(spec, d_max=args.dmax if args.dmax else 80)
+    rep = index_report(spec, args.dmax)
     print("\n".join(rep.lines()))
     return 0 if rep.agree else 1
 
@@ -463,13 +463,13 @@ def _parser():
 
     dm = sub.add_parser("dmod", help="connection index operations")
     dsub = dm.add_subparsers(dest="sub", required=True, metavar="operation")
-    for name, fn, with_at, with_dmax in (
-            ("delta", cmd_dmod_delta, True, False),
-            ("polygon", cmd_dmod_polygon, True, False),
-            ("irregularity", cmd_dmod_irregularity, "optional", False),
-            ("chi", cmd_dmod_chi, False, False),
-            ("oracle", cmd_dmod_oracle, False, True),
-            ("report", cmd_dmod_report, False, True)):
+    for name, fn, with_at, dmax in (
+            ("delta", cmd_dmod_delta, True, None),
+            ("polygon", cmd_dmod_polygon, True, None),
+            ("irregularity", cmd_dmod_irregularity, "optional", None),
+            ("chi", cmd_dmod_chi, False, None),
+            ("oracle", cmd_dmod_oracle, False, 30),
+            ("report", cmd_dmod_report, False, 80)):
         q = dsub.add_parser(name)
         q.add_argument("path")
         if with_at == "optional":
@@ -478,8 +478,8 @@ def _parser():
         elif with_at:
             q.add_argument("--at", required=True,
                            help="point (a rational or inf)")
-        if with_dmax:
-            q.add_argument("--dmax", type=int, default=None)
+        if dmax is not None:
+            q.add_argument("--dmax", type=int, default=dmax)
         q.set_defaults(func=fn)
 
     c = sub.add_parser("corpus", help="the acceptance suite")

@@ -468,21 +468,26 @@ class IndexReport:
         return out
 
 
-def index_report(spec, d_start=10, d_step=5, d_max=80):
+D_START = 10  # degree bound of the first oracle window of index_report
+D_STEP = 5  # growth of the bound from one window to the next
+
+
+def index_report(spec, d_max=80):
     """Irregularities, the formula value, and the stabilized oracle
-    index; non-stabilization by d_max is flagged, not fatal."""
+    index over the windows D_START, D_START + D_STEP, ... up to d_max;
+    non-stabilization by d_max is flagged, not fatal."""
+    if d_max < D_START:
+        raise ValueError("degree bound must be at least %d" % D_START)
     irs = {p: irregularity(spec.operator, p) for p in spec.points}
     chi = deligne_chi(spec)
     session = _OracleSession(spec)
     history = []
     stabilized = False
-    d = d_start
-    while d <= d_max:
+    for d in range(D_START, d_max + 1, D_STEP):
         history.append(session.window_dims(d))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             stabilized = True
             break
-        d += d_step
     h0, h1 = history[-1]
     return IndexReport(spec, irs, chi, h0, h1, stabilized)
 

@@ -289,19 +289,20 @@ def tukey_to_weil(t):
         raise ValueError("empty covering family")
     base = t.base
     n = len(base)
-    rels = set()
+    row_sets = set()
     for f in t.families:
         rows = [0] * n
         m = f
         while m:
             low = m & -m
-            bm = low.bit_length() - 1 + 1
+            bm = low.bit_length()
             for i in range(n):
                 if bm >> i & 1:
                     rows[i] |= bm
             m ^= low
-        rels.add(Relation(base, rows))
-    return QUniformity(base, rels, symmetric_flag=True)
+        row_sets.add(tuple(rows))
+    return QUniformity(base, [Relation(base, rows) for rows in row_sets],
+                       symmetric_flag=True)
 
 
 class TukeyReport:

@@ -11,14 +11,17 @@ entourage modules.
 Geometry is exact.  Blocks of the square generators are closed boxes
 with integer endpoints in level units; the angular coordinate lives on
 the piecewise linear boundary circle of the square, parametrized by
-arc length with total length 8.  Blocks at consecutive levels overlap
-by construction, which is what makes star-refinement certifiable: a
-partition can never absorb the star of a boundary block, an overlap of
-half a block width can.  The certificates relate level k to level k-3
-for the square generators (the star of a block spans 7 level units and
-a block three levels up spans 24, leaving room to place one whatever
-the alignment) and to level k-1 for the residue generators, whose
-levels are honest partitions with singleton stars.
+arc length with total length 8.  Chart changes stay in integers too: a
+level-n polar block maps to a box with integer ends in metric
+level-(2n+1) units, and only the sample points are rational.  Blocks
+at consecutive levels overlap by construction, which is what makes
+star-refinement certifiable: a partition can never absorb the star of
+a boundary block, an overlap of half a block width can.  The
+certificates relate level k to level k-3 for the square generators
+(the star of a block spans 7 level units and a block three levels up
+spans 24, leaving room to place one whatever the alignment) and to
+level k-1 for the residue generators, whose levels are honest
+partitions with singleton stars.
 
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
 
 from .relations import FiniteSet, Relation
 from .topology import FiniteTopology
@@ -41,31 +43,17 @@ from .topology import FiniteTopology
 FULL_CIRCLE = 8  # arc length of the boundary square
 
 
-def _tau_of(x, y):
-    """Arc-length coordinate of the direction of (x, y), in [0, 8)."""
-    if x == 0 and y == 0:
-        raise ValueError("the origin has no direction")
-    if x >= abs(y):
-        t = 1 + Fraction(y, x)
-    elif y >= abs(x):
-        t = 3 - Fraction(x, y)
-    elif -x >= abs(y):
-        t = 5 + Fraction(y, x)
-    else:
-        t = 7 - Fraction(x, y)
-    return t % FULL_CIRCLE
-
-
-def _gamma(tau):
-    """Point of the boundary square at arc-length coordinate tau."""
-    t = Fraction(tau) % FULL_CIRCLE
-    if t <= 2:
-        return Fraction(1), t - 1
-    if t <= 4:
-        return 3 - t, Fraction(1)
-    if t <= 6:
-        return Fraction(-1), 5 - t
-    return t - 7, Fraction(-1)
+def _gamma(t, u):
+    """Point of the boundary square at arc-length coordinate t / u, in
+    units of 1/u."""
+    t %= FULL_CIRCLE * u
+    if t <= 2 * u:
+        return u, t - u
+    if t <= 4 * u:
+        return 3 * u - t, u
+    if t <= 6 * u:
+        return -u, 5 * u - t
+    return t - 7 * u, -u
 
 
 def _circ_contains(s1, l1, s2, l2, modulus):
@@ -326,16 +314,21 @@ class _MetricGen(_SquareGen):
             if not self.is_origin(b):
                 yield b
 
-    def identity_fits(self, n, b, m):
+    def box_fits(self, n, box, m):
+        """A box with integer ends in level-n units lies inside a single
+        level-m block."""
         f = 1 << max(m - n, 0)
         g = 1 << max(n - m, 0)
         imin, imax = self.irange(m)
-        for ax in (0, 1):
-            lo, hi = self.interval(n, b[ax])
+        x0, x1, y0, y1 = box
+        for lo, hi in ((x0, x1), (y0, y1)):
             if _fit_linear(lo * f, hi * f, g,
                            lambda i: self.interval(m, i), imin, imax) is None:
                 return False
         return True
+
+    def identity_fits(self, n, b, m):
+        return self.box_fits(n, self.block_box(n, b), m)
 
     def blocks_meet(self, k1, b1, k2, b2):
         lvl = max(k1, k2)
@@ -382,18 +375,21 @@ class _MetricGen(_SquareGen):
         return not need
 
     def sector_members(self, k):
-        extents = [(b, self.tau_extent(k, b)) for b in self.block_ids(k)]
-        members = []
-        for q in range(4):
-            lo = 2 * q
-            mem = []
-            for b, ext in extents:
-                if ext is None:
-                    continue
-                es, el = ext
-                if (es - lo) % FULL_CIRCLE + el <= 4:
+        """Quarter q collects the blocks whose directions stay in the arc
+        [2q, 2q+4] of the boundary circle, that is in the closed
+        half-plane x+y >= 0, y >= x, x+y <= 0 or x >= y.  A box lies in
+        a half-plane exactly when its corner extreme against the
+        boundary line does.  An origin block has every direction and
+        joins no quarter."""
+        members = [[], [], [], []]
+        for b in self.block_ids(k):
+            if self.is_origin(b):
+                continue
+            x0, x1, y0, y1 = self.block_box(k, b)
+            for mem, inside in zip(members, (x0 + y0 >= 0, y0 >= x1,
+                                             x1 + y1 <= 0, x0 >= y1)):
+                if inside:
                     mem.append(b)
-            members.append(mem)
         return members
 
     def puncture_space(self, n):
@@ -448,37 +444,6 @@ class _MetricGen(_SquareGen):
                 return False
             hi = max(hi, nhi)
         return hi == r
-
-    def tau_extent(self, k, b):
-        """Smallest circular arc of directions covering the block, or
-        None for a block whose closure contains the origin."""
-        if self.is_origin(b):
-            return None
-        x0, x1, y0, y1 = self.block_box(k, b)
-        pts = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
-        # direction extremes can also sit where an edge crosses one of
-        # the diagonals y = x, y = -x
-        for yy in (y0, y1):
-            for s in (1, -1):
-                if x0 <= s * yy <= x1:
-                    pts.append((s * yy, yy))
-        for xx in (x0, x1):
-            for s in (1, -1):
-                if y0 <= s * xx <= y1:
-                    pts.append((xx, s * xx))
-        taus = sorted({_tau_of(px, py) for px, py in pts
-                       if (px, py) != (0, 0)})
-        if len(taus) == 1:
-            return taus[0], Fraction(0)
-        best_gap = None
-        start_at = 0
-        for idx, t in enumerate(taus):
-            nxt = taus[(idx + 1) % len(taus)]
-            gap = (nxt - t) % FULL_CIRCLE
-            if best_gap is None or gap > best_gap:
-                best_gap = gap
-                start_at = (idx + 1) % len(taus)
-        return taus[start_at], (FULL_CIRCLE - best_gap) % FULL_CIRCLE
 
 
 class _SectorialGen(_SquareGen):
@@ -1453,10 +1418,10 @@ def _first_unmapped(kind, src, n, dst, m):
                 if not _polar_block_fits(gen, n, (i, a), dst.gen, m):
                     return (i, a)
         return None
-    for b in gen.puncture_first(n):
-        if not _cartesian_block_fits(gen, n, b, dst.gen, m):
-            return b
-    return None
+    # cartesian_to_polar: the closure of an origin block holds the
+    # origin, so the block carries every direction, while an angular
+    # window spans 3 of 2^(m+1) units; no polar block holds its image
+    return gen.origin_ids()[0]
 
 
 def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
@@ -1472,96 +1437,22 @@ def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
     return None
 
 
-def _find_metric_block(gen, m, box):
-    """A level-m block containing the rational box, or None."""
-    x0, x1, y0, y1 = box
-    r = gen.half_range(m)
-    imin, imax = gen.irange(m)
-    out = []
-    for lo, hi in ((x0 * r, x1 * r), (y0 * r, y1 * r)):
-        if lo < -r or hi > r:
-            return None
-        cand = None
-        for i in (min(lo // 2, imax), imin):
-            if i < imin or i > imax:
-                continue
-            blo, bhi = gen.interval(m, i)
-            if blo <= lo and hi <= bhi:
-                cand = i
-                break
-        if cand is None:
-            return None
-        out.append(cand)
-    return tuple(out)
-
-
-def _find_polar_block(gen, m, rho0, rho1, tau_s, tau_l):
-    """A level-m polar block containing the radial interval times the
-    circular tau arc, or None."""
-    top = gen.radial_top(m)
-    cmax = gen.counts(m) - 1
-    p0, p1 = rho0 * top, rho1 * top
-    if p0 < 0 or p1 > top:
-        return None
-    ri = None
-    for i in (min(p0 // 2, cmax), 0):
-        if i < 0 or i > cmax:
-            continue
-        lo, hi = gen.radial_interval(m, i)
-        if lo <= p0 and p1 <= hi:
-            ri = i
-            break
-    if ri is None:
-        return None
-    u_tau = Fraction(FULL_CIRCLE, 1 << (m + 1))
-    if tau_l > 3 * u_tau:
-        return None
-    s_units = tau_s / u_tau
-    a = (s_units // 2) % gen.counts(m)
-    ws, wl = gen.angular_window(m, a)
-    if (s_units - ws) % (1 << (m + 1)) + tau_l / u_tau <= wl:
-        return (ri, int(a))
-    return None
-
-
 def _polar_block_fits(gen, n, b, dst_gen, m):
+    """The image of polar block b of level n lies inside a single level-m
+    cartesian block.  With u = 2^(n+1), the radial ends and the boundary
+    points are integers in units of 1/u, so the bounding box of the
+    image has integer ends in units of 1/u^2, metric level 2n+1."""
     lo, hi = gen.radial_interval(n, b[0])
-    v = Fraction(1, 1 << (n + 1))
-    rho0, rho1 = lo * v, hi * v
     ws, wl = gen.angular_window(n, b[1])
-    u_tau = Fraction(FULL_CIRCLE, 1 << (n + 1))
-    t0 = ws * u_tau
-    t1 = t0 + wl * u_tau
-    cands = [t0, t1]
-    t = ceil(t0)
-    while t < t1:
-        if t % 2 == 0:  # gamma is linear between even integers
-            cands.append(Fraction(t))
-        t += 1
-    gx = [_gamma(t)[0] for t in cands]
-    gy = [_gamma(t)[1] for t in cands]
-    xs = [r * g for r in (rho0, rho1) for g in (min(gx), max(gx))]
-    ys = [r * g for r in (rho0, rho1) for g in (min(gy), max(gy))]
-    return _find_metric_block(dst_gen, m,
-                              (min(xs), max(xs), min(ys), max(ys))) is not None
-
-
-def _cartesian_block_fits(gen, n, b, dst_gen, m):
-    ext = gen.tau_extent(n, b)
-    if ext is None:
-        return False  # full angular spread next to the puncture
-    x0, x1, y0, y1 = gen.block_box(n, b)
-    w = Fraction(1, 1 << (n + 1))
-
-    def minabs(lo, hi):
-        if lo <= 0 <= hi:
-            return 0
-        return min(abs(lo), abs(hi))
-
-    rho0 = max(minabs(x0, x1), minabs(y0, y1)) * w
-    rho1 = max(abs(x0), abs(x1), abs(y0), abs(y1)) * w
-    return _find_polar_block(dst_gen, m, rho0, rho1, ext[0],
-                             ext[1]) is not None
+    u = 1 << (n + 1)
+    t0, t1 = FULL_CIRCLE * ws, FULL_CIRCLE * (ws + wl)
+    # gamma is linear between the corners, at multiples of 2u
+    ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
+    gx, gy = zip(*(_gamma(t, u) for t in ts))
+    xs = [r * g for r in (lo, hi) for g in (min(gx), max(gx))]
+    ys = [r * g for r in (lo, hi) for g in (min(gy), max(gy))]
+    return dst_gen.box_fits(2 * n + 1, (min(xs), max(xs), min(ys), max(ys)),
+                            m)
 
 
 # bornology

@@ -258,6 +258,19 @@ def test_dmod_subcommands(tmp_path, airy_file):
     assert code == 0 and "stabilized=true" in out.splitlines()
 
 
+@pytest.mark.parametrize("dmax", ["5", "0"])
+def test_report_below_the_first_window_is_input_error(airy_file, dmax):
+    code, out, err = run(["dmod", "report", airy_file, "--dmax", dmax])
+    assert code == 2 and out == ""
+    assert err == "error: degree bound must be at least 10\n"
+
+
+def test_oracle_dmax_zero_is_not_replaced(airy_file):
+    code, out, err = run(["dmod", "oracle", airy_file, "--dmax", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: degree bound must be at least 1\n"
+
+
 def test_unknown_flag_is_input_error(airy_file):
     code, _, _ = run(["dmod", "chi", airy_file, "--frobnicate"])
     assert code == 2

@@ -1,9 +1,12 @@
 import contextlib
 import io
+from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from unifkit import formats, topology
+from unifkit import tower as tower_mod
 from unifkit.cli import main
 from unifkit.enumeration import standard_base
 from unifkit.gtop import constant_sheaf
@@ -402,3 +405,232 @@ def test_block_names_read_back(tmp_path, name):
     assert code == 2
     assert err == "error: bad block name %r for generator %s\n" % (
         bad, tower.kind)
+
+
+# chart changes against the rational geometry: the oracles below are
+# the earlier Fraction code, kept verbatim, so the integer chart-change
+# routines stay cross-checked on every small block
+
+
+def oracle_tau_of(x, y):
+    """Arc-length coordinate of the direction of (x, y), in [0, 8)."""
+    if x == 0 and y == 0:
+        raise ValueError("the origin has no direction")
+    if x >= abs(y):
+        t = 1 + Fraction(y, x)
+    elif y >= abs(x):
+        t = 3 - Fraction(x, y)
+    elif -x >= abs(y):
+        t = 5 + Fraction(y, x)
+    else:
+        t = 7 - Fraction(x, y)
+    return t % 8
+
+
+def oracle_gamma(tau):
+    """Point of the boundary square at arc-length coordinate tau."""
+    t = Fraction(tau) % 8
+    if t <= 2:
+        return Fraction(1), t - 1
+    if t <= 4:
+        return 3 - t, Fraction(1)
+    if t <= 6:
+        return Fraction(-1), 5 - t
+    return t - 7, Fraction(-1)
+
+
+def oracle_tau_extent(gen, k, b):
+    """Smallest circular arc of directions covering the block, or
+    None for a block whose closure contains the origin."""
+    if gen.is_origin(b):
+        return None
+    x0, x1, y0, y1 = gen.block_box(k, b)
+    pts = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+    for yy in (y0, y1):
+        for s in (1, -1):
+            if x0 <= s * yy <= x1:
+                pts.append((s * yy, yy))
+    for xx in (x0, x1):
+        for s in (1, -1):
+            if y0 <= s * xx <= y1:
+                pts.append((xx, s * xx))
+    taus = sorted({oracle_tau_of(px, py) for px, py in pts
+                   if (px, py) != (0, 0)})
+    if len(taus) == 1:
+        return taus[0], Fraction(0)
+    best_gap = None
+    start_at = 0
+    for idx, t in enumerate(taus):
+        nxt = taus[(idx + 1) % len(taus)]
+        gap = (nxt - t) % 8
+        if best_gap is None or gap > best_gap:
+            best_gap = gap
+            start_at = (idx + 1) % len(taus)
+    return taus[start_at], (8 - best_gap) % 8
+
+
+def oracle_sector_members(gen, k, blocks):
+    extents = [(b, oracle_tau_extent(gen, k, b)) for b in blocks]
+    members = []
+    for q in range(4):
+        lo = 2 * q
+        mem = []
+        for b, ext in extents:
+            if ext is None:
+                continue
+            es, el = ext
+            if (es - lo) % 8 + el <= 4:
+                mem.append(b)
+        members.append(mem)
+    return members
+
+
+def oracle_find_metric_block(gen, m, box):
+    """A level-m block containing the rational box, or None."""
+    x0, x1, y0, y1 = box
+    r = gen.half_range(m)
+    imin, imax = gen.irange(m)
+    out = []
+    for lo, hi in ((x0 * r, x1 * r), (y0 * r, y1 * r)):
+        if lo < -r or hi > r:
+            return None
+        cand = None
+        for i in (min(lo // 2, imax), imin):
+            if i < imin or i > imax:
+                continue
+            blo, bhi = gen.interval(m, i)
+            if blo <= lo and hi <= bhi:
+                cand = i
+                break
+        if cand is None:
+            return None
+        out.append(cand)
+    return tuple(out)
+
+
+def oracle_find_polar_block(gen, m, rho0, rho1, tau_s, tau_l):
+    """A level-m polar block containing the radial interval times the
+    circular tau arc, or None."""
+    top = gen.radial_top(m)
+    cmax = gen.counts(m) - 1
+    p0, p1 = rho0 * top, rho1 * top
+    if p0 < 0 or p1 > top:
+        return None
+    ri = None
+    for i in (min(p0 // 2, cmax), 0):
+        if i < 0 or i > cmax:
+            continue
+        lo, hi = gen.radial_interval(m, i)
+        if lo <= p0 and p1 <= hi:
+            ri = i
+            break
+    if ri is None:
+        return None
+    u_tau = Fraction(8, 1 << (m + 1))
+    if tau_l > 3 * u_tau:
+        return None
+    s_units = tau_s / u_tau
+    a = (s_units // 2) % gen.counts(m)
+    ws, wl = gen.angular_window(m, a)
+    if (s_units - ws) % (1 << (m + 1)) + tau_l / u_tau <= wl:
+        return (ri, int(a))
+    return None
+
+
+def oracle_polar_block_fits(gen, n, b, dst_gen, m):
+    lo, hi = gen.radial_interval(n, b[0])
+    v = Fraction(1, 1 << (n + 1))
+    rho0, rho1 = lo * v, hi * v
+    ws, wl = gen.angular_window(n, b[1])
+    u_tau = Fraction(8, 1 << (n + 1))
+    t0 = ws * u_tau
+    t1 = t0 + wl * u_tau
+    cands = [t0, t1]
+    t = ceil(t0)
+    while t < t1:
+        if t % 2 == 0:  # gamma is linear between even integers
+            cands.append(Fraction(t))
+        t += 1
+    gx = [oracle_gamma(t)[0] for t in cands]
+    gy = [oracle_gamma(t)[1] for t in cands]
+    xs = [r * g for r in (rho0, rho1) for g in (min(gx), max(gx))]
+    ys = [r * g for r in (rho0, rho1) for g in (min(gy), max(gy))]
+    return oracle_find_metric_block(
+        dst_gen, m, (min(xs), max(xs), min(ys), max(ys))) is not None
+
+
+def oracle_cartesian_block_fits(gen, n, b, dst_gen, m):
+    ext = oracle_tau_extent(gen, n, b)
+    if ext is None:
+        return False  # full angular spread next to the puncture
+    x0, x1, y0, y1 = gen.block_box(n, b)
+    w = Fraction(1, 1 << (n + 1))
+
+    def minabs(lo, hi):
+        if lo <= 0 <= hi:
+            return 0
+        return min(abs(lo), abs(hi))
+
+    rho0 = max(minabs(x0, x1), minabs(y0, y1)) * w
+    rho1 = max(abs(x0), abs(x1), abs(y0), abs(y1)) * w
+    return oracle_find_polar_block(dst_gen, m, rho0, rho1, ext[0],
+                                   ext[1]) is not None
+
+
+def oracle_cartesian_to_polar_lines(src, dst):
+    """The depth table of the cartesian-to-polar map, every source
+    block tested against the rational geometry."""
+    out = ["map=cartesian_to_polar"]
+    rows = []
+    floor_n = 1
+    for m in range(1, dst.depth + 1):
+        found, witness = None, None
+        for n in range(floor_n, src.depth + 1):
+            bad = next((b for b in src.gen.puncture_first(n)
+                        if not oracle_cartesian_block_fits(
+                            src.gen, n, b, dst.gen, m)), None)
+            if bad is None:
+                found = n
+                break
+            witness = "%d:%s" % (n, src.gen.block_name(n, bad))
+        if found is not None:
+            floor_n = found
+            rows.append("target=%d source=%d" % (m, found))
+        else:
+            rows.append("target=%d FAIL witness=%s" % (m, witness))
+    ok = all("FAIL" not in r for r in rows)
+    out.append("uniformly_continuous=%s" % ("true" if ok else "false"))
+    return out + rows
+
+
+def test_polar_block_fits_match_rational_geometry():
+    sec = make_tower("sectorial_disk", 5).gen
+    met = make_tower("metric_disk", 8).gen
+    for n in range(1, 6):
+        for b in sec.block_ids(n):
+            for m in range(1, 9):
+                assert (tower_mod._polar_block_fits(sec, n, b, met, m)
+                        == oracle_polar_block_fits(sec, n, b, met, m)), (
+                    n, b, m)
+
+
+def test_metric_sector_members_match_rational_geometry():
+    gen = make_tower("metric_disk", 7).gen
+    for k in range(1, 7):
+        assert gen.sector_members(k) == oracle_sector_members(
+            gen, k, gen.block_ids(k)), k
+    # level 7 has 65536 blocks; the rational oracle takes the
+    # boundary-heavy scan, which keeps every block next to the origin
+    scan = list(gen.scan_ids(7))
+    keep = set(scan)
+    got = [[b for b in mem if b in keep] for mem in gen.sector_members(7)]
+    assert got == oracle_sector_members(gen, 7, scan)
+
+
+def test_cartesian_to_polar_matches_rational_geometry():
+    for s in range(1, 6):
+        for t in range(1, 6):
+            met = make_tower("metric_disk", s)
+            sec = make_tower("sectorial_disk", t)
+            rep = check_uniform_continuity("cartesian_to_polar", met, sec)
+            assert rep.lines() == oracle_cartesian_to_polar_lines(met, sec)
