@@ -476,8 +476,10 @@ def index_report(spec, d_max=80):
     """Irregularities, the formula value, and the stabilized oracle
     index over the windows D_START, D_START + D_STEP, ... up to d_max;
     non-stabilization by d_max is flagged, not fatal."""
-    if d_max < D_START:
-        raise ValueError("degree bound must be at least %d" % D_START)
+    # stabilization needs three windows
+    if d_max < D_START + 2 * D_STEP:
+        raise ValueError("degree bound must be at least %d"
+                         % (D_START + 2 * D_STEP))
     irs = {p: irregularity(spec.operator, p) for p in spec.points}
     chi = deligne_chi(spec)
     session = _OracleSession(spec)

@@ -1,9 +1,9 @@
 """Exhaustive generators for small structures.
 
-These back the desk-scale checks: every preorder, poset, topology,
-equivalence or covering on a handful of points.  Counts for sanity:
-355 topologies on 4 labeled points, 4231 posets on 5, Bell(4) = 15
-equivalences, 32297 coverings of a 4-set.
+These back the desk-scale checks: every preorder, poset, topology or
+equivalence on a handful of points, and the dense subsets of a finite
+space.  Counts for sanity: 355 topologies on 4 labeled points, 4231
+posets on 5, Bell(4) = 15 equivalences.
 """
 
 from __future__ import annotations
@@ -70,45 +70,6 @@ def all_equivalences(base):
     if n == 0:
         return [Relation(base, [])]
     grow([0], 1)
-    return out
-
-
-MAX_COVERING_BASE = 4
-
-
-def covering_universe(base):
-    """All coverings of base as family bitmasks over the list of nonempty
-    blocks. Returns (blocks, families) where blocks[k] is the block mask
-    selected by bit k and families lists every covering family."""
-    n = len(base)
-    if n > MAX_COVERING_BASE:
-        raise ValueError(
-            "covering families are only materialized for |X| <= %d" % MAX_COVERING_BASE
-        )
-    blocks = list(range(1, 1 << n))
-    full = (1 << n) - 1
-    nb = len(blocks)
-    # union of selected blocks, lowbit DP
-    union = [0] * (1 << nb)
-    for f in range(1, 1 << nb):
-        low = f & -f
-        union[f] = union[f ^ low] | blocks[low.bit_length() - 1]
-    families = [f for f in range(1, 1 << nb) if union[f] == full]
-    return blocks, families
-
-
-def all_coverings(base):
-    """Every covering of base as a frozenset of frozensets."""
-    blocks, families = covering_universe(base)
-    out = []
-    for f in families:
-        cov = []
-        m = f
-        while m:
-            low = m & -m
-            cov.append(base.labels_of(blocks[low.bit_length() - 1]))
-            m ^= low
-        out.append(frozenset(cov))
     return out
 
 

@@ -4,8 +4,10 @@ A QUniformity is a finite basis of relations plus a symmetry claim.
 On a finite set the generated filter is principal, so every axiom
 reduces to a statement about the smallest entourage E_min, and every
 check here is exact and total.  The covering side (Tukey families) is
-materialized only on very small sets; the translation in both
-directions preserves E_min, which is what the round-trip tests pin.
+materialized only on very small sets, as bitmask families over the
+nonempty blocks.  Both translations read one packed entourage table
+per base size, and they preserve E_min, which is what the round-trip
+tests pin.
 
 Orientation: (x, y) in E reads "y is E-close to x", so E(x) is a
 neighborhood of x and opens are the V with E_min(x) inside V for all
@@ -15,10 +17,11 @@ x in V.
 from __future__ import annotations
 
 import itertools
+from array import array
+from functools import cache
 
-from .relations import FiniteSet, Relation, intersect_all
+from .relations import FiniteSet, Relation, bits, intersect_all
 from .topology import FiniteTopology
-from .enumeration import covering_universe, MAX_COVERING_BASE
 
 
 class QUniformity:
@@ -147,22 +150,45 @@ def check_quniformity(u):
 
 # covering side
 
+MAX_COVERING_BASE = 4
+
+
+def _check_covering_base(base):
+    if len(base) > MAX_COVERING_BASE:
+        raise ValueError(
+            "covering families are only materialized for |X| <= %d"
+            % MAX_COVERING_BASE)
+
+
+@cache
+def _entourage_table(n):
+    """ent[f] is the entourage of covering mask f on n points, the union
+    of the squares of its blocks, packed with row i at bits n*i.  Bit k
+    of f selects block k + 1, so the masks below 2^(k+1) are those below
+    2^k and the same with block k + 1 added.  2^15 entries at n = 4."""
+    ent = array("H", [0])
+    for b in range(1, 1 << n):
+        square = 0
+        for i in bits(b):
+            square |= b << n * i
+        ent.extend([e | square for e in ent])
+    return ent
+
 
 class CoveringFamily:
     """A family of coverings of a small base set.
 
     Coverings live as bitmask families over the list of nonempty blocks,
-    the label view being derived.  Only defined for |X| <= 4; the family
-    of all coverings of a 4-set already has 32297 members.
+    bit k selecting block mask k + 1, the label view being derived.
+    Only defined for |X| <= 4; the family of all coverings of a 4-set
+    already has 32297 members.  The translations to and from entourages
+    read one packed entourage table per base size.
     """
 
     __slots__ = ("base", "blocks", "families")
 
     def __init__(self, base, family_masks):
-        if len(base) > MAX_COVERING_BASE:
-            raise ValueError(
-                "covering families are only materialized for |X| <= %d"
-                % MAX_COVERING_BASE)
+        _check_covering_base(base)
         self.base = base
         self.blocks = tuple(range(1, 1 << len(base)))
         self.families = frozenset(family_masks)
@@ -185,13 +211,7 @@ class CoveringFamily:
         return cls(base, masks)
 
     def covering_from_mask(self, f):
-        out = []
-        m = f
-        while m:
-            low = m & -m
-            out.append(self.base.labels_of(low.bit_length() - 1 + 1))
-            m ^= low
-        return frozenset(out)
+        return frozenset(self.base.labels_of(k + 1) for k in bits(f))
 
     def mask_from_covering(self, cov):
         f = 0
@@ -233,18 +253,8 @@ def star(cov, block):
 def _star_refines(fine, coarse, base):
     """Does fine star-refine coarse: star(fine, B) inside a member of
     coarse for every member B of fine. Masks in, masks out."""
-    fine_blocks = []
-    m = fine
-    while m:
-        low = m & -m
-        fine_blocks.append(low.bit_length() - 1 + 1)
-        m ^= low
-    coarse_blocks = []
-    m = coarse
-    while m:
-        low = m & -m
-        coarse_blocks.append(low.bit_length() - 1 + 1)
-        m ^= low
+    fine_blocks = [k + 1 for k in bits(fine)]
+    coarse_blocks = [k + 1 for k in bits(coarse)]
     for b in fine_blocks:
         st = 0
         for a in fine_blocks:
@@ -267,19 +277,21 @@ def weil_to_tukey(u):
     if not rep.is_uniformity:
         axiom = rep.witnesses[0][0] if rep.witnesses else "unknown"
         raise ValueError("not a uniformity (%s fails)" % axiom)
-    blocks, families = covering_universe(u.base)
+    _check_covering_base(u.base)
     n = len(u.base)
-    # S_i = family-bit set of blocks containing E_min(i)
-    s = []
-    for i in range(n):
-        need = u.e_min.rows[i]
-        acc = 0
-        for k, bm in enumerate(blocks):
-            if need & ~bm == 0:
-                acc |= 1 << k
-        s.append(acc)
-    selected = [f for f in families if all(f & si for si in s)]
-    return CoveringFamily(u.base, selected)
+    full = (1 << n) - 1
+    rows = u.e_min.rows
+    # hit[f] holds the points i with E_min(i) inside some block of f,
+    # built by the doubling of _entourage_table; E_min is reflexive, so
+    # every f with hit[f] full covers the base
+    hit = bytearray(1)
+    for b in range(1, full + 1):
+        hit_block = sum(1 << i for i in range(n) if rows[i] & ~b == 0)
+        hit += hit.translate(bytes(x | hit_block for x in range(256)))
+    keep = hit.translate(bytes(x == full for x in range(256)))
+    # the empty family f = 0 is left out
+    return CoveringFamily(u.base,
+                          itertools.compress(range(1, len(hit)), keep[1:]))
 
 
 def tukey_to_weil(t):
@@ -289,20 +301,13 @@ def tukey_to_weil(t):
         raise ValueError("empty covering family")
     base = t.base
     n = len(base)
-    row_sets = set()
-    for f in t.families:
-        rows = [0] * n
-        m = f
-        while m:
-            low = m & -m
-            bm = low.bit_length()
-            for i in range(n):
-                if bm >> i & 1:
-                    rows[i] |= bm
-            m ^= low
-        row_sets.add(tuple(rows))
-    return QUniformity(base, [Relation(base, rows) for rows in row_sets],
-                       symmetric_flag=True)
+    full = (1 << n) - 1
+    ent = _entourage_table(n)
+    packed = {ent[f] for f in t.families}
+    return QUniformity(
+        base, [Relation(base, [p >> n * i & full for i in range(n)])
+               for p in packed],
+        symmetric_flag=True)
 
 
 class TukeyReport:
@@ -322,19 +327,11 @@ class TukeyReport:
 
 def _meet_mask(f1, f2):
     out = 0
-    m1 = f1
-    while m1:
-        l1 = m1 & -m1
-        b1 = l1.bit_length() - 1 + 1
-        m2 = f2
-        while m2:
-            l2 = m2 & -m2
-            b2 = l2.bit_length() - 1 + 1
-            inter = b1 & b2
+    for k1 in bits(f1):
+        for k2 in bits(f2):
+            inter = (k1 + 1) & (k2 + 1)
             if inter:
                 out |= 1 << (inter - 1)
-            m2 ^= l2
-        m1 ^= m1 & -m1
     return out
 
 
@@ -349,18 +346,15 @@ def is_tukey_family(t, sample=None, rng=None):
     """
     base = t.base
     full = (1 << len(base)) - 1
-    blocks, _ = covering_universe(base)
+    blocks = t.blocks
     fams = sorted(t.families)
     witnesses = []
 
     all_cov = True
     for f in fams:
         u = 0
-        m = f
-        while m:
-            low = m & -m
-            u |= low.bit_length() - 1 + 1
-            m ^= low
+        for k in bits(f):
+            u |= k + 1
         if u != full:
             all_cov = False
             witnesses.append(("covers", f))
@@ -398,13 +392,7 @@ def is_tukey_family(t, sample=None, rng=None):
 
     # star-refinement: candidates are the finest members
     def weight(f):
-        w = 0
-        m = f
-        while m:
-            low = m & -m
-            w += (low.bit_length() - 1 + 1).bit_count()
-            m ^= low
-        return w
+        return sum((k + 1).bit_count() for k in bits(f))
 
     cands = sorted(fams, key=weight)[:200]
     star_ok = True
@@ -476,13 +464,6 @@ def proximity_from(u):
     return Proximity(base, near, source="entourage")
 
 
-def nu_neighborhood(p, a, b):
-    """A is a nu-neighborhood-interior of B: A not near the complement
-    of B."""
-    comp = frozenset(p.base.labels) - frozenset(b)
-    return not p.near(a, comp)
-
-
 class ProximityReport:
     __slots__ = ("intersection_ok", "additive_ok", "empty_ok", "valid",
                  "witnesses")
@@ -539,23 +520,6 @@ def check_proximity(p):
         if not additive_ok:
             break
     return ProximityReport(intersection_ok, additive_ok, empty_ok, witnesses)
-
-
-def strong_axiom(p):
-    """The bracketed extra axiom, checked as a whole-structure property:
-    whenever A is not near B some C splits them (A not near C and B not
-    near the complement of C).  Returns (holds, witness)."""
-    base = p.base
-    labels = frozenset(base.labels)
-    subs = list(base.subsets())
-    for a in base.subsets(nonempty=True):
-        for b in base.subsets(nonempty=True):
-            if p.near(a, b):
-                continue
-            if not any(not p.near(a, c) and not p.near(b, labels - c)
-                       for c in subs):
-                return False, (a, b)
-    return True, None
 
 
 def smirnov_proximity(top, dense_labels):
@@ -687,35 +651,3 @@ def is_precompact(u):
             if acc == full:
                 return True, frozenset(base.labels[i] for i in comb)
     return True, frozenset(base.labels)
-
-
-def canonical_bornology(u):
-    """Bounded = absorbed by finitely many E_min-balls. On a finite set
-    every subset is bounded; the witness (Z, n) is minimized in |Z| then
-    n. Guarded for |X| <= 10."""
-    base = u.base
-    n = len(base)
-    if n > 10:
-        raise ValueError("bornology tables are only built for |X| <= 10")
-    e = u.e_min
-    out = {}
-    for a in base.subsets():
-        if not a:
-            out[a] = (frozenset(), 1)
-            continue
-        found = None
-        for size in range(1, n + 1):
-            for comb in itertools.combinations(sorted(base.labels), size):
-                z = frozenset(comb)
-                cur = z
-                for steps in range(1, n + 1):
-                    cur = e.image(cur)
-                    if a <= cur:
-                        found = (z, steps)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        out[a] = found
-    return out

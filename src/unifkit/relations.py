@@ -72,6 +72,14 @@ class FiniteSet:
             yield self.labels_of(m)
 
 
+def bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_same_base(a, b):
     if a.base != b.base:
         raise ValueError("incompatible base sets")

@@ -37,6 +37,7 @@ def _check(verdicts, num):
 
 def test_criterion_01_entourage_cores(verdicts):
     _check(verdicts, 1)
+    assert "16187 bases, 8687 validated, 349 round trips" in verdicts[1][1]
 
 
 def test_criterion_02_topology_compat(verdicts):

@@ -258,11 +258,18 @@ def test_dmod_subcommands(tmp_path, airy_file):
     assert code == 0 and "stabilized=true" in out.splitlines()
 
 
-@pytest.mark.parametrize("dmax", ["5", "0"])
+@pytest.mark.parametrize("dmax", ["5", "0", "10", "19"])
 def test_report_below_the_first_window_is_input_error(airy_file, dmax):
+    # stabilization compares three windows, 10, 15 and 20
     code, out, err = run(["dmod", "report", airy_file, "--dmax", dmax])
     assert code == 2 and out == ""
-    assert err == "error: degree bound must be at least 10\n"
+    assert err == "error: degree bound must be at least 20\n"
+
+
+def test_report_at_the_third_window_runs(airy_file):
+    code, out, _ = run(["dmod", "report", airy_file, "--dmax", "20"])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["stabilized=true", "agree=true"]
 
 
 def test_oracle_dmax_zero_is_not_replaced(airy_file):

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from unifkit.enumeration import standard_base
+from unifkit.enumeration import all_equivalences, standard_base
 from unifkit.quniform import (CoveringFamily, QUniformity, check_proximity,
                               check_quniformity, hausdorff_quotient,
                               is_precompact, is_tukey_family,
                               is_uniformly_continuous, kunzi, pervin,
                               proximity_from, smirnov_proximity, symmetrize,
                               topology_from, tukey_to_weil, weil_to_tukey)
-from unifkit.relations import FiniteSet, Relation
+from unifkit.relations import FiniteSet, Relation, random_relation
 from unifkit.topology import FiniteTopology
 
 
@@ -160,3 +160,109 @@ def test_uniformly_continuous_witness():
 
 def test_finite_spaces_are_precompact():
     assert is_precompact(uniform_two_blocks())
+
+
+# The translations as the covering layer first wrote them, loop for loop,
+# kept as the oracle for the table-driven ones.
+
+def _oracle_universe(n):
+    blocks = list(range(1, 1 << n))
+    full = (1 << n) - 1
+    nb = len(blocks)
+    union = [0] * (1 << nb)
+    for f in range(1, 1 << nb):
+        low = f & -f
+        union[f] = union[f ^ low] | blocks[low.bit_length() - 1]
+    families = [f for f in range(1, 1 << nb) if union[f] == full]
+    return blocks, families
+
+
+def _oracle_weil_to_tukey(u):
+    blocks, families = _oracle_universe(len(u.base))
+    n = len(u.base)
+    s = []
+    for i in range(n):
+        need = u.e_min.rows[i]
+        acc = 0
+        for k, bm in enumerate(blocks):
+            if need & ~bm == 0:
+                acc |= 1 << k
+        s.append(acc)
+    return [f for f in families if all(f & si for si in s)]
+
+
+def _oracle_tukey_to_weil(base, families):
+    n = len(base)
+    row_sets = set()
+    for f in families:
+        rows = [0] * n
+        m = f
+        while m:
+            low = m & -m
+            bm = low.bit_length()
+            for i in range(n):
+                if bm >> i & 1:
+                    rows[i] |= bm
+            m ^= low
+        row_sets.add(tuple(rows))
+    return QUniformity(base, [Relation(base, rows) for rows in row_sets],
+                       symmetric_flag=True)
+
+
+def _equivalence_uniformities():
+    for n in range(5):
+        base = standard_base(n)
+        for e in all_equivalences(base):
+            yield QUniformity(base, [e], symmetric_flag=True)
+
+
+def _seeded_uniformities(count, seed=3):
+    # a partition core and up to two coarser symmetric entourages, drawn
+    # as the uniformities benchmark workload draws them
+    rng = random.Random(seed)
+    base = standard_base(4)
+    cores = all_equivalences(base)
+    for _ in range(count):
+        core = rng.choice(cores)
+        basis = [core]
+        for _ in range(rng.randint(0, 2)):
+            extra = random_relation(base, rng, density=0.3)
+            basis.append(core | extra | extra.inverse())
+        rng.shuffle(basis)
+        yield QUniformity(base, basis, symmetric_flag=True)
+
+
+@pytest.mark.parametrize("uniformities", [
+    pytest.param(_equivalence_uniformities, id="equivalence-cores"),
+    pytest.param(lambda: _seeded_uniformities(8), id="seeded-4-points"),
+])
+def test_translations_match_the_oracle(uniformities):
+    for u in uniformities():
+        fam = weil_to_tukey(u)
+        want = _oracle_weil_to_tukey(u)
+        assert fam.families == frozenset(want), u
+        if not want:
+            continue
+        got = tukey_to_weil(fam)
+        expected = _oracle_tukey_to_weil(u.base, want)
+        assert got.basis == expected.basis, u
+        assert got.symmetric_flag is expected.symmetric_flag is True
+        assert got.e_min == expected.e_min == u.e_min
+
+
+def test_tukey_to_weil_matches_the_oracle_on_arbitrary_families():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        base = standard_base(n)
+        _, universe = _oracle_universe(n)
+        for size in (1, 2, 7, 40):
+            fams = rng.sample(universe, min(size, len(universe)))
+            got = tukey_to_weil(CoveringFamily(base, fams))
+            assert got == _oracle_tukey_to_weil(base, fams), fams
+
+
+def test_weil_to_tukey_guards_five_points():
+    base = standard_base(5)
+    with pytest.raises(ValueError,
+                       match=r"only materialized for \|X\| <= 4"):
+        weil_to_tukey(QUniformity.discrete(base))
