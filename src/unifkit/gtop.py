@@ -7,8 +7,13 @@ Xhat whose trace on X is exactly U; hat(U) is the closure of U.  A
 family of opens of U is a distinguished covering of U when the member
 reaches (union of ambient opens whose trace on U sits inside the
 member) cover hat(U); over the full trace the reach of a member is
-just its check-open, so both descriptions agree there.  The whole
-calculus is exhaustively checkable at this scale.
+just its check-open, so both descriptions agree there.  Both are read
+pointwise off the minimal opens mins[i] of Xhat: i lies in hat(U) iff
+mins[i] & U is nonzero, and in the reach of a member Ui iff mins[i] & U
+lies inside Ui (the reach is the interior of Ui | ~U), so a family
+covers U iff each maximal nonzero local trace mins[i] & U lies inside
+some member.  The whole calculus is exhaustively checkable at this
+scale.
 
 Sheaves on the completion are poset functors with rational matrices;
 their cohomology comes from the ordered-chain complex, and the Cech
@@ -22,7 +27,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .relations import FiniteSet
+from .relations import FiniteSet, bits
 from .topology import FiniteTopology
 
 
@@ -30,8 +35,7 @@ class DensePair:
     """A finite space together with a dense subset carrying the
     subspace topology."""
 
-    __slots__ = ("xhat", "x_mask", "_ucheck_cache", "_reach_cache",
-                 "_trace_opens", "_trace_set")
+    __slots__ = ("xhat", "x_mask", "_check", "_trace_opens")
 
     def __init__(self, xhat, x_labels):
         x_mask = xhat.base.mask_of(x_labels)
@@ -40,10 +44,12 @@ class DensePair:
             raise ValueError("subset is not dense")
         self.xhat = xhat
         self.x_mask = x_mask
-        self._ucheck_cache = {}
-        self._reach_cache = {}
-        self._trace_set = frozenset(m & x_mask for m in xhat.open_masks)
-        self._trace_opens = tuple(sorted(self._trace_set))
+        # check-open of every trace-open, keyed by the trace-opens
+        check = {}
+        for m in xhat.open_masks:
+            check[m & x_mask] = check.get(m & x_mask, 0) | m
+        self._check = check
+        self._trace_opens = tuple(sorted(check))
 
     @property
     def x_labels(self):
@@ -63,22 +69,14 @@ class DensePair:
         return self._trace_opens
 
     def is_trace_open(self, um):
-        return um in self._trace_set
+        return um in self._check
 
     def u_check_mask(self, um):
         """Largest open of Xhat with trace exactly um."""
         try:
-            return self._ucheck_cache[um]
+            return self._check[um]
         except KeyError:
-            pass
-        if um not in self._trace_set:
-            raise ValueError("set is not open in the dense subspace")
-        acc = 0
-        for m in self.xhat.open_masks:
-            if m & self.x_mask == um:
-                acc |= m
-        self._ucheck_cache[um] = acc
-        return acc
+            raise ValueError("set is not open in the dense subspace") from None
 
     def u_check(self, labels):
         return self.xhat.base.labels_of(
@@ -91,19 +89,9 @@ class DensePair:
     def member_reach_mask(self, um, ui):
         """Union of the ambient opens whose trace on um lies inside ui:
         how far the member ui of a covering of um extends into the
-        closure of um.  Over the full trace this equals the check-open
-        of ui, because the check operator is monotone."""
-        key = (um, ui)
-        try:
-            return self._reach_cache[key]
-        except KeyError:
-            pass
-        acc = 0
-        for m in self.xhat.open_masks:
-            if m & um & ~ui == 0:
-                acc |= m
-        self._reach_cache[key] = acc
-        return acc
+        closure of um (the check-open of ui over the full trace).  It
+        holds the points whose minimal open meets um inside ui."""
+        return self.xhat.interior_mask(ui | ~um)
 
 
 def sierpinski_pair():
@@ -152,8 +140,8 @@ def check_l7(pair):
             wit[i] = w
 
     open_set = set(top.open_masks)
-    for um in opens:
-        cu = pair.u_check_mask(um)
+    check = {um: pair.u_check_mask(um) for um in opens}
+    for um, cu in check.items():
         # item 1: the union of qualifying opens is open and has trace um
         if cu not in open_set or cu & pair.x_mask != um:
             note(1, base.labels_of(um))
@@ -164,45 +152,38 @@ def check_l7(pair):
         if hu & pair.x_mask == um and cu != top.interior_mask(hu):
             note(2, base.labels_of(um))
 
-    for ua in opens:
-        for ub in opens:
-            if pair.u_check_mask(ua) & pair.u_check_mask(ub) \
-                    != pair.u_check_mask(ua & ub):
+    for ua, ca in check.items():
+        for ub, cb in check.items():
+            if ca & cb != check[ua & ub]:
                 note(3, (base.labels_of(ua), base.labels_of(ub)))
             # trace-opens are closed under union, so item 4 reduces to pairs
-            lhs = pair.u_check_mask(ua) | pair.u_check_mask(ub)
-            if lhs & ~pair.u_check_mask(ua | ub):
+            if (ca | cb) & ~check[ua | ub]:
                 note(4, (base.labels_of(ua), base.labels_of(ub)))
 
     # item 5 engine: every open of Xhat sits inside the check of its trace
     for v in top.open_masks:
-        if v & ~pair.u_check_mask(v & pair.x_mask):
+        if v & ~check[v & pair.x_mask]:
             note(5, base.labels_of(v))
 
     # item 6: inside any open, every point has a check-form neighborhood
-    check_forms = [pair.u_check_mask(um) for um in opens]
     for v in top.open_masks:
-        for i in range(len(base)):
-            if not v >> i & 1:
-                continue
-            if not any(w >> i & 1 and w & ~v == 0 for w in check_forms):
+        for i in bits(v):
+            if not any(w >> i & 1 and w & ~v == 0 for w in check.values()):
                 note(6, (base.labels_of(v), base.labels[i]))
 
     # item 7: any open is covered by the check-opens of some
     # distinguished covering of its trace; taking every candidate whose
     # check stays inside is the best possible choice
+    g = GCoveringSystem(pair)
     for v in top.open_masks:
         uv = v & pair.x_mask
         cover_c = 0
-        reach_acc = 0
-        for um in opens:
-            if um & ~uv:
-                continue
-            cu = pair.u_check_mask(um)
-            if cu & ~v == 0:
+        cands = []
+        for um, cu in check.items():
+            if um & ~uv == 0 and cu & ~v == 0:
                 cover_c |= cu
-                reach_acc |= pair.member_reach_mask(uv, um)
-        if v & ~cover_c or pair.u_hat_mask(uv) & ~reach_acc:
+                cands.append(um)
+        if v & ~cover_c or not g._covers(uv, cands):
             note(7, base.labels_of(v))
 
     return L7Report(items, wit)
@@ -215,40 +196,56 @@ class GCoveringSystem:
     """For each trace-open U, the distinguished coverings are the
     families of opens of U whose member reaches cover hat(U); this is
     the subspace reading of "check-opens covering the closure", and the
-    two coincide on the full trace.  Membership is decided by that
-    criterion; listed() materializes a deterministic sample (identity,
-    minimal-open decomposition, and all families up to max_family_size)
-    for the exhaustive bullet checks."""
+    two coincide on the full trace.  Membership is decided pointwise:
+    a point i of hat(U) is reached by a member Ui iff its local trace
+    mins[i] & U lies inside Ui, so a family covers U iff every maximal
+    nonzero local trace of U lies inside some member.  listed()
+    materializes a deterministic sample (identity, minimal-open
+    decomposition, and all families up to max_family_size) for the
+    exhaustive bullet checks."""
 
-    __slots__ = ("pair", "max_family_size", "_listed")
+    __slots__ = ("pair", "max_family_size", "_listed", "_traces")
 
     def __init__(self, pair, max_family_size=2):
         self.pair = pair
         self.max_family_size = max_family_size
         self._listed = {}
+        self._traces = {}
 
     def is_g_covering(self, um, members):
         pair = self.pair
+        if not pair.is_trace_open(um):
+            raise ValueError("set is not open in the dense subspace")
         members = tuple(members)
         for m in members:
             if not pair.is_trace_open(m):
                 raise ValueError("covering member is not a subspace open")
             if m & ~um:
                 raise ValueError("covering member sticks out of its open")
-        acc = 0
-        for m in members:
-            acc |= pair.member_reach_mask(um, m)
-        return pair.u_hat_mask(um) & ~acc == 0
+        return self._covers(um, members)
+
+    def _covers(self, um, members):
+        """is_g_covering without validation: members must be a sequence
+        of trace-opens inside the trace-open um."""
+        traces = self._traces.get(um)
+        if traces is None:
+            top = self.pair.xhat
+            ts = {top.min_open_mask(i) & um for i in range(len(top.base))}
+            # the maximal nonzero local traces decide
+            traces = self._traces[um] = tuple(
+                t for t in ts if t and all(t == s or t & ~s for s in ts))
+        for t in traces:
+            for m in members:
+                if t & ~m == 0:
+                    break
+            else:
+                return False
+        return True
 
     def minimal_decomposition(self, um):
         """Traces of the minimal opens of the points of U, deduplicated."""
-        pair = self.pair
-        top = pair.xhat
-        out = set()
-        for i in range(len(top.base)):
-            if um >> i & 1 and pair.x_mask >> i & 1:
-                out.add(top.min_open_mask(i) & pair.x_mask)
-        return tuple(sorted(out))
+        x, top = self.pair.x_mask, self.pair.xhat
+        return tuple(sorted({top.min_open_mask(i) & x for i in bits(um & x)}))
 
     def listed(self, um):
         try:
@@ -263,11 +260,11 @@ class GCoveringSystem:
         else:
             fams.add((um,))
             dec = self.minimal_decomposition(um)
-            if self.is_g_covering(um, dec):
+            if self._covers(um, dec):
                 fams.add(dec)
             for size in range(1, self.max_family_size + 1):
                 for combo in itertools.combinations(subs, size):
-                    if self.is_g_covering(um, combo):
+                    if self._covers(um, combo):
                         fams.add(tuple(sorted(combo)))
         out = tuple(sorted(fams))
         self._listed[um] = out
@@ -308,7 +305,7 @@ def check_grothendieck(g):
 
     for um in opens:
         ident = () if um == 0 else (um,)
-        if not g.is_g_covering(um, ident):
+        if not g._covers(um, ident):
             rep.identity_ok = False
             rep.witnesses.append(("identity", um))
 
@@ -318,39 +315,34 @@ def check_grothendieck(g):
             for vm in opens:
                 if vm & ~um:
                     continue
-                cut = tuple(sorted({m & vm for m in fam}))
-                if not g.is_g_covering(vm, cut):
+                # every local trace of V lies in V, so the family cut
+                # down to V covers V exactly when the family does
+                if not g._covers(vm, fam):
                     rep.restriction_ok = False
                     rep.witnesses.append(("restriction", um, fam, vm))
 
+    # refine each member by its minimal decomposition where that is
+    # itself a distinguished covering, by itself otherwise
+    refinement = {}
+    for m in opens:
+        dec = g.minimal_decomposition(m)
+        refinement[m] = dec if g._covers(m, dec) else (m,)
     for um in opens:
         for fam in g.listed(um):
-            # refine each member by its minimal decomposition where that
-            # is itself a distinguished covering, by itself otherwise
-            composite = set()
-            for m in fam:
-                dec = g.minimal_decomposition(m)
-                if not g.is_g_covering(m, dec):
-                    dec = (m,)
-                composite.update(dec)
-            composite = tuple(sorted(composite))
-            if fam and not g.is_g_covering(um, composite):
+            composite = [d for m in fam for d in refinement[m]]
+            if fam and not g._covers(um, composite):
                 rep.composition_ok = False
                 rep.witnesses.append(("composition", um, fam))
 
     for um in opens:
         # scan subsets of U for locally-open implies open
-        bits = [i for i in range(len(pair.xhat.base)) if um >> i & 1]
+        non_open = [s for s in range(um + 1)
+                    if s & ~um == 0 and s not in open_set]
         for fam in g.listed(um):
-            for pick in range(1 << len(bits)):
-                s = 0
-                for t, i in enumerate(bits):
-                    if pick >> t & 1:
-                        s |= 1 << i
+            for s in non_open:
                 if all((s & m) in open_set for m in fam):
-                    if s not in open_set:
-                        rep.detection_ok = False
-                        rep.witnesses.append(("detection", um, fam, s))
+                    rep.detection_ok = False
+                    rep.witnesses.append(("detection", um, fam, s))
 
     for um in opens:
         gfams = g.listed(um)
@@ -360,12 +352,10 @@ def check_grothendieck(g):
                 union = 0
                 for m in fam:
                     union |= m
-                if union != um:
+                if union != um or g._covers(um, fam):
                     continue
-                refined = any(
-                    all(any(v & ~m == 0 for m in fam) for v in gf)
-                    for gf in gfams if gf)
-                if refined and not g.is_g_covering(um, tuple(sorted(fam))):
+                if any(all(any(v & ~m == 0 for m in fam) for v in gf)
+                       for gf in gfams if gf):
                     rep.saturation_ok = False
                     rep.witnesses.append(("saturation", um, fam))
 
@@ -629,15 +619,11 @@ def cech_adequate(pair, members):
                 frontier = seed
                 while frontier:
                     new = 0
-                    m = frontier
-                    while m:
-                        low = m & -m
-                        i = low.bit_length() - 1
+                    for i in bits(frontier):
                         for j in range(n):
                             if w >> j & 1 and not comp >> j & 1:
                                 if mins[i] >> j & 1 or mins[j] >> i & 1:
                                     new |= 1 << j
-                        m ^= low
                     comp |= new
                     frontier = new
                 todo &= ~comp

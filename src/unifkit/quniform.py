@@ -192,6 +192,10 @@ class CoveringFamily:
         self.base = base
         self.blocks = tuple(range(1, 1 << len(base)))
         self.families = frozenset(family_masks)
+        if self.families and (min(self.families) < 1
+                              or max(self.families) >> len(self.blocks)):
+            raise ValueError(
+                "covering mask outside the blocks of the base set")
 
     @classmethod
     def from_coverings(cls, base, coverings):
@@ -289,9 +293,11 @@ def weil_to_tukey(u):
         hit_block = sum(1 << i for i in range(n) if rows[i] & ~b == 0)
         hit += hit.translate(bytes(x | hit_block for x in range(256)))
     keep = hit.translate(bytes(x == full for x in range(256)))
-    # the empty family f = 0 is left out
-    return CoveringFamily(u.base,
-                          itertools.compress(range(1, len(hit)), keep[1:]))
+    # the empty family f = 0 is left out; every mask lies in range by
+    # construction, so the constructor's pass over them is skipped
+    fam = CoveringFamily(u.base, ())
+    fam.families = frozenset(itertools.compress(range(1, len(hit)), keep[1:]))
+    return fam
 
 
 def tukey_to_weil(t):
@@ -304,6 +310,10 @@ def tukey_to_weil(t):
     full = (1 << n) - 1
     ent = _entourage_table(n)
     packed = {ent[f] for f in t.families}
+    # an entourage is reflexive exactly when its covering covers the base
+    diagonal = sum(1 << (n + 1) * i for i in range(n))
+    if any(p & diagonal != diagonal for p in packed):
+        raise ValueError("family member does not cover the base set")
     return QUniformity(
         base, [Relation(base, [p >> n * i & full for i in range(n)])
                for p in packed],

@@ -10,7 +10,7 @@ when asked for.
 
 from __future__ import annotations
 
-from .relations import Relation
+from .relations import Relation, bits
 
 
 def up_sets(mins, within):
@@ -184,14 +184,10 @@ class FiniteTopology:
 
         def grow(chain, last):
             out.append(tuple(chain))
-            m = succ[last]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
+            for j in bits(succ[last]):
                 chain.append(j)
                 grow(chain, j)
                 chain.pop()
-                m ^= low
         for i in range(n):
             grow([i], i)
         return out
@@ -206,21 +202,9 @@ class FiniteTopology:
         edges = []
         for i in range(n):
             strict = mins[i] & ~(1 << i)
-            m = strict
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
+            for j in bits(strict):
                 # j covers i when no k has i < k < j
-                covered = True
-                k_mask = strict & ~(1 << j)
-                while k_mask:
-                    kl = k_mask & -k_mask
-                    k = kl.bit_length() - 1
-                    if mins[k] >> j & 1:
-                        covered = False
-                        break
-                    k_mask ^= kl
-                if covered:
+                if not any(mins[k] >> j & 1
+                           for k in bits(strict & ~(1 << j))):
                     edges.append((i, j))
-                m ^= low
         return edges

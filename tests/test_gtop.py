@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from unifkit.enumeration import standard_base
+from unifkit.enumeration import (all_partial_orders, dense_subsets,
+                                 standard_base)
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
                           check_grothendieck, check_l7, constant_sheaf,
@@ -125,3 +127,199 @@ def test_euler_characteristic_is_chain_count():
     chi = sum((-1) ** k * d for k, d in enumerate(betti))
     chains = top.strict_chains()
     assert chi == sum((-1) ** (len(c) - 1) for c in chains)
+
+
+def test_g_covering_rejects_a_non_open_set():
+    pair = pseudo_circle(False)
+    g = GCoveringSystem(pair)
+    a = pair.xhat.base.mask_of(["a"])
+    # {c} is not a subset of X, so no trace-open
+    c = pair.xhat.base.mask_of(["c"])
+    with pytest.raises(ValueError, match="not open in the dense subspace"):
+        g.is_g_covering(c, [])
+    with pytest.raises(ValueError, match="not a subspace open"):
+        g.is_g_covering(pair.x_mask, [c])
+    with pytest.raises(ValueError, match="sticks out of its open"):
+        g.is_g_covering(a, [pair.x_mask])
+
+
+class _ReferenceSite:
+    """The site calculus of a dense pair straight from the definitions:
+    check-opens and member reaches by scanning the ambient opens, hat
+    by closure_mask, covering when the reaches cover hat(U)."""
+
+    def __init__(self, pair):
+        self.top = pair.xhat
+        self.x = pair.x_mask
+        self.opens = sorted({m & self.x for m in self.top.open_masks})
+
+    def check(self, um):
+        acc = 0
+        for m in self.top.open_masks:
+            if m & self.x == um:
+                acc |= m
+        return acc
+
+    def reach(self, um, ui):
+        acc = 0
+        for m in self.top.open_masks:
+            if m & um & ~ui == 0:
+                acc |= m
+        return acc
+
+    def covers(self, um, members):
+        acc = 0
+        for m in members:
+            acc |= self.reach(um, m)
+        return self.top.closure_mask(um) & ~acc == 0
+
+    def decomposition(self, um):
+        return tuple(sorted({self.top.min_open_mask(i) & self.x
+                             for i in range(len(self.top.base))
+                             if um >> i & 1}))
+
+    def listed(self, um, size):
+        if um == 0:
+            return ((),)
+        subs = [m for m in self.opens if m & ~um == 0]
+        dec = self.decomposition(um)
+        fams = {(um,)}
+        if self.covers(um, dec):
+            fams.add(dec)
+        for k in range(1, size + 1):
+            fams.update(c for c in itertools.combinations(subs, k)
+                        if self.covers(um, c))
+        return tuple(sorted(fams))
+
+    def l7(self):
+        top, x, opens, labels = self.top, self.x, self.opens, self.top.base
+        items = dict.fromkeys(range(1, 8), True)
+        wit = {}
+
+        def note(i, w):
+            if items[i]:
+                items[i] = False
+                wit[i] = w
+
+        ambient = top.open_masks
+        for um in opens:
+            cu, hu = self.check(um), top.closure_mask(um)
+            if cu not in ambient or cu & x != um:
+                note(1, labels.labels_of(um))
+            if cu & ~hu or (hu & x == um and cu != top.interior_mask(hu)):
+                note(2, labels.labels_of(um))
+        for ua in opens:
+            for ub in opens:
+                pair = (labels.labels_of(ua), labels.labels_of(ub))
+                if self.check(ua) & self.check(ub) != self.check(ua & ub):
+                    note(3, pair)
+                if (self.check(ua) | self.check(ub)) & ~self.check(ua | ub):
+                    note(4, pair)
+        for v in ambient:
+            if v & ~self.check(v & x):
+                note(5, labels.labels_of(v))
+        forms = [self.check(um) for um in opens]
+        for v in ambient:
+            for i in range(len(labels)):
+                if v >> i & 1 and not any(w >> i & 1 and w & ~v == 0
+                                          for w in forms):
+                    note(6, (labels.labels_of(v), labels.labels[i]))
+        for v in ambient:
+            uv = v & x
+            inside = [um for um in opens
+                      if um & ~uv == 0 and self.check(um) & ~v == 0]
+            cover = 0
+            for um in inside:
+                cover |= self.check(um)
+            if v & ~cover or not self.covers(uv, inside):
+                note(7, labels.labels_of(v))
+        return items, wit
+
+    def grothendieck(self, size):
+        opens = self.opens
+        flags = dict.fromkeys(("identity", "restriction", "composition",
+                               "detection", "saturation"), True)
+        wit = []
+
+        def note(*w):
+            flags[w[0]] = False
+            wit.append(w)
+
+        listed = {um: self.listed(um, size) for um in opens}
+        for um in opens:
+            if not self.covers(um, () if um == 0 else (um,)):
+                note("identity", um)
+        for um in opens:
+            for fam in listed[um]:
+                for vm in opens:
+                    if vm & ~um == 0 and not self.covers(
+                            vm, {m & vm for m in fam}):
+                        note("restriction", um, fam, vm)
+        for um in opens:
+            for fam in listed[um]:
+                composite = set()
+                for m in fam:
+                    dec = self.decomposition(m)
+                    composite.update(dec if self.covers(m, dec) else (m,))
+                if fam and not self.covers(um, composite):
+                    note("composition", um, fam)
+        for um in opens:
+            for fam in listed[um]:
+                for s in range(um + 1):
+                    if s & ~um == 0 and s not in opens and all(
+                            s & m in opens for m in fam):
+                        note("detection", um, fam, s)
+        for um in opens:
+            subs = [m for m in opens if m & ~um == 0]
+            for k in range(1, min(size, len(subs)) + 1):
+                for fam in itertools.combinations(subs, k):
+                    union = 0
+                    for m in fam:
+                        union |= m
+                    if union != um or self.covers(um, fam):
+                        continue
+                    if any(all(any(v & ~m == 0 for m in fam) for v in gf)
+                           for gf in listed[um] if gf):
+                        note("saturation", um, fam)
+        return flags, wit
+
+
+def _pairs_up_to(nmax):
+    for n in range(1, nmax + 1):
+        for po in all_partial_orders(standard_base(n)):
+            top = FiniteTopology.from_preorder(po)
+            for d in dense_subsets(top):
+                yield DensePair(top, d)
+
+
+def test_site_calculus_matches_the_definitions():
+    """Tables and the pointwise covering test against scans of the
+    ambient opens, on every dense pair with at most four points."""
+    count = 0
+    for pair in _pairs_up_to(4):
+        ref = _ReferenceSite(pair)
+        opens = pair.trace_open_masks()
+        assert list(opens) == ref.opens
+        assert [pair.u_check_mask(um) for um in opens] == \
+            [ref.check(um) for um in opens]
+        rep = check_l7(pair)
+        assert (rep.items, rep.witnesses) == ref.l7(), pair
+        g = GCoveringSystem(pair)
+        for um in opens:
+            subs = [m for m in opens if m & ~um == 0]
+            for a, b in itertools.combinations_with_replacement(subs, 2):
+                assert pair.member_reach_mask(um, a) == ref.reach(um, a)
+                assert g.is_g_covering(um, (a, b)) == \
+                    ref.covers(um, (a, b)), (pair, um, a, b)
+        for size in (1, 2, 3):
+            g = uniform_g_topology(pair, size)
+            got = check_grothendieck(g)
+            flags, wit = ref.grothendieck(size)
+            assert (got.identity_ok, got.restriction_ok, got.composition_ok,
+                    got.detection_ok, got.saturation_ok) == \
+                tuple(flags.values()), pair
+            assert got.witnesses == wit, pair
+            assert [g.listed(um) for um in opens] == \
+                [ref.listed(um, size) for um in opens], pair
+        count += 1
+    assert count == 1182

@@ -266,3 +266,17 @@ def test_weil_to_tukey_guards_five_points():
     with pytest.raises(ValueError,
                        match=r"only materialized for \|X\| <= 4"):
         weil_to_tukey(QUniformity.discrete(base))
+
+
+def test_covering_family_rejects_masks_outside_the_blocks():
+    base = standard_base(3)
+    for masks in ([1 << 20], [0], [-1]):
+        with pytest.raises(ValueError, match="outside the blocks"):
+            CoveringFamily(base, masks)
+
+
+def test_tukey_to_weil_rejects_a_member_that_misses_a_point():
+    base = standard_base(3)
+    # blocks {x0} and {x1} leave x2 uncovered
+    with pytest.raises(ValueError, match="does not cover the base set"):
+        tukey_to_weil(CoveringFamily(base, [0b11, 1 << 6]))
