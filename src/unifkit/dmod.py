@@ -7,13 +7,16 @@ of the derivative are rewritten in delta = (z-x) d/dz, whose
 coefficient valuations carry the polygon.  The index formula
 n*(2 - #Z) - sum of irregularities is validated against brute-force
 linear algebra on growing windows of the partial fraction basis of the
-functions regular away from Z.
+functions regular away from Z.  The images of basis elements come in
+closed form: each coefficient is split into partial fractions once, and
+the derivative of a basis element and the product of two basis elements
+are again finite sums of basis elements (see _OracleSession).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from . import linalg
 from .poly import (ONE, ZERO, Polynomial, RatFunc, partial_fractions,
@@ -310,13 +313,15 @@ class ConnectionSpec:
 
 def deligne_chi(spec):
     """n*(2 - #Z) minus the total irregularity over Z."""
-    if not spec.points:
+    return _chi(spec, {p: irregularity(spec.operator, p)
+                       for p in spec.points})
+
+
+def _chi(spec, irs):
+    """deligne_chi from the irregularities at every point of Z."""
+    if not irs:
         raise ValueError("Z must contain inf or be nonempty")
-    n = spec.order
-    total = 0
-    for p in spec.points:
-        total += irregularity(spec.operator, p)
-    return n * (2 - len(spec.points)) - total
+    return spec.order * (2 - len(irs)) - sum(irs.values())
 
 
 # brute-force index on windows of the partial fraction basis
@@ -337,45 +342,63 @@ def _shift_bound(spec):
 
 
 class _OracleSession:
-    """Shared image cache for one spec across growing windows."""
+    """Shared image cache for one spec across growing windows.
+
+    Images come in closed form from the partial fractions of the
+    coefficients, split once per session by partial_fractions, whose
+    reconstruction check covers the split.  The i-th derivative of a
+    basis element is a scalar times one basis element,
+    (z^m)^(i) = m!/(m-i)! z^(m-i) and
+    ((z-x)^-k)^(i) = (-1)^i k(k+1)...(k+i-1) (z-x)^(-k-i),
+    and the product of two basis elements has an exact split.  z^j (z-x)^-k
+    has the principal part sum_{t<k} C(j,t) x^(j-t) (z-x)^(t-k) (Taylor at
+    x) and the polynomial part sum_{s<=j-k} C(k+s-1,s) x^s z^(j-k-s)
+    (Laurent at infinity), and for y != x and d = x - y,
+    (z-y)^-l (z-x)^-k = sum_{t<k} (-1)^t C(l+t-1,t) d^(-l-t) (z-x)^(t-k)
+                      + sum_{t<l} (-1)^t C(k+t-1,t) (-d)^(-k-t) (z-y)^(t-l).
+    ConnectionSpec puts every pole of a coefficient in Z, and the split
+    is unique, so each image equals partial_fractions of the operator
+    applied to the element.  No image is rebuilt and checked on its own;
+    the tests cross-check the images against that direct path."""
 
     def __init__(self, spec):
         self.spec = spec
         self.shift = _shift_bound(spec)
         self._images = {}
+        self._terms = []
+        for a in spec.operator.coeffs:
+            poly_part, parts = partial_fractions(a, spec.finite_points())
+            self._terms.append(
+                [(("pw", j), c) for j, c in enumerate(poly_part.coeffs) if c]
+                + [(("pole", y, l), c) for y, cs in parts.items()
+                   for l, c in cs.items()])
 
     def basis_keys(self, d):
-        keys = []
         top = d if self.spec.has_inf() else 0
-        for m in range(top + 1):
-            keys.append(("pw", m))
-        for x in self.spec.finite_points():
-            for k in range(1, d + 1):
-                keys.append(("pole", x, k))
-        return keys
-
-    def _element(self, key):
-        if key[0] == "pw":
-            return RatFunc(Polynomial.monomial(key[1]))
-        _, x, k = key
-        return RatFunc(1, Polynomial((-x, ONE)) ** k)
+        return ([("pw", m) for m in range(top + 1)]
+                + [("pole", x, k) for x in self.spec.finite_points()
+                   for k in range(1, d + 1)])
 
     def image(self, key):
-        try:
+        if key in self._images:
             return self._images[key]
-        except KeyError:
-            pass
-        f = self.spec.operator.apply(self._element(key))
-        poly_part, parts = partial_fractions(f, self.spec.finite_points())
         vec = {}
-        if not self.spec.has_inf() and poly_part.degree > 0:
+        for i, terms in enumerate(self._terms):
+            # the i-th derivative of the element is s times der
+            if key[0] == "pw":
+                if i > key[1]:
+                    break
+                s, der = perm(key[1], i), ("pw", key[1] - i)
+            else:
+                s = (-1) ** i * perm(key[2] + i - 1, i)
+                der = ("pole", key[1], key[2] + i)
+            for term, c in terms:
+                for coord, e in _product(term, der):
+                    vec[coord] = vec.get(coord, 0) + c * s * e
+        vec = {coord: c for coord, c in vec.items() if c}
+        if not self.spec.has_inf() and any(
+                coord[0] == "pw" and coord[1] for coord in vec):
             raise ArithmeticError("image leaves the function space")
-        for m, c in enumerate(poly_part.coeffs):
-            if c:
-                vec[("pw", m)] = c
-        for x, coeffs in parts.items():
-            for k, c in coeffs.items():
-                vec[("pole", x, k)] = c
         self._images[key] = vec
         return vec
 
@@ -404,6 +427,32 @@ class _OracleSession:
         k_full = len(outer) - linalg.rank(full)
         h1 = n_inner - (k_out - k_full)
         return h0, h1
+
+
+def _product(f, g):
+    """The partial fraction split of the product of two basis elements,
+    as (coordinate, coefficient) pairs; see _OracleSession."""
+    if f[0] == "pw" and g[0] == "pw":
+        return ((("pw", f[1] + g[1]), 1),)
+    if g[0] == "pw":
+        f, g = g, f
+    _, x, k = g
+    if f[0] == "pw":
+        # z^j (z-x)^-k: Taylor terms at x below order k, then the
+        # polynomial part from the Laurent expansion at infinity
+        j = f[1]
+        return ([(("pole", x, k - t), comb(j, t) * x ** (j - t))
+                 for t in range(min(k, j + 1))]
+                + [(("pw", j - k - s), comb(k + s - 1, s) * x ** s)
+                   for s in range(j - k + 1)])
+    _, y, l = f
+    if y == x:
+        return ((("pole", x, k + l), 1),)
+    d = x - y
+    return ([(("pole", x, k - t), comb(l + t - 1, t) * (-1) ** t
+              / d ** (l + t)) for t in range(k)]
+            + [(("pole", y, l - t), comb(k + t - 1, t) * (-1) ** t
+                / (-d) ** (k + t)) for t in range(l)])
 
 
 def _beyond(coord, d):
@@ -481,7 +530,7 @@ def index_report(spec, d_max=80):
         raise ValueError("degree bound must be at least %d"
                          % (D_START + 2 * D_STEP))
     irs = {p: irregularity(spec.operator, p) for p in spec.points}
-    chi = deligne_chi(spec)
+    chi = _chi(spec, irs)
     session = _OracleSession(spec)
     history = []
     stabilized = False

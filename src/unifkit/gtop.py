@@ -135,40 +135,41 @@ def check_l7(pair):
     wit = {}
 
     def note(i, w):
-        if items[i]:
-            items[i] = False
-            wit[i] = w
+        items[i] = False
+        wit[i] = w
 
+    # an item keeps its first witness, so it is only tested while it holds
     open_set = set(top.open_masks)
     check = {um: pair.u_check_mask(um) for um in opens}
     for um, cu in check.items():
         # item 1: the union of qualifying opens is open and has trace um
-        if cu not in open_set or cu & pair.x_mask != um:
+        if items[1] and (cu not in open_set or cu & pair.x_mask != um):
             note(1, base.labels_of(um))
         hu = pair.u_hat_mask(um)
-        if cu & ~hu:
+        if items[2] and cu & ~hu:
             note(2, base.labels_of(um))
         # conditional clause of item 2
-        if hu & pair.x_mask == um and cu != top.interior_mask(hu):
+        if items[2] and hu & pair.x_mask == um and cu != top.interior_mask(hu):
             note(2, base.labels_of(um))
 
     for ua, ca in check.items():
         for ub, cb in check.items():
-            if ca & cb != check[ua & ub]:
+            if items[3] and ca & cb != check[ua & ub]:
                 note(3, (base.labels_of(ua), base.labels_of(ub)))
             # trace-opens are closed under union, so item 4 reduces to pairs
-            if (ca | cb) & ~check[ua | ub]:
+            if items[4] and (ca | cb) & ~check[ua | ub]:
                 note(4, (base.labels_of(ua), base.labels_of(ub)))
 
     # item 5 engine: every open of Xhat sits inside the check of its trace
     for v in top.open_masks:
-        if v & ~check[v & pair.x_mask]:
+        if items[5] and v & ~check[v & pair.x_mask]:
             note(5, base.labels_of(v))
 
     # item 6: inside any open, every point has a check-form neighborhood
     for v in top.open_masks:
         for i in bits(v):
-            if not any(w >> i & 1 and w & ~v == 0 for w in check.values()):
+            if items[6] and not any(w >> i & 1 and w & ~v == 0
+                                    for w in check.values()):
                 note(6, (base.labels_of(v), base.labels[i]))
 
     # item 7: any open is covered by the check-opens of some
@@ -176,6 +177,8 @@ def check_l7(pair):
     # check stays inside is the best possible choice
     g = GCoveringSystem(pair)
     for v in top.open_masks:
+        if not items[7]:
+            break
         uv = v & pair.x_mask
         cover_c = 0
         cands = []
