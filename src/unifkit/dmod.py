@@ -398,7 +398,10 @@ class _OracleSession:
         vec = {coord: c for coord, c in vec.items() if c}
         if not self.spec.has_inf() and any(
                 coord[0] == "pw" and coord[1] for coord in vec):
-            raise ArithmeticError("image leaves the function space")
+            # the operator does not act on functions regular at
+            # infinity: bad input, not a fault
+            raise ValueError("image leaves the function space: a pole at "
+                             "infinity, which is not in Z")
         self._images[key] = vec
         return vec
 

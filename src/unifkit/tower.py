@@ -21,7 +21,10 @@ certificates relate level k to level k-3 for the square generators
 (the star of a block spans 7 level units and a block three levels up
 spans 24, leaving room to place one whatever the alignment) and to
 level k-1 for the residue generators, whose levels are honest
-partitions with singleton stars.
+partitions with singleton stars.  A square block is a product of one
+interval per axis, so its parent test and its star certificate hold
+exactly when they hold on each axis: verification tests each axis
+position of a level once and so covers every block of every level.
 
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
@@ -172,9 +175,17 @@ class _Generator:
     def check_star(self, k, b):
         return True  # the star of a disjoint block is the block itself
 
-    def scan_ids(self, k):
-        """Deterministic scan for checks on very large levels."""
-        return self.block_ids(k)
+    def first_outside_parent(self, k):
+        """The first block of level k, in block_ids order, that its
+        parent does not contain, or None."""
+        return next((b for b in self.block_ids(k)
+                     if not self.inside_parent(k, b)), None)
+
+    def first_failed_star(self, k):
+        """The first block of level k, in block_ids order, whose star
+        fails its certificate, or None."""
+        return next((b for b in self.block_ids(k)
+                     if not self.check_star(k, b)), None)
 
     def puncture_first(self, k):
         """The level's blocks, those a sector can never hold first, so
@@ -192,12 +203,44 @@ class _Generator:
 class _SquareGen(_Generator):
     """Punctured square [-1,1]^2 minus the origin.  Both of its
     uniformities halve blocks per level along two axes and certify stars
-    three levels up."""
+    three levels up.  Parents and stars are tested per axis position
+    (axis_inside_parent, axis_star_ok)."""
 
     star_lag = 3
 
+    def block_ids(self, k):
+        return product(self.axis_ids(k), repeat=2)
+
+    def block_count(self, k):
+        return len(self.axis_ids(k)) ** 2
+
+    def has_block(self, k, b):
+        ids = self.axis_ids(k)
+        return (isinstance(b, tuple) and len(b) == 2
+                and all(isinstance(c, int) and c in ids for c in b))
+
     def parent(self, k, b):
         return (b[0] // 2, b[1] // 2)
+
+    def first_outside_parent(self, k):
+        return self._first_failing(k, self.axis_inside_parent)
+
+    def first_failed_star(self, k):
+        return self._first_failing(k, self.axis_star_ok)
+
+    def _first_failing(self, k, axis_ok):
+        """A block fails when a position on either axis fails, so the
+        first failing block in block_ids order pairs the first failing
+        position of one axis with the first position of the other."""
+        ids = self.axis_ids(k)
+        bad = [next((i for i in ids if not axis_ok(k, ax, i)), None)
+               for ax in (0, 1)]
+        found = []
+        if bad[0] is not None:
+            found.append((bad[0], ids[0]))
+        if bad[1] is not None:
+            found.append((ids[0], bad[1]))
+        return min(found, default=None)
 
     def path(self, n, b):
         out = [b]
@@ -228,20 +271,9 @@ class _MetricGen(_SquareGen):
         r = self.half_range(k)
         return max(2 * i, -r), min(2 * i + 3, r)
 
-    def block_ids(self, k):
+    def axis_ids(self, k):
         imin, imax = self.irange(k)
-        for i in range(imin, imax + 1):
-            for j in range(imin, imax + 1):
-                yield (i, j)
-
-    def block_count(self, k):
-        imin, imax = self.irange(k)
-        return (imax - imin + 1) ** 2
-
-    def has_block(self, k, b):
-        imin, imax = self.irange(k)
-        return (isinstance(b, tuple) and len(b) == 2
-                and all(isinstance(c, int) and imin <= c <= imax for c in b))
+        return range(imin, imax + 1)
 
     def block_name(self, k, b):
         return "b%d,%d" % b
@@ -261,11 +293,10 @@ class _MetricGen(_SquareGen):
     def is_origin(self, b):
         return b[0] in (-1, 0) and b[1] in (-1, 0)
 
-    def inside_parent(self, k, b):
-        x0, x1, y0, y1 = self.block_box(k, b)
-        px0, px1, py0, py1 = self.block_box(k - 1, self.parent(k, b))
-        return (2 * px0 <= x0 and x1 <= 2 * px1
-                and 2 * py0 <= y0 and y1 <= 2 * py1)
+    def axis_inside_parent(self, k, ax, i):
+        lo, hi = self.interval(k, i)
+        plo, phi = self.interval(k - 1, i // 2)
+        return 2 * plo <= lo and hi <= 2 * phi
 
     def neighbors(self, k, b):
         imin, imax = self.irange(k)
@@ -278,35 +309,18 @@ class _MetricGen(_SquareGen):
                 if imin <= ni <= imax and imin <= nj <= imax:
                     yield (ni, nj)
 
-    def _axis_cert(self, k, i):
-        imin, imax = self.irange(k - self.star_lag)
-        return min(max((2 * i - 2) // 16, imin), imax)
-
-    def star_cert(self, k, b):
-        return k - self.star_lag, (self._axis_cert(k, b[0]),
-                                   self._axis_cert(k, b[1]))
-
-    def check_star(self, k, b):
-        tk, tb = self.star_cert(k, b)
-        f = 1 << (k - tk)
+    def axis_star_ok(self, k, ax, i):
+        """The star of position i spans its neighbors' intervals; the
+        certificate is the position star_lag levels up that starts at
+        or below the star, clipped to the range."""
+        tk = k - self.star_lag
+        imin, imax = self.irange(tk)
+        t_lo, t_hi = self.interval(tk, min(max((2 * i - 2) // 16, imin),
+                                           imax))
+        f = 1 << self.star_lag
         r = self.half_range(k)
-        for ax in (0, 1):
-            s_lo = max(2 * b[ax] - 2, -r)
-            s_hi = min(2 * b[ax] + 5, r)
-            t_lo, t_hi = self.interval(tk, tb[ax])
-            if t_lo * f > s_lo or s_hi > t_hi * f:
-                return False
-        return True
-
-    def scan_ids(self, k):
-        # every block near the range boundary or the origin plus a
-        # fixed stride through the interior
-        imin, imax = self.irange(k)
-        edge = {imin, imin + 1, -2, -1, 0, 1, imax - 1, imax}
-        for i in range(imin, imax + 1):
-            for j in range(imin, imax + 1):
-                if i in edge or j in edge or (i % 37 == 0 and j % 11 == 0):
-                    yield (i, j)
+        return (t_lo * f <= max(2 * i - 2, -r)
+                and min(2 * i + 5, r) <= t_hi * f)
 
     def puncture_first(self, k):
         yield from self.origin_ids()
@@ -314,21 +328,15 @@ class _MetricGen(_SquareGen):
             if not self.is_origin(b):
                 yield b
 
-    def box_fits(self, n, box, m):
-        """A box with integer ends in level-n units lies inside a single
-        level-m block."""
+    def identity_fits(self, n, b, m):
         f = 1 << max(m - n, 0)
         g = 1 << max(n - m, 0)
         imin, imax = self.irange(m)
-        x0, x1, y0, y1 = box
-        for lo, hi in ((x0, x1), (y0, y1)):
+        for lo, hi in (self.interval(n, b[0]), self.interval(n, b[1])):
             if _fit_linear(lo * f, hi * f, g,
                            lambda i: self.interval(m, i), imin, imax) is None:
                 return False
         return True
-
-    def identity_fits(self, n, b, m):
-        return self.box_fits(n, self.block_box(n, b), m)
 
     def blocks_meet(self, k1, b1, k2, b2):
         lvl = max(k1, k2)
@@ -471,19 +479,8 @@ class _SectorialGen(_SquareGen):
     def angular_window(self, k, a):
         return 2 * a, 3
 
-    def block_ids(self, k):
-        c = self.counts(k)
-        for i in range(c):
-            for a in range(c):
-                yield (i, a)
-
-    def block_count(self, k):
-        return self.counts(k) ** 2
-
-    def has_block(self, k, b):
-        c = self.counts(k)
-        return (isinstance(b, tuple) and len(b) == 2
-                and all(isinstance(x, int) and 0 <= x < c for x in b))
+    def axis_ids(self, k):
+        return range(self.counts(k))
 
     def block_name(self, k, b):
         return "r%da%d" % b
@@ -495,15 +492,15 @@ class _SectorialGen(_SquareGen):
     def is_tip(self, b):
         return b[0] == 0
 
-    def inside_parent(self, k, b):
-        pb = self.parent(k, b)
-        lo, hi = self.radial_interval(k, b[0])
-        plo, phi = self.radial_interval(k - 1, pb[0])
-        if 2 * plo > lo or hi > 2 * phi:
-            return False
+    def axis_inside_parent(self, k, ax, i):
+        """Axis 0 is the radius, axis 1 the angle."""
+        if ax == 0:
+            lo, hi = self.radial_interval(k, i)
+            plo, phi = self.radial_interval(k - 1, i // 2)
+            return 2 * plo <= lo and hi <= 2 * phi
         mod = self.angular_mod(k)
-        ws, wl = self.angular_window(k, b[1])
-        ps, pl = self.angular_window(k - 1, pb[1])
+        ws, wl = self.angular_window(k, i)
+        ps, pl = self.angular_window(k - 1, i // 2)
         return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
 
     def neighbors(self, k, b):
@@ -518,35 +515,23 @@ class _SectorialGen(_SquareGen):
                 if (ni, na) != (i, a):
                     yield (ni, na)
 
-    def star_cert(self, k, b):
+    def axis_star_ok(self, k, ax, i):
+        """The star of position i spans its neighbors' radial interval
+        (axis 0, clipped to [0, top]) or angular windows (axis 1, an arc
+        of 7 units); the certificate is the position star_lag levels up
+        that starts at or below the star."""
         tk = k - self.star_lag
-        ri = min(max((2 * b[0] - 2) // 16, 0), self.counts(tk) - 1)
-        aa = ((2 * b[1] - 2) // 16) % self.counts(tk)
-        return tk, (ri, aa)
-
-    def check_star(self, k, b):
-        tk, tb = self.star_cert(k, b)
-        f = 1 << (k - tk)
-        top = self.radial_top(k)
-        s_lo = max(2 * b[0] - 2, 0)
-        s_hi = min(2 * b[0] + 5, top)
-        t_lo, t_hi = self.radial_interval(tk, tb[0])
-        if t_lo * f > s_lo or s_hi > t_hi * f:
-            return False
+        f = 1 << self.star_lag
+        t = (2 * i - 2) // 16
+        if ax == 0:
+            t_lo, t_hi = self.radial_interval(
+                tk, min(max(t, 0), self.counts(tk) - 1))
+            return (t_lo * f <= max(2 * i - 2, 0)
+                    and min(2 * i + 5, self.radial_top(k)) <= t_hi * f)
         mod = self.angular_mod(k)
-        ts, tl = self.angular_window(tk, tb[1])
-        return _circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod,
-                              tl * f, mod)
-
-    def scan_ids(self, k):
-        # every block near the radial ends or the angular cut plus a
-        # fixed stride through the interior
-        c = self.counts(k)
-        edge = {0, 1, c - 2, c - 1}
-        for i in range(c):
-            for a in range(c):
-                if i in edge or a in edge or (i % 37 == 0 and a % 11 == 0):
-                    yield (i, a)
+        ts, tl = self.angular_window(tk, t % self.counts(tk))
+        return _circ_contains((2 * i - 2) % mod, 7, (ts * f) % mod, tl * f,
+                              mod)
 
     def identity_fits(self, n, b, m):
         f = 1 << max(m - n, 0)
@@ -1059,39 +1044,32 @@ class TowerReport:
         return out
 
 
-def verify_tower(tower, block_budget=200000):
-    """Check parent containment, star certificates, covering of the
-    space, and pairwise adjacency of the blocks containing each sample
-    point.  Levels whose block count exceeds the budget are checked on
-    the boundary-heavy deterministic scan instead of exhaustively."""
+def verify_tower(tower):
+    """Check parent containment and star certificates on every block of
+    every level, covering of the space, and pairwise adjacency of the
+    blocks containing each sample point.  The generator answers with
+    the first failing block of a level; the square generators test each
+    axis position once instead of each block.  The witness names the
+    first failure in block order."""
     gen = tower.gen
     witness = None
 
-    def level_ids(k):
-        if gen.block_count(k) <= block_budget:
-            return tower.block_ids(k)
-        return gen.scan_ids(k)
-
     refinement_ok = True
     for k in range(2, tower.depth + 1):
-        for b in level_ids(k):
-            if not gen.inside_parent(k, b):
-                refinement_ok = False
-                witness = "parent@%d:%s" % (k, gen.block_name(k, b))
-                break
-        if not refinement_ok:
+        b = gen.first_outside_parent(k)
+        if b is not None:
+            refinement_ok = False
+            witness = "parent@%d:%s" % (k, gen.block_name(k, b))
             break
 
     star_ok = True
     checked = []
     for k in range(gen.star_lag + 1, tower.depth + 1):
         checked.append(k)
-        for b in level_ids(k):
-            if not gen.check_star(k, b):
-                star_ok = False
-                witness = witness or "star@%d:%s" % (k, gen.block_name(k, b))
-                break
-        if not star_ok:
+        b = gen.first_failed_star(k)
+        if b is not None:
+            star_ok = False
+            witness = witness or "star@%d:%s" % (k, gen.block_name(k, b))
             break
 
     covering_ok = all(gen.covers_space(k) for k in tower.levels())
@@ -1370,17 +1348,29 @@ def check_uniform_continuity(kind, src, dst):
     block, or FAIL with a witness block.  Least levels are monotone in
     m because target blocks sit inside their parents, so each search
     resumes where the previous row stopped."""
+    gen = src.gen
     if kind == "identity":
-        if src.kind != dst.kind or src.gen.params != dst.gen.params:
+        if src.kind != dst.kind or gen.params != dst.gen.params:
             raise ValueError("incompatible generators for the identity")
+
+        def unmapped(n, m):
+            return next((b for b in gen.block_ids(n)
+                         if not gen.identity_fits(n, b, m)), None)
     elif kind == "polar_to_cartesian":
         if src.kind != "sectorial_disk" or dst.kind != "metric_disk":
             raise ValueError("polar_to_cartesian maps the sectorial tower "
                              "to the metric tower")
+        unmapped = _PolarToCartesian(gen).first_unmapped
     elif kind == "cartesian_to_polar":
         if src.kind != "metric_disk" or dst.kind != "sectorial_disk":
             raise ValueError("cartesian_to_polar maps the metric tower "
                              "to the sectorial tower")
+
+        def unmapped(n, m):
+            # the closure of an origin block holds the origin, so the
+            # block carries every direction, while an angular window
+            # spans 3 of 2^(m+1) units; no polar block holds its image
+            return gen.origin_ids()[0]
     else:
         raise ValueError("unknown map %r" % (kind,))
     rows = []
@@ -1389,39 +1379,17 @@ def check_uniform_continuity(kind, src, dst):
         found = None
         last_witness = None
         for n in range(floor_n, src.depth + 1):
-            w = _first_unmapped(kind, src, n, dst, m)
+            w = unmapped(n, m)
             if w is None:
                 found = n
                 break
-            last_witness = "%d:%s" % (n, src.gen.block_name(n, w))
+            last_witness = "%d:%s" % (n, gen.block_name(n, w))
         if found is not None:
             floor_n = found
             rows.append((m, found, None))
         else:
             rows.append((m, None, last_witness))
     return ContinuityReport(kind, rows, src, dst)
-
-
-def _first_unmapped(kind, src, n, dst, m):
-    gen = src.gen
-    if kind == "identity":
-        for b in src.block_ids(n):
-            if not gen.identity_fits(n, b, m):
-                return b
-        return None
-    if kind == "polar_to_cartesian":
-        # outer blocks have the widest images; scanning them first
-        # detects a failing level quickly
-        c = gen.counts(n)
-        for i in reversed(range(c)):
-            for a in range(c):
-                if not _polar_block_fits(gen, n, (i, a), dst.gen, m):
-                    return (i, a)
-        return None
-    # cartesian_to_polar: the closure of an origin block holds the
-    # origin, so the block carries every direction, while an angular
-    # window spans 3 of 2^(m+1) units; no polar block holds its image
-    return gen.origin_ids()[0]
 
 
 def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
@@ -1437,22 +1405,73 @@ def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
     return None
 
 
-def _polar_block_fits(gen, n, b, dst_gen, m):
-    """The image of polar block b of level n lies inside a single level-m
-    cartesian block.  With u = 2^(n+1), the radial ends and the boundary
-    points are integers in units of 1/u, so the bounding box of the
-    image has integer ends in units of 1/u^2, metric level 2n+1."""
-    lo, hi = gen.radial_interval(n, b[0])
-    ws, wl = gen.angular_window(n, b[1])
-    u = 1 << (n + 1)
-    t0, t1 = FULL_CIRCLE * ws, FULL_CIRCLE * (ws + wl)
-    # gamma is linear between the corners, at multiples of 2u
-    ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
-    gx, gy = zip(*(_gamma(t, u) for t in ts))
-    xs = [r * g for r in (lo, hi) for g in (min(gx), max(gx))]
-    ys = [r * g for r in (lo, hi) for g in (min(gy), max(gy))]
-    return dst_gen.box_fits(2 * n + 1, (min(xs), max(xs), min(ys), max(ys)),
-                            m)
+class _PolarToCartesian:
+    """Images of sectorial blocks in the metric chart, tabulated per
+    axis.  With u = 2^(n+1), the radial ends of a level-n polar block and
+    the boundary points over its window are integers in units of 1/u, so
+    the bounding box of its image has integer ends in units of 1/u^2,
+    metric level 2n+1.  Radii are non-negative, so for the radial ends
+    lo, hi of position i and the extremes gx0, gx1 of the boundary x
+    coordinate over window a, the box of block (i, a) spans
+    [min(lo gx0, hi gx0), max(lo gx1, hi gx1)] in x, and likewise in y.
+    Each source level has one radial table and one angular table, whose
+    entries are filled on first use: scans of failing levels stop after
+    a few blocks."""
+
+    def __init__(self, src):
+        self.src = src
+        self._levels = {}
+
+    def _tables(self, n):
+        if n not in self._levels:
+            ids = self.src.axis_ids(n)
+            self._levels[n] = ([self.src.radial_interval(n, i) for i in ids],
+                               [None] * len(ids))
+        return self._levels[n]
+
+    def _extremes(self, n, a, angular):
+        """Fill the angular entry of window a: the least and greatest x
+        and y of the boundary points over it, in units of 1/u."""
+        u = 1 << (n + 1)
+        ws, wl = self.src.angular_window(n, a)
+        t0, t1 = FULL_CIRCLE * ws, FULL_CIRCLE * (ws + wl)
+        # gamma is linear between the corners, at multiples of 2u
+        ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
+        gx, gy = zip(*(_gamma(t, u) for t in ts))
+        angular[a] = (min(gx), max(gx), min(gy), max(gy))
+        return angular[a]
+
+    def first_unmapped(self, n, m, blocks=None):
+        """The first level-n block of blocks (default: every block, outer
+        radii first) whose image lies in no single level-m metric block,
+        or None.  Level-m position j spans [2j, 2j+3] (_MetricGen.interval,
+        whose clip to the square never binds here: images stay inside
+        it), so starts grow by 2 and ends with them, and only the last
+        position starting at or below the low end x0 of an image interval
+        can hold it: the one starting at x0 - x0 % 2."""
+        radial, angular = self._tables(n)
+        if blocks is None:
+            # outer blocks have the widest images; scanning them first
+            # detects a failing level quickly
+            c = len(radial)
+            blocks = ((i, a) for i in reversed(range(c)) for a in range(c))
+        # both sides in units of the finer of levels 2n+1 and m
+        f = 1 << max(m - 2 * n - 1, 0)
+        g = 1 << max(2 * n + 1 - m, 0)
+        step, width = 2 * g, 3 * g
+        if f > 1:
+            radial = [(lo * f, hi * f) for lo, hi in radial]
+        for i, a in blocks:
+            lo, hi = radial[i]
+            gx0, gx1, gy0, gy1 = angular[a] or self._extremes(n, a, angular)
+            x0 = lo * gx0 if gx0 >= 0 else hi * gx0
+            x1 = hi * gx1 if gx1 >= 0 else lo * gx1
+            y0 = lo * gy0 if gy0 >= 0 else hi * gy0
+            y1 = hi * gy1 if gy1 >= 0 else lo * gy1
+            if (x1 > x0 - x0 % step + width
+                    or y1 > y0 - y0 % step + width):
+                return (i, a)
+        return None
 
 
 # bornology

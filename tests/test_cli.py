@@ -278,6 +278,19 @@ def test_oracle_dmax_zero_is_not_replaced(airy_file):
     assert err == "error: degree bound must be at least 1\n"
 
 
+@pytest.mark.parametrize("command", ["report", "oracle"])
+def test_operator_leaving_the_function_space_is_input_error(tmp_path,
+                                                            command):
+    # regular at infinity, but the image of 1 is z^2
+    p = tmp_path / "pole.op"
+    p.write_text("a_0 = z^2\na_1 = z^4\nZ = {0}\n"
+                 "regular_at_infinity = true\n")
+    code, out, err = run(["dmod", command, str(p)])
+    assert code == 2 and out == ""
+    assert err == ("error: image leaves the function space: a pole at "
+                   "infinity, which is not in Z\n")
+
+
 def test_unknown_flag_is_input_error(airy_file):
     code, _, _ = run(["dmod", "chi", airy_file, "--frobnicate"])
     assert code == 2

@@ -189,7 +189,7 @@ def test_oracle_images_match_direct_path(name):
             want = _direct_image(spec, key)
         except ArithmeticError:
             raised += 1
-            with pytest.raises(ArithmeticError):
+            with pytest.raises(ValueError):
                 session.image(key)
             continue
         assert session.image(key) == want, key

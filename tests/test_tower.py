@@ -257,7 +257,7 @@ OPS = {
     "uniform": lambda t, a: is_uniform_covering(t, covering(t, a)),
     "identity": lambda t, a: check_uniform_continuity(
         "identity", t, TOWERS[a[0]](a[1])),
-    "verify": lambda t, a: verify_tower(t, block_budget=a),
+    "verify": lambda t, a: verify_tower(t),
 }
 
 PINNED = [
@@ -338,20 +338,20 @@ PINNED = [
     ("padic3", 4, "identity", ("padic3", 2),
      ["map=identity", "uniformly_continuous=true", "target=1 source=1",
       "target=2 source=2"]),
-    ("metric", 4, "verify", 10,
+    ("metric", 4, "verify", None,
      ["generator=metric_disk", "depth=4", "symmetric=true", "star_lag=3",
       "blocks[1]=16", "blocks[2]=64", "blocks[3]=256", "blocks[4]=1024",
       "refinement=ok", "star=ok", "covering=ok", "sample=ok"]),
-    ("metric", 5, "verify", 10,
+    ("metric", 5, "verify", None,
      ["generator=metric_disk", "depth=5", "symmetric=true", "star_lag=3",
       "blocks[1]=16", "blocks[2]=64", "blocks[3]=256", "blocks[4]=1024",
       "blocks[5]=4096", "refinement=ok", "star=ok", "covering=ok",
       "sample=ok"]),
-    ("sectorial", 4, "verify", 10,
+    ("sectorial", 4, "verify", None,
      ["generator=sectorial_disk", "depth=4", "symmetric=true", "star_lag=3",
       "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256",
       "refinement=ok", "star=ok", "covering=ok", "sample=ok"]),
-    ("sectorial", 5, "verify", 10,
+    ("sectorial", 5, "verify", None,
      ["generator=sectorial_disk", "depth=5", "symmetric=true", "star_lag=3",
       "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256",
       "blocks[5]=1024", "refinement=ok", "star=ok", "covering=ok",
@@ -606,12 +606,22 @@ def oracle_cartesian_to_polar_lines(src, dst):
 def test_polar_block_fits_match_rational_geometry():
     sec = make_tower("sectorial_disk", 5).gen
     met = make_tower("metric_disk", 8).gen
+    scan = tower_mod._PolarToCartesian(sec)
     for n in range(1, 6):
         for b in sec.block_ids(n):
             for m in range(1, 9):
-                assert (tower_mod._polar_block_fits(sec, n, b, met, m)
+                assert ((scan.first_unmapped(n, m, [b]) is None)
                         == oracle_polar_block_fits(sec, n, b, met, m)), (
                     n, b, m)
+
+
+def boundary_scan(gen, k):
+    """Every level-k metric block near the range boundary or the origin
+    plus a fixed stride through the interior."""
+    imin, imax = gen.irange(k)
+    edge = {imin, imin + 1, -2, -1, 0, 1, imax - 1, imax}
+    return [(i, j) for i, j in gen.block_ids(k)
+            if i in edge or j in edge or (i % 37 == 0 and j % 11 == 0)]
 
 
 def test_metric_sector_members_match_rational_geometry():
@@ -621,7 +631,7 @@ def test_metric_sector_members_match_rational_geometry():
             gen, k, gen.block_ids(k)), k
     # level 7 has 65536 blocks; the rational oracle takes the
     # boundary-heavy scan, which keeps every block next to the origin
-    scan = list(gen.scan_ids(7))
+    scan = boundary_scan(gen, 7)
     keep = set(scan)
     got = [[b for b in mem if b in keep] for mem in gen.sector_members(7)]
     assert got == oracle_sector_members(gen, 7, scan)
@@ -634,3 +644,151 @@ def test_cartesian_to_polar_matches_rational_geometry():
             sec = make_tower("sectorial_disk", t)
             rep = check_uniform_continuity("cartesian_to_polar", met, sec)
             assert rep.lines() == oracle_cartesian_to_polar_lines(met, sec)
+
+
+# the per-block parent and star tests that the per-axis checks replace,
+# kept as the reference: the square generators must name the same first
+# failing block, in block_ids order, on sound and on broken geometry
+
+
+def block_inside_parent(gen, k, b):
+    pb = gen.parent(k, b)
+    if isinstance(gen, tower_mod._MetricGen):
+        x0, x1, y0, y1 = gen.block_box(k, b)
+        px0, px1, py0, py1 = gen.block_box(k - 1, pb)
+        return (2 * px0 <= x0 and x1 <= 2 * px1
+                and 2 * py0 <= y0 and y1 <= 2 * py1)
+    lo, hi = gen.radial_interval(k, b[0])
+    plo, phi = gen.radial_interval(k - 1, pb[0])
+    if 2 * plo > lo or hi > 2 * phi:
+        return False
+    mod = gen.angular_mod(k)
+    ws, wl = gen.angular_window(k, b[1])
+    ps, pl = gen.angular_window(k - 1, pb[1])
+    return tower_mod._circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
+
+
+def block_star_ok(gen, k, b):
+    tk = k - gen.star_lag
+    f = 1 << (k - tk)
+    if isinstance(gen, tower_mod._MetricGen):
+        imin, imax = gen.irange(tk)
+        tb = [min(max((2 * c - 2) // 16, imin), imax) for c in b]
+        r = gen.half_range(k)
+        for ax in (0, 1):
+            s_lo = max(2 * b[ax] - 2, -r)
+            s_hi = min(2 * b[ax] + 5, r)
+            t_lo, t_hi = gen.interval(tk, tb[ax])
+            if t_lo * f > s_lo or s_hi > t_hi * f:
+                return False
+        return True
+    ri = min(max((2 * b[0] - 2) // 16, 0), gen.counts(tk) - 1)
+    aa = ((2 * b[1] - 2) // 16) % gen.counts(tk)
+    top = gen.radial_top(k)
+    s_lo = max(2 * b[0] - 2, 0)
+    s_hi = min(2 * b[0] + 5, top)
+    t_lo, t_hi = gen.radial_interval(tk, ri)
+    if t_lo * f > s_lo or s_hi > t_hi * f:
+        return False
+    mod = gen.angular_mod(k)
+    ts, tl = gen.angular_window(tk, aa)
+    return tower_mod._circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod,
+                                    tl * f, mod)
+
+
+class Lag2Metric(tower_mod._MetricGen):
+    star_lag = 2
+
+
+class Lag2Sectorial(tower_mod._SectorialGen):
+    star_lag = 2
+
+
+class ShiftedMetric(tower_mod._MetricGen):
+    """Every level-3 interval moved one unit up."""
+
+    def interval(self, k, i):
+        lo, hi = super().interval(k, i)
+        return (lo + 1, hi + 1) if k == 3 else (lo, hi)
+
+
+class ShiftedRadius(tower_mod._SectorialGen):
+    """One level-4 radial interval moved one unit out: it still fits
+    its parent, its children at level 5 do not."""
+
+    def radial_interval(self, k, i):
+        lo, hi = super().radial_interval(k, i)
+        return (lo + 1, hi + 1) if (k, i) == (4, 5) else (lo, hi)
+
+
+class ShiftedWindow(tower_mod._SectorialGen):
+    """Every level-3 angular window moved one unit on."""
+
+    def angular_window(self, k, a):
+        s, l = super().angular_window(k, a)
+        return (s + 1, l) if k == 3 else (s, l)
+
+
+# generator, depth, witness (read from the per-block checks)
+AXIS_CASES = {
+    "metric": (tower_mod._MetricGen, 7, None),
+    "sectorial": (tower_mod._SectorialGen, 7, None),
+    "lag2-metric": (Lag2Metric, 6, "star@3:b-8,-7"),
+    "lag2-sectorial": (Lag2Sectorial, 6, "star@3:r0a0"),
+    "shifted-metric": (ShiftedMetric, 6, "parent@3:b-8,7"),
+    "shifted-radius": (ShiftedRadius, 6, "parent@5:r10a0"),
+    "shifted-window": (ShiftedWindow, 6, "parent@4:r0a0"),
+}
+
+
+def first_failing_block(gen, k, ok):
+    return next((b for b in gen.block_ids(k) if not ok(gen, k, b)), None)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CASES))
+def test_axis_checks_name_the_first_failing_block(name):
+    cls, depth, witness = AXIS_CASES[name]
+    gen = cls()
+    orphans = {k: first_failing_block(gen, k, block_inside_parent)
+               for k in range(2, depth + 1)}
+    unstarred = {k: first_failing_block(gen, k, block_star_ok)
+                 for k in range(gen.star_lag + 1, depth + 1)}
+    assert {k: gen.first_outside_parent(k) for k in orphans} == orphans
+    assert {k: gen.first_failed_star(k) for k in unstarred} == unstarred
+    rep = verify_tower(tower_mod.CoveringTower(gen, depth))
+    assert rep.witness == witness
+    assert rep.refinement_ok == all(b is None for b in orphans.values())
+    assert rep.star_ok == all(b is None for b in unstarred.values())
+
+
+def direct_polar_block_fits(gen, n, b, dst_gen, m):
+    """The image box of one polar block fitted axis by axis into a
+    level-m cartesian block: the per-block test that the scan's tables
+    replace."""
+    lo, hi = gen.radial_interval(n, b[0])
+    ws, wl = gen.angular_window(n, b[1])
+    u = 1 << (n + 1)
+    t0, t1 = 8 * ws, 8 * (ws + wl)
+    ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
+    gx, gy = zip(*(tower_mod._gamma(t, u) for t in ts))
+    xs = [r * g for r in (lo, hi) for g in (min(gx), max(gx))]
+    ys = [r * g for r in (lo, hi) for g in (min(gy), max(gy))]
+    f = 1 << max(m - 2 * n - 1, 0)
+    g = 1 << max(2 * n + 1 - m, 0)
+    imin, imax = dst_gen.irange(m)
+    return all(tower_mod._fit_linear(
+        min(e) * f, max(e) * f, g, lambda i: dst_gen.interval(m, i),
+        imin, imax) is not None for e in (xs, ys))
+
+
+def test_polar_scan_finds_the_first_unmapped_block():
+    sec = make_tower("sectorial_disk", 7).gen
+    met = make_tower("metric_disk", 8).gen
+    scan = tower_mod._PolarToCartesian(sec)
+    for n in range(1, 8):
+        c = sec.counts(n)
+        order = [(i, a) for i in reversed(range(c)) for a in range(c)]
+        for m in range(1, 9):
+            want = next((b for b in order if not direct_polar_block_fits(
+                sec, n, b, met, m)), None)
+            assert scan.first_unmapped(n, m) == want, (n, m)
