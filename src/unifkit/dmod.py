@@ -4,7 +4,10 @@ differential operator on the punctured projective line.
 An operator is a list of rational function coefficients of powers of
 d/dz.  Local analysis at a point goes through the Euler form: powers
 of the derivative are rewritten in delta = (z-x) d/dz, whose
-coefficient valuations carry the polygon.  The index formula
+coefficient valuations carry the polygon.  The Euler coefficients come
+from one numerator per coefficient over the common denominator of the
+operator's coefficients (_delta_numerators), and their valuations are
+read off those numerators without normalising.  The index formula
 n*(2 - #Z) - sum of irregularities is validated against brute-force
 linear algebra on growing windows of the partial fraction basis of the
 functions regular away from Z.  The images of basis elements come in
@@ -45,8 +48,8 @@ def _point_key(x):
 def _stirling_first(n):
     """Signed Stirling numbers s[i][j]: falling factorial coefficients,
     x(x-1)...(x-i+1) = sum_j s[i][j] x^j."""
-    s = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    s[0][0] = ONE
+    s = [[0] * (n + 1) for _ in range(n + 1)]
+    s[0][0] = 1
     for i in range(n):
         for j in range(i + 1):
             if s[i][j]:
@@ -111,44 +114,86 @@ class DiffOp:
         return "DiffOp(%s)" % ", ".join(repr(c) for c in self.coeffs)
 
 
+def _delta_numerators(op, x):
+    """Numerators P_0..P_n and common denominator D of the Euler-form
+    coefficients in the local coordinate t: t = z - x at a finite x and
+    t = z at infinity, before the substitution w = 1/z.  With each
+    nonzero coefficient a_i = N_i / D_i and D the product of the D_i,
+    b_j = sum_{i>=j} s1[i][j] a_i t^(-i) = P_j / (D t^n) where
+    P_j = sum_{i>=j} s1[i][j] N_i prod_{k!=i} D_k t^(n-i).
+    Only products and sums of polynomials: nothing is normalised, so
+    cancellation between the terms of b_j shows up exactly in P_j."""
+    n = op.order
+    s1 = _stirling_first(n)
+    den = Polynomial.const(1)
+    tops = []  # (i, N_i times every D_k with k != i met so far)
+    for i, a in enumerate(op.coeffs):
+        if a.is_zero():
+            continue
+        num, d = a.num, a.den
+        if x != INF and x:
+            num, d = num.shift(x), d.shift(x)
+        if den.degree:
+            num = num * den
+        if d.degree:
+            tops = [(k, t * d) for k, t in tops]
+            den = den * d
+        tops.append((i, num))
+    width = max(n - i + len(t.coeffs) for i, t in tops)
+    nums = []
+    for j in range(n + 1):
+        acc = [ZERO] * width
+        for i, t in tops:
+            c = s1[i][j] if i >= j else 0
+            if c:
+                for m, v in enumerate(t.coeffs, n - i):
+                    acc[m] += c * v
+        nums.append(Polynomial(acc))
+    return nums, den
+
+
+def _low_order(p):
+    """Index of the first nonzero coefficient of a nonzero polynomial."""
+    return next(m for m, c in enumerate(p.coeffs) if c)
+
+
 def to_delta_form(op, x):
     """Coefficients b_0..b_n with L = sum b_j delta^j, delta the scaled
     derivative (z-x) d/dz at a finite x.  At infinity the substitution
     w = 1/z is applied and the b_j come back as functions of w; the
     sign convention there is (-1)^j per coefficient, which matters to
-    nobody downstream since only valuations are consumed."""
+    nobody downstream since only valuations are consumed.  Each b_j is
+    one RatFunc built from its numerator over the common denominator
+    (_delta_numerators), normalised once."""
     x = as_point(x)
     n = op.order
-    s1 = _stirling_first(n)
+    nums, den = _delta_numerators(op, x)
+    den = den * Polynomial.monomial(n)
     if x == INF:
-        shifted = RatFunc.variable()  # z, inverted below
-        bs = []
-        for j in range(n + 1):
-            acc = RatFunc(0)
-            for i in range(j, n + 1):
-                if s1[i][j]:
-                    acc = acc + op.coeffs[i] * (shifted ** (-i)) * s1[i][j]
-            bs.append(acc.inverted() * ((-1) ** j))
-        return tuple(bs)
-    lin = RatFunc(Polynomial((-x, ONE)))
-    bs = []
-    for j in range(n + 1):
-        acc = RatFunc(0)
-        for i in range(j, n + 1):
-            if s1[i][j]:
-                acc = acc + op.coeffs[i] * (lin ** (-i)) * s1[i][j]
-        bs.append(acc)
-    return tuple(bs)
+        return tuple(RatFunc(p, den).inverted() * ((-1) ** j)
+                     for j, p in enumerate(nums))
+    if x:
+        # back from t = z - x to z
+        nums = [p.shift(-x) for p in nums]
+        den = den.shift(-x)
+    return tuple(RatFunc(p, den) for p in nums)
 
 
 def delta_valuations(op, x):
     """Local orders of the Euler-form coefficients; None marks a zero
-    coefficient."""
+    coefficient.  They are read off the numerators over the common
+    denominator (_delta_numerators) without normalising: the order of
+    P_j / (D t^n) is that of P_j minus that of D t^n, whatever factors
+    the two share."""
     x = as_point(x)
-    bs = to_delta_form(op, x)
+    n = op.order
+    nums, den = _delta_numerators(op, x)
     if x == INF:
-        return tuple(b.valuation(0) for b in bs)
-    return tuple(b.valuation(x) for b in bs)
+        # order at w = 0 of a function of z is its degree drop
+        return tuple(None if p.is_zero() else den.degree + n - p.degree
+                     for p in nums)
+    vd = _low_order(den) + n
+    return tuple(None if p.is_zero() else _low_order(p) - vd for p in nums)
 
 
 def delta_product(bs, cs):
@@ -215,12 +260,13 @@ class NewtonPolygon:
                 rise += y1 - y2
         self.slopes = tuple(slopes)
         # irregularity two ways: hull rise over the positive slopes, and
-        # the closed form v(b_n) - min v(b_i); they must agree, integrally
+        # the closed form v(b_n) - min v(b_i); they must agree
         vn = -pts[-1][1]
         direct = max(0, max(vn + y for _, y in pts))
-        assert rise == direct, "polygon rise disagrees with the closed form"
-        assert rise == int(rise)
-        self.irregularity = int(rise)
+        if rise != direct:
+            raise RuntimeError("polygon rise %d disagrees with the closed "
+                               "form %d" % (rise, direct))
+        self.irregularity = rise
 
 
 def _cross(o, a, b):
@@ -422,12 +468,14 @@ class _OracleSession:
             for c, val in vec.items():
                 full[cindex[c]][j] = val
         n_inner = len(inner)
-        rank_inner = linalg.rank([row[:n_inner] for row in full])
-        h0 = n_inner - rank_inner
+        # forward elimination goes column by column, so the pivots of
+        # full below n_inner count the rank of its first n_inner columns
+        pivots = linalg.pivot_columns(full)
+        h0 = n_inner - sum(1 for c in pivots if c < n_inner)
         out_rows = [row for c, row in zip(coords, full)
                     if c not in inner_set or _beyond(c, d)]
         k_out = len(outer) - linalg.rank(out_rows)
-        k_full = len(outer) - linalg.rank(full)
+        k_full = len(outer) - len(pivots)
         h1 = n_inner - (k_out - k_full)
         return h0, h1
 

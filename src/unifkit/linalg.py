@@ -112,10 +112,15 @@ def rref(m):
     return out, pivots
 
 
+def pivot_columns(m):
+    """Pivot columns of the row echelon form, ascending.  Column c is a
+    pivot exactly when it is not in the span of the columns before it,
+    so the pivots below c count the rank of the first c columns."""
+    return _echelon(m, False)[1]
+
+
 def rank(m):
-    if not m or not m[0]:
-        return 0
-    return len(_echelon(m, False)[1])
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m, ncols=None):

@@ -684,12 +684,16 @@ class _SectorialGen(_SquareGen):
         tau = Fraction(s[1]) * self.angular_mod(k) / FULL_CIRCLE
         c = self.counts(k)
         mod = self.angular_mod(k)
+        # window a is [2a, 2a + 3] mod 2c, so only the windows starting at
+        # the even points 2*floor(tau/2) and the one before it can hold tau
+        half = tau // 2
+        windows = sorted({(half - 1) % c, half % c})
         res = []
         for i in _interval_candidates(rho, rho, 0, c - 1):
             lo, hi = self.radial_interval(k, i)
             if not lo <= rho <= hi:
                 continue
-            for a in range(c):
+            for a in windows:
                 ws, wl = self.angular_window(k, a)
                 if (tau - ws) % mod <= wl:
                     res.append((i, a))

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from unifkit.dmod import (ConnectionSpec, DiffOp, NewtonPolygon,
-                          _OracleSession, as_point, corpus, deligne_chi,
+import unifkit
+from unifkit import linalg
+from unifkit.dmod import (INF, ConnectionSpec, DiffOp, NewtonPolygon,
+                          _OracleSession, _beyond, _coord_key,
+                          _stirling_first, as_point, corpus, deligne_chi,
                           delta_product, delta_to_partial, delta_valuations,
                           derham_oracle, format_point, index_report,
                           irregularity, newton_polygon, ordinary_at_infinity,
@@ -48,6 +55,108 @@ def test_delta_valuations_mark_zero_coefficients():
     vals = delta_valuations(DiffOp([RatFunc(0), RatFunc(z)]), 0)
     assert vals[0] is None
     assert vals[1] == 0
+
+
+# the Euler form against the direct path: the n-term RatFunc sums that
+# built it before the common-denominator numerators, kept verbatim
+
+def _reference_delta_form(op, x):
+    x = as_point(x)
+    n = op.order
+    s1 = _stirling_first(n)
+    if x == INF:
+        shifted = RatFunc.variable()  # z, inverted below
+        bs = []
+        for j in range(n + 1):
+            acc = RatFunc(0)
+            for i in range(j, n + 1):
+                if s1[i][j]:
+                    acc = acc + op.coeffs[i] * (shifted ** (-i)) * s1[i][j]
+            bs.append(acc.inverted() * ((-1) ** j))
+        return tuple(bs)
+    lin = RatFunc(Polynomial((-x, Fraction(1))))
+    bs = []
+    for j in range(n + 1):
+        acc = RatFunc(0)
+        for i in range(j, n + 1):
+            if s1[i][j]:
+                acc = acc + op.coeffs[i] * (lin ** (-i)) * s1[i][j]
+        bs.append(acc)
+    return tuple(bs)
+
+
+def _valuations_of(bs, x):
+    return tuple(b.valuation(0 if x == INF else x) for b in bs)
+
+
+DELTA_POINTS = (0, 1, -1, Fraction(1, 2), 2, INF)
+
+# cancellation inside b_j, with the valuations read at the parent
+CANCELLATION = {
+    "b_1 vanishes identically": (
+        DiffOp([0, RatFunc(1, z), 1]), 0, (None, None, -2)),
+    "leading terms of b_1 cancel": (
+        DiffOp([0, RatFunc(z + 1, z), 1]), 0, (None, -1, -2)),
+    "1 + (1/z + 1) d/dz + d^2/dz^2 at inf": (
+        DiffOp([1, RatFunc(z + 1, z), 1]), INF, (0, 1, 2)),
+}
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.2:
+        return RatFunc(0)
+    num = Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 4))])
+    den = Polynomial.const(1)
+    for r in (0, 1, -1, Fraction(1, 2), 2, 3):
+        den = den * Polynomial((-r, 1)) ** rng.choice((0, 0, 0, 0, 1, 2))
+    return RatFunc(num, den)
+
+
+def _delta_form_operators():
+    ops = {e.name: e.spec.operator for e in corpus()}
+    ops.update((name, case[0]) for name, case in CANCELLATION.items())
+    rng = random.Random(10)
+    target = len(ops) + 40
+    while len(ops) < target:
+        n = rng.randint(1, 3)
+        coeffs = [_random_coefficient(rng) for _ in range(n + 1)]
+        if coeffs[-1].is_zero():
+            continue
+        ops["seeded %d" % len(ops)] = DiffOp(coeffs)
+    return ops
+
+
+def test_delta_form_matches_direct_sums():
+    for name, d in _delta_form_operators().items():
+        for x in DELTA_POINTS:
+            want = _reference_delta_form(d, x)
+            assert to_delta_form(d, x) == want, (name, x)
+            assert delta_valuations(d, x) == _valuations_of(want, x), (name, x)
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLATION))
+def test_delta_valuations_under_cancellation(name):
+    d, x, want = CANCELLATION[name]
+    assert delta_valuations(d, x) == want
+    assert _valuations_of(_reference_delta_form(d, x), x) == want
+
+
+def test_polygon_check_survives_optimised_mode():
+    # a hull that keeps a point below it (v = 0, 1, -2) rises by 1 where
+    # the closed form gives 0; the check must fire under python -O too
+    code = ("from unifkit import dmod\n"
+            "dmod._cross = lambda o, a, b: -1\n"
+            "try:\n"
+            "    dmod.NewtonPolygon([0, 1, -2])\n"
+            "except RuntimeError as e:\n"
+            "    print(e)\n")
+    src = str(Path(unifkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "polygon rise 1 disagrees with the closed form 0\n"
+    assert NewtonPolygon([0, 1, -2]).irregularity == 0
 
 
 def test_known_polygon_slopes():
@@ -203,3 +312,34 @@ def test_oracle_on_infinity_regular_specs():
     assert derham_oracle(specs["d/dz"], 10) == (1, 2, True)
     assert derham_oracle(specs["z d/dz"], 10) == (1, 1, True)
     assert derham_oracle(specs["d/dz + 1/(z(z-1))"], 10) == (1, 3, True)
+
+
+def _reference_window_dims(session, d):
+    # three separate ranks, as window_dims computed them before it read
+    # the inner rank off the pivots of the full matrix
+    inner = session.basis_keys(d)
+    outer = session.basis_keys(d + session.shift)
+    cols = [session.image(k) for k in outer]
+    coords = sorted({c for v in cols for c in v}, key=_coord_key)
+    cindex = {c: i for i, c in enumerate(coords)}
+    inner_set = set(inner)
+    full = [[Fraction(0)] * len(outer) for _ in coords]
+    for j, vec in enumerate(cols):
+        for c, val in vec.items():
+            full[cindex[c]][j] = val
+    n_inner = len(inner)
+    rank_inner = linalg.rank([row[:n_inner] for row in full])
+    h0 = n_inner - rank_inner
+    out_rows = [row for c, row in zip(coords, full)
+                if c not in inner_set or _beyond(c, d)]
+    k_out = len(outer) - linalg.rank(out_rows)
+    k_full = len(outer) - linalg.rank(full)
+    h1 = n_inner - (k_out - k_full)
+    return h0, h1
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_window_dims_match_three_ranks(name):
+    session = _OracleSession(ENTRIES[name].spec)
+    for d in range(10, 36, 5):
+        assert session.window_dims(d) == _reference_window_dims(session, d), d

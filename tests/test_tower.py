@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 from fractions import Fraction
 from math import ceil
 
@@ -216,6 +217,45 @@ def test_large_quotients_never_list_their_lattice(monkeypatch):
         assert tuple(sheaf_betti) == (1, 1) == tuple(complex_betti)
         assert "minimal opens" in repr(puncture_quotient(tower)[0])
     assert listed == []
+
+
+def _scan_member_blocks(self, k, s):
+    # every angular window tested, as member_blocks did before it
+    # narrowed the scan to the two windows that can hold tau
+    rho = Fraction(s[0]) * self.radial_top(k)
+    tau = Fraction(s[1]) * self.angular_mod(k) / tower_mod.FULL_CIRCLE
+    c = self.counts(k)
+    mod = self.angular_mod(k)
+    res = []
+    for i in tower_mod._interval_candidates(rho, rho, 0, c - 1):
+        lo, hi = self.radial_interval(k, i)
+        if not lo <= rho <= hi:
+            continue
+        for a in range(c):
+            ws, wl = self.angular_window(k, a)
+            if (tau - ws) % mod <= wl:
+                res.append((i, a))
+    return res
+
+
+def test_sectorial_member_blocks_match_full_scan():
+    gen = make_tower("sectorial_disk", 7).gen
+    rng = random.Random(10)
+    for k in range(8):
+        mod = gen.angular_mod(k)
+        samples = list(gen.samples(7))
+        # tau on window ends, at the wrap-around at 0, and seeded
+        taus = [Fraction(t) for t in (0, 1, 2, 3, mod - 1, mod, -1)]
+        taus += [Fraction(rng.randint(-4 * mod, 4 * mod), rng.randint(1, 7))
+                 for _ in range(12)]
+        taus += [Fraction(-1, 1 << 12), Fraction(mod) - Fraction(1, 1 << 12)]
+        for tau in taus:
+            for rho in (Fraction(0), Fraction(1), Fraction(1, 3),
+                        Fraction(rng.randint(0, 64), 64)):
+                samples.append((rho, tau * tower_mod.FULL_CIRCLE / mod))
+        for s in samples:
+            assert gen.member_blocks(k, s) == _scan_member_blocks(gen, k, s), \
+                (k, s)
 
 
 def test_finite_embedding_tower():
