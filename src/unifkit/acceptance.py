@@ -13,8 +13,7 @@ import random
 import time
 import traceback
 
-from .enumeration import (all_partial_orders, all_preorders, dense_subsets,
-                          standard_base)
+from .enumeration import all_preorders, dense_pairs, standard_base
 from .relations import Relation, random_relation
 from .topology import FiniteTopology
 
@@ -118,11 +117,8 @@ def _c2():
 def _small_dense_pairs():
     from .gtop import DensePair
     for n in range(1, 6):
-        base = standard_base(n)
-        for po in all_partial_orders(base):
-            top = FiniteTopology.from_preorder(po)
-            for d in dense_subsets(top):
-                yield DensePair(top, d)
+        for top, d in dense_pairs(n):
+            yield DensePair(top, d)
 
 
 def _c3():
@@ -167,12 +163,7 @@ def _sheaf_pair_corpus():
                        pseudo_circle, sierpinski_pair)
     cands = [sierpinski_pair(), pseudo_circle(True), pseudo_circle(False)]
     for n, step in ((3, 7), (4, 97), (5, 997)):
-        base = standard_base(n)
-        flat = []
-        for po in all_partial_orders(base):
-            top = FiniteTopology.from_preorder(po)
-            for d in dense_subsets(top):
-                flat.append((top, d))
+        flat = list(dense_pairs(n))
         cands.extend(DensePair(t, d) for t, d in flat[::step][:6])
     out = []
     for p in cands:

@@ -457,12 +457,14 @@ class _OracleSession:
         window coordinates missed by images of the slightly larger
         window, the enlargement swallowing the coordinate shift."""
         inner = self.basis_keys(d)
-        outer = self.basis_keys(d + self.shift)
+        inner_set = set(inner)
+        # inner keys first, so the first n_inner columns are the window
+        outer = inner + [k for k in self.basis_keys(d + self.shift)
+                         if k not in inner_set]
         cols = [self.image(k) for k in outer]
         coords = sorted({c for v in cols for c in v},
                         key=_coord_key)
         cindex = {c: i for i, c in enumerate(coords)}
-        inner_set = set(inner)
         full = [[ZERO] * len(outer) for _ in coords]
         for j, vec in enumerate(cols):
             for c, val in vec.items():

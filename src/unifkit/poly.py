@@ -290,10 +290,12 @@ class RatFunc:
             self.num = Polynomial()
             self.den = Polynomial.const(1)
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        # a constant denominator has a constant gcd with anything
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lead = den.lc()
         self.num = num * (1 / lead)
         self.den = den * (1 / lead)

@@ -18,7 +18,7 @@ import itertools
 class FiniteSet:
     """An ordered list of distinct labels. The order fixes element indices."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_sets")
 
     def __init__(self, labels):
         labels = tuple(labels)
@@ -29,6 +29,7 @@ class FiniteSet:
                 raise ValueError("labels must be nonempty strings, got %r" % (lab,))
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._sets = {}
 
     def index(self, label):
         try:
@@ -62,8 +63,14 @@ class FiniteSet:
         return m
 
     def labels_of(self, mask):
-        """Frozenset of labels from a bitmask."""
-        return frozenset(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        """Frozenset of labels from a bitmask.  Each set is built once
+        per base and mask, so equal masks give the same object."""
+        try:
+            return self._sets[mask]
+        except KeyError:
+            out = self._sets[mask] = frozenset(
+                lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+            return out
 
     def subsets(self, nonempty=False):
         """All subsets as frozensets, in mask order."""

@@ -1129,9 +1129,6 @@ class ThreadReport:
     def total(self):
         return sum(self.count_by_tag().values())
 
-    def tangential_classes(self):
-        return [c for c in self.iter_classes() if c.tag == "tangential"]
-
     def tangential_cycle_ok(self):
         """The classes over the puncture form one cycle under block
         adjacency: each meets exactly its two angular neighbors."""

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unifkit.enumeration import (all_partial_orders, dense_subsets,
-                                 standard_base)
+from unifkit.enumeration import dense_pairs
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
                           check_grothendieck, check_l7, constant_sheaf,
@@ -286,10 +285,8 @@ class _ReferenceSite:
 
 def _pairs_up_to(nmax):
     for n in range(1, nmax + 1):
-        for po in all_partial_orders(standard_base(n)):
-            top = FiniteTopology.from_preorder(po)
-            for d in dense_subsets(top):
-                yield DensePair(top, d)
+        for top, d in dense_pairs(n):
+            yield DensePair(top, d)
 
 
 def test_site_calculus_matches_the_definitions():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,37 @@ def test_ratfunc_reduction():
 def test_ratfunc_denominator_is_monic():
     f = RatFunc(Polynomial.const(1), 2 * z)
     assert f.den.lc() == 1
+
+
+def _gcd_normal_form(num, den):
+    # num/den reduced by their gcd whatever den is, then den made monic
+    if num.is_zero():
+        return Polynomial(), Polynomial.const(1)
+    g = num.gcd(den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    lead = den.lc()
+    return num * (1 / lead), den * (1 / lead)
+
+
+def test_ratfunc_normal_form_matches_gcd_path():
+    rng = random.Random(26)
+
+    def poly(deg):
+        return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(deg)] + [Fraction(rng.choice(
+                               (-3, -1, 2, 5)), rng.randint(1, 3))])
+
+    dens = [Polynomial.const(c) for c in
+            (1, -1, 2, Fraction(-3, 2), Fraction(7, 5))]
+    dens += [poly(rng.randint(1, 3)) for _ in range(5)]
+    nums = [Polynomial(), Polynomial.const(Fraction(-4, 3))]
+    nums += [poly(rng.randint(0, 6)) for _ in range(20)]
+    nums += [poly(1) * d for d in dens[5:]]
+    for num in nums:
+        for den in dens:
+            f = RatFunc(num, den)
+            assert (f.num, f.den) == _gcd_normal_form(num, den), (num, den)
 
 
 def test_euler_derivative():

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 from unifkit.enumeration import (all_equivalences, all_partial_orders,
-                                 all_preorders, all_topologies,
+                                 all_preorders, all_topologies, dense_pairs,
                                  dense_subsets, standard_base)
 from unifkit.quniform import QUniformity, topology_from
-from unifkit.relations import FiniteSet, Relation, random_relation
+from unifkit.relations import (FiniteSet, Relation, is_transitive_rows,
+                               random_relation)
 from unifkit.topology import FiniteTopology, up_sets
 from unifkit.tower import make_tower, puncture_quotient
 
@@ -81,6 +83,73 @@ def test_enumeration_counts():
     assert len(all_partial_orders(standard_base(5))) == 4231
     assert len(all_equivalences(standard_base(4))) == 15
     assert len(all_topologies(standard_base(3))) == 29
+
+
+# differential check of the enumerators against the direct filters:
+# every orientation assignment tested for transitivity, and every subset
+# tested by its closure
+
+
+def _orientation_partial_orders(base):
+    n = len(base)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    diag = [1 << i for i in range(n)]
+    out = []
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = diag[:]
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        if is_transitive_rows(rows):
+            out.append(Relation(base, tuple(rows)))
+    return out
+
+
+def _closure_dense_subsets(top):
+    out = []
+    for m in range(1 << len(top.base)):
+        if top.closure_mask(m) == (1 << len(top.base)) - 1:
+            out.append(top.base.labels_of(m))
+    return out
+
+
+def test_partial_orders_match_orientation_filter():
+    for n in range(6):
+        base = standard_base(n)
+        got = all_partial_orders(base)
+        assert [r.rows for r in got] == \
+            [r.rows for r in _orientation_partial_orders(base)], n
+        assert all(r.base is base for r in got)
+
+
+def test_dense_subsets_match_closure_scan():
+    rels = [r for n in range(6) for r in all_partial_orders(standard_base(n))]
+    rels += [r for n in range(5) for r in all_preorders(standard_base(n))]
+    for r in rels:
+        top = FiniteTopology.from_preorder(r)
+        assert dense_subsets(top) == _closure_dense_subsets(top), r.rows
+
+
+def test_dense_pairs_follow_the_nested_loops():
+    for n, count in {1: 1, 2: 5, 3: 55, 4: 1121, 5: 38671}.items():
+        got = list(dense_pairs(n))
+        assert len(got) == count
+        if n <= 4:
+            tops = [FiniteTopology.from_preorder(po)
+                    for po in all_partial_orders(standard_base(n))]
+            assert got == [(t, d) for t in tops for d in dense_subsets(t)]
+
+
+def test_labels_of_is_interned():
+    for n in range(6):
+        base = standard_base(n)
+        for m in range(1 << n):
+            got = base.labels_of(m)
+            assert got == frozenset(base.labels[i] for i in range(n)
+                                    if m >> i & 1)
+            assert base.labels_of(m) is got
 
 
 # differential check against the direct definitions: the opens of a
