@@ -21,10 +21,15 @@ certificates relate level k to level k-3 for the square generators
 (the star of a block spans 7 level units and a block three levels up
 spans 24, leaving room to place one whatever the alignment) and to
 level k-1 for the residue generators, whose levels are honest
-partitions with singleton stars.  A square block is a product of one
-interval per axis, so its parent test and its star certificate hold
-exactly when they hold on each axis: verification tests each axis
-position of a level once and so covers every block of every level.
+partitions with singleton stars.
+
+A square block pairs one position on each of two axes: the metric
+tower is a linear axis times a linear axis, the sectorial (blown-up)
+tower the same linear axis on the radius times a cyclic axis for the
+angle.  Parents, star certificates, identity fits, overlap and sample
+membership hold of a block exactly when they hold of both positions,
+so each axis states them per position and verification tests each axis
+position of a level once, covering every block of every level.
 
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
@@ -32,7 +37,7 @@ stars, containment and overlap, and coverage of a block by a covering
 member.  The operations below ask the generator instead of switching
 on its kind (only make_tower and the domains of the chart-change maps
 name kinds), so adding or changing a uniform structure touches one
-class.
+class, or one axis.
 """
 
 from __future__ import annotations
@@ -97,15 +102,6 @@ def _box_minus(boxes, cut):
     return out
 
 
-def _interval_candidates(lo, hi, imin, imax):
-    """Positions i whose block [2i, 2i+3] could meet [lo, hi]; callers
-    re-check exactly.  Fraction // int floors to an integer, so mixed
-    inputs are fine."""
-    first = max((lo - 3) // 2, imin)
-    last = min(hi // 2, imax)
-    return range(first, last + 1)
-
-
 class ThreadClass:
     """One depth-N equivalence class of threads: a classification tag,
     a representative block, and the level-N blocks it groups."""
@@ -137,6 +133,174 @@ class Covering:
 # generators
 
 
+class _LinearAxis:
+    """The segment [lo, hi].  At level k position i carries the interval
+    [2i, 2i+3] in units of 2^-(k+1), clipped to [lo, hi]: width 3,
+    stride 2, so adjacent positions share a unit-wide strip and
+    positions two apart are disjoint."""
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def ids(self, k):
+        return range(self.lo << k, self.hi << k)
+
+    def interval(self, k, i):
+        return (max(2 * i, self.lo << (k + 1)),
+                min(2 * i + 3, self.hi << (k + 1)))
+
+    def inside_parent(self, k, i):
+        lo, hi = self.interval(k, i)
+        plo, phi = self.interval(k - 1, i // 2)
+        return 2 * plo <= lo and hi <= 2 * phi
+
+    def star_ok(self, k, i, lag):
+        """The star of position i spans its neighbors' intervals, clipped
+        to the segment; the certificate is the position lag levels up
+        that starts at or below it, (2i - 2) // 16 for lag 3."""
+        tk = k - lag
+        t = min(max((2 * i - 2) // 16, self.lo << tk), (self.hi << tk) - 1)
+        t_lo, t_hi = self.interval(tk, t)
+        f = 1 << lag
+        return (t_lo * f <= max(2 * i - 2, self.lo << (k + 1))
+                and min(2 * i + 5, self.hi << (k + 1)) <= t_hi * f)
+
+    def fit(self, n, i, m):
+        """Position i of level n lies inside a single level-m position:
+        only the largest unclipped start and the clipped low edge can
+        hold it."""
+        f = 1 << max(m - n, 0)
+        g = 1 << max(n - m, 0)
+        lo, hi = self.interval(n, i)
+        lo, hi = lo * f, hi * f
+        first, last = self.lo << m, (self.hi << m) - 1
+        for j in (min(lo // (2 * g), last), first):
+            if j < first:
+                continue
+            blo, bhi = self.interval(m, j)
+            if blo * g <= lo and hi <= bhi * g:
+                return True
+        return False
+
+    def meets(self, k1, i1, k2, i2):
+        lvl = max(k1, k2)
+        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+        lo1, hi1 = self.interval(k1, i1)
+        lo2, hi2 = self.interval(k2, i2)
+        return not (hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1)
+
+    def candidates(self, k, lo, hi):
+        """Positions whose interval could meet [lo, hi], in level-k
+        units; callers re-check exactly.  Fraction // int floors to an
+        integer, so mixed inputs are fine."""
+        first = max((lo - 3) // 2, self.lo << k)
+        last = min(hi // 2, (self.hi << k) - 1)
+        return range(first, last + 1)
+
+    def holding(self, k, x):
+        """The level-k positions whose interval holds the point x."""
+        x = Fraction(x) * (1 << (k + 1))
+        out = []
+        for i in self.candidates(k, x, x):
+            lo, hi = self.interval(k, i)
+            if lo <= x <= hi:
+                out.append(i)
+        return out
+
+    def covers(self, k):
+        reach = self.lo << (k + 1)
+        for i in self.ids(k):
+            lo, hi = self.interval(k, i)
+            if lo > reach:
+                return False
+            reach = max(reach, hi)
+        return reach == self.hi << (k + 1)
+
+    def near(self, k, i):
+        first, last = self.lo << k, (self.hi << k) - 1
+        return [j for j in (i - 1, i, i + 1) if first <= j <= last]
+
+
+class _CyclicAxis:
+    """The boundary circle, in units of 2^-(k+1) of a turn at level k.
+    Position a carries the window (start 2a, length 3) mod 2^(k+1) for
+    a in range(2^k), so each window overlaps its two neighbors and the
+    tip carries exactly 2^k positions."""
+
+    def ids(self, k):
+        return range(1 << k)
+
+    def mod(self, k):
+        return 1 << (k + 1)
+
+    def window(self, k, a):
+        return 2 * a, 3
+
+    def inside_parent(self, k, a):
+        mod = self.mod(k)
+        ws, wl = self.window(k, a)
+        ps, pl = self.window(k - 1, a // 2)
+        return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
+
+    def star_ok(self, k, a, lag):
+        """The star of position a is an arc of 7 units; the certificate
+        is the window lag levels up starting at or below it, as above."""
+        tk = k - lag
+        f = 1 << lag
+        mod = self.mod(k)
+        ts, tl = self.window(tk, ((2 * a - 2) // 16) % (1 << tk))
+        return _circ_contains((2 * a - 2) % mod, 7, (ts * f) % mod, tl * f,
+                              mod)
+
+    def fit(self, n, a, m):
+        """Position a of level n lies inside a single level-m window: the
+        one starting at or below it."""
+        f = 1 << max(m - n, 0)
+        g = 1 << max(n - m, 0)
+        mod = self.mod(max(n, m))
+        ws, wl = self.window(n, a)
+        ws, wl = (ws * f) % mod, wl * f
+        ts, tl = self.window(m, (ws // (2 * g)) % (1 << m))
+        return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
+
+    def meets(self, k1, a1, k2, a2):
+        lvl = max(k1, k2)
+        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+        mod = self.mod(lvl)
+        s1, l1 = self.window(k1, a1)
+        s2, l2 = self.window(k2, a2)
+        return _circ_intersects((s1 * f1) % mod, l1 * f1,
+                                (s2 * f2) % mod, l2 * f2, mod)
+
+    def holding(self, k, t):
+        """The level-k positions whose window holds arc length t."""
+        mod = self.mod(k)
+        tau = Fraction(t) * mod / FULL_CIRCLE
+        # window a is [2a, 2a + 3] mod 2c, so only the windows starting at
+        # the even points 2*floor(tau/2) and the one before it can hold tau
+        c = 1 << k
+        half = tau // 2
+        out = []
+        for a in sorted({(half - 1) % c, half % c}):
+            ws, wl = self.window(k, a)
+            if (tau - ws) % mod <= wl:
+                out.append(a)
+        return out
+
+    def covers(self, k):
+        mod = self.mod(k)
+        covered = set()
+        for a in self.ids(k):
+            ws, wl = self.window(k, a)
+            covered.update(t % mod for t in range(ws, ws + wl))
+        return len(covered) == mod
+
+    def near(self, k, a):
+        c = 1 << k
+        return [(a - 1) % c, a, (a + 1) % c]
+
+
 class _Generator:
     """What a generator owns: its blocks and their names, parents, stars,
     containment, overlap and coverage by a covering member.  The defaults
@@ -146,6 +310,7 @@ class _Generator:
     symmetric = True
     star_lag = 1
     thread_notes = ()
+    model = None  # tells apart generators of one kind and params
 
     def __init__(self):
         self.params = {}
@@ -196,51 +361,81 @@ class _Generator:
         """Block b of level n lies inside a single level-m block."""
         return True  # the levels repeat one covering
 
+    def first_unfit(self, n, m):
+        """The first block of level n, in block_ids order, that lies in
+        no single level-m block, or None."""
+        return next((b for b in self.block_ids(n)
+                     if not self.identity_fits(n, b, m)), None)
+
     def tangential_cycle_ok(self, n):
         return False
 
 
 class _SquareGen(_Generator):
-    """Punctured square [-1,1]^2 minus the origin.  Both of its
-    uniformities halve blocks per level along two axes and certify stars
-    three levels up.  Parents and stars are tested per axis position
-    (axis_inside_parent, axis_star_ok)."""
+    """Punctured square [-1,1]^2 minus the origin: a block pairs one
+    position of each of the two axes the subclass sets in self.axes.
+    Both uniformities halve blocks per level and certify stars three
+    levels up; what holds per position is derived here from the axes."""
 
     star_lag = 3
 
     def block_ids(self, k):
-        return product(self.axis_ids(k), repeat=2)
+        x, y = self.axes
+        return product(x.ids(k), y.ids(k))
 
     def block_count(self, k):
-        return len(self.axis_ids(k)) ** 2
+        x, y = self.axes
+        return len(x.ids(k)) * len(y.ids(k))
 
     def has_block(self, k, b):
-        ids = self.axis_ids(k)
+        x, y = self.axes
         return (isinstance(b, tuple) and len(b) == 2
-                and all(isinstance(c, int) and c in ids for c in b))
+                and isinstance(b[0], int) and isinstance(b[1], int)
+                and b[0] in x.ids(k) and b[1] in y.ids(k))
 
     def parent(self, k, b):
         return (b[0] // 2, b[1] // 2)
 
+    def neighbors(self, k, b):
+        x, y = self.axes
+        near_y = y.near(k, b[1])
+        for i in x.near(k, b[0]):
+            for j in near_y:
+                if (i, j) != b:
+                    yield (i, j)
+
+    def blocks_meet(self, k1, b1, k2, b2):
+        x, y = self.axes
+        return (x.meets(k1, b1[0], k2, b2[0])
+                and y.meets(k1, b1[1], k2, b2[1]))
+
+    def member_blocks(self, k, s):
+        x, y = self.axes
+        ys = y.holding(k, s[1])
+        return [(i, j) for i in x.holding(k, s[0]) for j in ys]
+
+    def covers_space(self, k):
+        return all(ax.covers(k) for ax in self.axes)
+
     def first_outside_parent(self, k):
-        return self._first_failing(k, self.axis_inside_parent)
+        return self._first_failing(k, lambda ax, i: ax.inside_parent(k, i))
 
     def first_failed_star(self, k):
-        return self._first_failing(k, self.axis_star_ok)
+        return self._first_failing(
+            k, lambda ax, i: ax.star_ok(k, i, self.star_lag))
 
-    def _first_failing(self, k, axis_ok):
-        """A block fails when a position on either axis fails, so the
+    def first_unfit(self, n, m):
+        return self._first_failing(n, lambda ax, i: ax.fit(n, i, m))
+
+    def _first_failing(self, k, ok):
+        """A block fails when its position on either axis fails, so the
         first failing block in block_ids order pairs the first failing
         position of one axis with the first position of the other."""
-        ids = self.axis_ids(k)
-        bad = [next((i for i in ids if not axis_ok(k, ax, i)), None)
-               for ax in (0, 1)]
-        found = []
-        if bad[0] is not None:
-            found.append((bad[0], ids[0]))
-        if bad[1] is not None:
-            found.append((ids[0], bad[1]))
-        return min(found, default=None)
+        x, y = self.axes
+        xs, ys = x.ids(k), y.ids(k)
+        bad_x = next(((i, ys[0]) for i in xs if not ok(x, i)), None)
+        bad_y = next(((xs[0], j) for j in ys if not ok(y, j)), None)
+        return min((b for b in (bad_x, bad_y) if b is not None), default=None)
 
     def path(self, n, b):
         out = [b]
@@ -253,27 +448,16 @@ class _SquareGen(_Generator):
 
 class _MetricGen(_SquareGen):
     """The punctured square with the euclidean uniformity: overlapping
-    cartesian boxes halving per level.  At level k each axis carries
-    positions i with block [2i, 2i+3] in units of 2^-(k+1): width 3,
-    stride 2, so adjacent positions share a unit-wide strip and
-    positions two apart are disjoint."""
+    cartesian boxes halving per level, a linear axis on [-1, 1] for
+    each coordinate."""
 
     kind = "metric_disk"
     block_prefix = "b"
 
-    def half_range(self, k):
-        return 1 << (k + 1)
-
-    def irange(self, k):
-        return -(1 << k), (1 << k) - 1
-
-    def interval(self, k, i):
-        r = self.half_range(k)
-        return max(2 * i, -r), min(2 * i + 3, r)
-
-    def axis_ids(self, k):
-        imin, imax = self.irange(k)
-        return range(imin, imax + 1)
+    def __init__(self):
+        super().__init__()
+        side = _LinearAxis(-1, 1)
+        self.axes = (side, side)
 
     def block_name(self, k, b):
         return "b%d,%d" % b
@@ -283,9 +467,8 @@ class _MetricGen(_SquareGen):
         return (int(i), int(j))
 
     def block_box(self, k, b):
-        x0, x1 = self.interval(k, b[0])
-        y0, y1 = self.interval(k, b[1])
-        return (x0, x1, y0, y1)
+        x, y = self.axes
+        return x.interval(k, b[0]) + y.interval(k, b[1])
 
     def origin_ids(self):
         return ((-1, -1), (-1, 0), (0, -1), (0, 0))
@@ -293,57 +476,11 @@ class _MetricGen(_SquareGen):
     def is_origin(self, b):
         return b[0] in (-1, 0) and b[1] in (-1, 0)
 
-    def axis_inside_parent(self, k, ax, i):
-        lo, hi = self.interval(k, i)
-        plo, phi = self.interval(k - 1, i // 2)
-        return 2 * plo <= lo and hi <= 2 * phi
-
-    def neighbors(self, k, b):
-        imin, imax = self.irange(k)
-        i, j = b
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == dj == 0:
-                    continue
-                ni, nj = i + di, j + dj
-                if imin <= ni <= imax and imin <= nj <= imax:
-                    yield (ni, nj)
-
-    def axis_star_ok(self, k, ax, i):
-        """The star of position i spans its neighbors' intervals; the
-        certificate is the position star_lag levels up that starts at
-        or below the star, clipped to the range."""
-        tk = k - self.star_lag
-        imin, imax = self.irange(tk)
-        t_lo, t_hi = self.interval(tk, min(max((2 * i - 2) // 16, imin),
-                                           imax))
-        f = 1 << self.star_lag
-        r = self.half_range(k)
-        return (t_lo * f <= max(2 * i - 2, -r)
-                and min(2 * i + 5, r) <= t_hi * f)
-
     def puncture_first(self, k):
         yield from self.origin_ids()
         for b in self.block_ids(k):
             if not self.is_origin(b):
                 yield b
-
-    def identity_fits(self, n, b, m):
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        imin, imax = self.irange(m)
-        for lo, hi in (self.interval(n, b[0]), self.interval(n, b[1])):
-            if _fit_linear(lo * f, hi * f, g,
-                           lambda i: self.interval(m, i), imin, imax) is None:
-                return False
-        return True
-
-    def blocks_meet(self, k1, b1, k2, b2):
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        a = tuple(c * f1 for c in self.block_box(k1, b1))
-        b = tuple(c * f2 for c in self.block_box(k2, b2))
-        return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
 
     def covers_block(self, cov_level, mset, k, b):
         """Exact coverage of block b of level k by the union of a
@@ -352,10 +489,10 @@ class _MetricGen(_SquareGen):
         fb = 1 << (lvl - k)
         fm = 1 << (lvl - cov_level)
         x0, x1, y0, y1 = (c * fb for c in self.block_box(k, b))
-        imin, imax = self.irange(cov_level)
+        x, y = self.axes
         region = [(x0, x1, y0, y1)]
-        for i in _interval_candidates(x0 // fm, -(-x1 // fm), imin, imax):
-            for j in _interval_candidates(y0 // fm, -(-y1 // fm), imin, imax):
+        for i in x.candidates(cov_level, x0 // fm, -(-x1 // fm)):
+            for j in y.candidates(cov_level, y0 // fm, -(-y1 // fm)):
                 if (i, j) not in mset:
                     continue
                 bb = self.block_box(cov_level, (i, j))
@@ -424,63 +561,19 @@ class _MetricGen(_SquareGen):
     def sample_name(self, s):
         return "(%s,%s)" % s
 
-    def member_blocks(self, k, s):
-        res = []
-        r = self.half_range(k)
-        sx = Fraction(s[0]) * r
-        sy = Fraction(s[1]) * r
-        imin, imax = self.irange(k)
-        for i in _interval_candidates(sx, sx, imin, imax):
-            x0, x1 = self.interval(k, i)
-            if not x0 <= sx <= x1:
-                continue
-            for j in _interval_candidates(sy, sy, imin, imax):
-                y0, y1 = self.interval(k, j)
-                if y0 <= sy <= y1:
-                    res.append((i, j))
-        return res
-
-    def covers_space(self, k):
-        imin, imax = self.irange(k)
-        r = self.half_range(k)
-        lo, hi = self.interval(k, imin)
-        if lo != -r:
-            return False
-        for i in range(imin + 1, imax + 1):
-            nlo, nhi = self.interval(k, i)
-            if nlo > hi:
-                return False
-            hi = max(hi, nhi)
-        return hi == r
-
 
 class _SectorialGen(_SquareGen):
     """The same punctured square, finer uniformity: polar blocks, a
-    radial interval times an angular window on the boundary circle.  The
-    radial axis reuses the width-3 stride-2 schedule on [0, top]; the
-    angular windows are (start 2a, length 3) mod 2^(k+1) for 2^k values
-    of a, so the tip carries exactly 2^k angular positions."""
+    radial position times an angular window on the boundary circle.  The
+    radius is the metric tower's linear axis on [0, 1]; the angle is a
+    cyclic axis."""
 
     kind = "sectorial_disk"
     block_prefix = "r"
 
-    def radial_top(self, k):
-        return 1 << (k + 1)
-
-    def angular_mod(self, k):
-        return 1 << (k + 1)
-
-    def counts(self, k):
-        return 1 << k
-
-    def radial_interval(self, k, i):
-        return 2 * i, min(2 * i + 3, self.radial_top(k))
-
-    def angular_window(self, k, a):
-        return 2 * a, 3
-
-    def axis_ids(self, k):
-        return range(self.counts(k))
+    def __init__(self):
+        super().__init__()
+        self.axes = (_LinearAxis(0, 1), _CyclicAxis())
 
     def block_name(self, k, b):
         return "r%da%d" % b
@@ -492,75 +585,6 @@ class _SectorialGen(_SquareGen):
     def is_tip(self, b):
         return b[0] == 0
 
-    def axis_inside_parent(self, k, ax, i):
-        """Axis 0 is the radius, axis 1 the angle."""
-        if ax == 0:
-            lo, hi = self.radial_interval(k, i)
-            plo, phi = self.radial_interval(k - 1, i // 2)
-            return 2 * plo <= lo and hi <= 2 * phi
-        mod = self.angular_mod(k)
-        ws, wl = self.angular_window(k, i)
-        ps, pl = self.angular_window(k - 1, i // 2)
-        return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
-
-    def neighbors(self, k, b):
-        c = self.counts(k)
-        i, a = b
-        for di in (-1, 0, 1):
-            ni = i + di
-            if not 0 <= ni < c:
-                continue
-            for da in (-1, 0, 1):
-                na = (a + da) % c
-                if (ni, na) != (i, a):
-                    yield (ni, na)
-
-    def axis_star_ok(self, k, ax, i):
-        """The star of position i spans its neighbors' radial interval
-        (axis 0, clipped to [0, top]) or angular windows (axis 1, an arc
-        of 7 units); the certificate is the position star_lag levels up
-        that starts at or below the star."""
-        tk = k - self.star_lag
-        f = 1 << self.star_lag
-        t = (2 * i - 2) // 16
-        if ax == 0:
-            t_lo, t_hi = self.radial_interval(
-                tk, min(max(t, 0), self.counts(tk) - 1))
-            return (t_lo * f <= max(2 * i - 2, 0)
-                    and min(2 * i + 5, self.radial_top(k)) <= t_hi * f)
-        mod = self.angular_mod(k)
-        ts, tl = self.angular_window(tk, t % self.counts(tk))
-        return _circ_contains((2 * i - 2) % mod, 7, (ts * f) % mod, tl * f,
-                              mod)
-
-    def identity_fits(self, n, b, m):
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        lo, hi = self.radial_interval(n, b[0])
-        if _fit_linear(lo * f, hi * f, g,
-                       lambda i: self.radial_interval(m, i), 0,
-                       self.counts(m) - 1) is None:
-            return False
-        mod = self.angular_mod(max(n, m))
-        ws, wl = self.angular_window(n, b[1])
-        ws, wl = (ws * f) % mod, wl * f
-        a = (ws // (2 * g)) % self.counts(m)
-        ts, tl = self.angular_window(m, a)
-        return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
-
-    def blocks_meet(self, k1, b1, k2, b2):
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        lo1, hi1 = self.radial_interval(k1, b1[0])
-        lo2, hi2 = self.radial_interval(k2, b2[0])
-        if hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1:
-            return False
-        mod = self.angular_mod(lvl)
-        s1, l1 = self.angular_window(k1, b1[1])
-        s2, l2 = self.angular_window(k2, b2[1])
-        return _circ_intersects((s1 * f1) % mod, l1 * f1,
-                                (s2 * f2) % mod, l2 * f2, mod)
-
     def covers_block(self, cov_level, mset, k, b):
         """Coverage of polar block b of level k by a member union: cut
         the circle at the block's window start and subtract (radius,
@@ -569,18 +593,18 @@ class _SectorialGen(_SquareGen):
         lvl = max(cov_level, k)
         fb = 1 << (lvl - k)
         fm = 1 << (lvl - cov_level)
-        mod = self.angular_mod(lvl)
-        lo, hi = self.radial_interval(k, b[0])
-        ws, wl = self.angular_window(k, b[1])
+        radius, angle = self.axes
+        mod = angle.mod(lvl)
+        lo, hi = radius.interval(k, b[0])
+        ws, wl = angle.window(k, b[1])
         lo, hi, ws, wl = lo * fb, hi * fb, (ws * fb) % mod, wl * fb
         region = [(lo, hi, 0, wl)]
-        for i in _interval_candidates(lo // fm, -(-hi // fm), 0,
-                                      self.counts(cov_level) - 1):
-            for a in range(self.counts(cov_level)):
+        for i in radius.candidates(cov_level, lo // fm, -(-hi // fm)):
+            for a in angle.ids(cov_level):
                 if (i, a) not in mset:
                     continue
-                blo, bhi = self.radial_interval(cov_level, i)
-                bs, bl = self.angular_window(cov_level, a)
+                blo, bhi = radius.interval(cov_level, i)
+                bs, bl = angle.window(cov_level, a)
                 rel = (bs * fm - ws) % mod
                 for start in (rel, rel - mod):
                     region = _box_minus(region, (blo * fm, bhi * fm,
@@ -589,19 +613,21 @@ class _SectorialGen(_SquareGen):
                     return True
         return not region
 
-    def tips_cover(self, cov_level, member, ws, wl, n):
-        """The member's tip blocks cover the level-n angular window, so
+    def tips_cover(self, cov_level, member, n, a):
+        """The member's tip blocks cover the level-n angular window a, so
         the member absorbs a thin sector over the whole window."""
         lvl = max(cov_level, n)
         fb = 1 << (lvl - n)
         fm = 1 << (lvl - cov_level)
-        mod = self.angular_mod(lvl)
+        angle = self.axes[1]
+        mod = angle.mod(lvl)
+        ws, wl = angle.window(n, a)
         ws, wl = (ws * fb) % mod, wl * fb
         pieces = [(0, wl)]  # the window, cut open at its start
         for b in member:
             if not self.is_tip(b):
                 continue
-            bs, bl = self.angular_window(cov_level, b[1])
+            bs, bl = angle.window(cov_level, b[1])
             rel = (bs * fm - ws) % mod
             for start in (rel, rel - mod):
                 cut_lo, cut_hi = start, start + bl * fm
@@ -620,26 +646,27 @@ class _SectorialGen(_SquareGen):
         return not pieces
 
     def sector_members(self, k):
-        mod = self.angular_mod(k)
+        angle = self.axes[1]
+        mod = angle.mod(k)
         members = []
         for q in range(4):
             ws = (q * (1 << (k - 1))) % mod
-            wl = 1 << k
-            members.append([b for b in self.block_ids(k)
-                            if _circ_contains(2 * b[1], 3, ws, wl, mod)])
+            inside = {a for a in angle.ids(k) if _circ_contains(
+                *angle.window(k, a), ws, 1 << k, mod)}
+            members.append([b for b in self.block_ids(k) if b[1] in inside])
         return members
 
     def tangential_cycle_ok(self, n):
-        mod = self.angular_mod(n)
-        count = self.counts(n)
+        angle = self.axes[1]
+        mod = angle.mod(n)
+        windows = [angle.window(n, a) for a in angle.ids(n)]
+        count = len(windows)
         if count < 3:
             return False
-        for a in range(count):
-            s1, l1 = self.angular_window(n, a)
-            for b in range(count):
+        for a, (s1, l1) in enumerate(windows):
+            for b, (s2, l2) in enumerate(windows):
                 if a == b:
                     continue
-                s2, l2 = self.angular_window(n, b)
                 meets = _circ_intersects(s1, l1, s2, l2, mod)
                 expected = (a - b) % count in (1, count - 1)
                 if meets != expected:
@@ -650,7 +677,7 @@ class _SectorialGen(_SquareGen):
         """The circle of angular classes with a junction point between
         each adjacent pair, every junction specializing to its two
         neighbors."""
-        mcount = self.counts(n)
+        mcount = len(self.axes[1].ids(n))
         labels = tuple("c%d" % a for a in range(mcount)) + tuple(
             "j%d" % a for a in range(mcount))
         base = FiniteSet(labels)
@@ -660,8 +687,7 @@ class _SectorialGen(_SquareGen):
         return FiniteTopology.from_preorder(Relation(base, mins)), labels
 
     def classes(self, n):
-        c = self.counts(n)
-        for a in range(c):
+        for a in self.axes[1].ids(n):
             yield ThreadClass("tangential", n, (0, a), ((0, a),))
         for b in self.block_ids(n):
             if not self.is_tip(b):
@@ -678,44 +704,6 @@ class _SectorialGen(_SquareGen):
 
     def sample_name(self, s):
         return "(%s;%s)" % s
-
-    def member_blocks(self, k, s):
-        rho = Fraction(s[0]) * self.radial_top(k)
-        tau = Fraction(s[1]) * self.angular_mod(k) / FULL_CIRCLE
-        c = self.counts(k)
-        mod = self.angular_mod(k)
-        # window a is [2a, 2a + 3] mod 2c, so only the windows starting at
-        # the even points 2*floor(tau/2) and the one before it can hold tau
-        half = tau // 2
-        windows = sorted({(half - 1) % c, half % c})
-        res = []
-        for i in _interval_candidates(rho, rho, 0, c - 1):
-            lo, hi = self.radial_interval(k, i)
-            if not lo <= rho <= hi:
-                continue
-            for a in windows:
-                ws, wl = self.angular_window(k, a)
-                if (tau - ws) % mod <= wl:
-                    res.append((i, a))
-        return res
-
-    def covers_space(self, k):
-        top = self.radial_top(k)
-        hi = 0
-        for i in range(self.counts(k)):
-            lo, ihi = self.radial_interval(k, i)
-            if lo > hi:
-                return False
-            hi = max(hi, ihi)
-        if hi != top:
-            return False
-        mod = self.angular_mod(k)
-        covered = set()
-        for a in range(self.counts(k)):
-            ws, wl = self.angular_window(k, a)
-            for t in range(ws, ws + wl):
-                covered.add(t % mod)
-        return len(covered) == mod
 
 
 class _ResidueGen(_Generator):
@@ -865,6 +853,7 @@ class _FiniteGen(_Generator):
             seen.setdefault(row, x)
         self.reps = sorted(seen.values())
         self.masks = {x: rows[x] for x in self.reps}
+        self.model = (uniformity.base, self.masks)
 
     def block_ids(self, k):
         return iter(self.reps)
@@ -1126,9 +1115,6 @@ class ThreadReport:
             out[c.tag] = out.get(c.tag, 0) + 1
         return out
 
-    def total(self):
-        return sum(self.count_by_tag().values())
-
     def tangential_cycle_ok(self):
         """The classes over the puncture form one cycle under block
         adjacency: each meets exactly its two angular neighbors."""
@@ -1257,8 +1243,7 @@ def _class_absorbed(tower, cov, cls, msets, present):
     gen = tower.gen
     if cls.tag == "puncture":
         return any(gen.absorbs_origin(cov.level, ms) for ms in msets)
-    ws, wl = gen.angular_window(n, cls.rep[1])
-    return any(gen.tips_cover(cov.level, ms, ws, wl, n) for ms in msets)
+    return any(gen.tips_cover(cov.level, ms, n, cls.rep[1]) for ms in msets)
 
 
 # Tukey refinement
@@ -1351,12 +1336,10 @@ def check_uniform_continuity(kind, src, dst):
     resumes where the previous row stopped."""
     gen = src.gen
     if kind == "identity":
-        if src.kind != dst.kind or gen.params != dst.gen.params:
+        if (src.kind != dst.kind or gen.params != dst.gen.params
+                or gen.model != dst.gen.model):
             raise ValueError("incompatible generators for the identity")
-
-        def unmapped(n, m):
-            return next((b for b in gen.block_ids(n)
-                         if not gen.identity_fits(n, b, m)), None)
+        unmapped = gen.first_unfit
     elif kind == "polar_to_cartesian":
         if src.kind != "sectorial_disk" or dst.kind != "metric_disk":
             raise ValueError("polar_to_cartesian maps the sectorial tower "
@@ -1393,19 +1376,6 @@ def check_uniform_continuity(kind, src, dst):
     return ContinuityReport(kind, rows, src, dst)
 
 
-def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
-    """An index whose interval, scaled by scale, contains [lo, hi]:
-    only the largest unclipped start and the clipped low edge can
-    work.  Returns the index or None."""
-    for i in (min(lo // (2 * scale), imax), imin):
-        if i < imin or i > imax:
-            continue
-        blo, bhi = interval_fn(i)
-        if blo * scale <= lo and hi <= bhi * scale:
-            return i
-    return None
-
-
 class _PolarToCartesian:
     """Images of sectorial blocks in the metric chart, tabulated per
     axis.  With u = 2^(n+1), the radial ends of a level-n polar block and
@@ -1425,16 +1395,16 @@ class _PolarToCartesian:
 
     def _tables(self, n):
         if n not in self._levels:
-            ids = self.src.axis_ids(n)
-            self._levels[n] = ([self.src.radial_interval(n, i) for i in ids],
-                               [None] * len(ids))
+            radius, angle = self.src.axes
+            self._levels[n] = ([radius.interval(n, i) for i in radius.ids(n)],
+                               [None] * len(angle.ids(n)))
         return self._levels[n]
 
     def _extremes(self, n, a, angular):
         """Fill the angular entry of window a: the least and greatest x
         and y of the boundary points over it, in units of 1/u."""
         u = 1 << (n + 1)
-        ws, wl = self.src.angular_window(n, a)
+        ws, wl = self.src.axes[1].window(n, a)
         t0, t1 = FULL_CIRCLE * ws, FULL_CIRCLE * (ws + wl)
         # gamma is linear between the corners, at multiples of 2u
         ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
@@ -1445,7 +1415,7 @@ class _PolarToCartesian:
     def first_unmapped(self, n, m, blocks=None):
         """The first level-n block of blocks (default: every block, outer
         radii first) whose image lies in no single level-m metric block,
-        or None.  Level-m position j spans [2j, 2j+3] (_MetricGen.interval,
+        or None.  Level-m position j spans [2j, 2j+3] (_LinearAxis.interval,
         whose clip to the square never binds here: images stay inside
         it), so starts grow by 2 and ends with them, and only the last
         position starting at or below the low end x0 of an image interval
@@ -1454,8 +1424,8 @@ class _PolarToCartesian:
         if blocks is None:
             # outer blocks have the widest images; scanning them first
             # detects a failing level quickly
-            c = len(radial)
-            blocks = ((i, a) for i in reversed(range(c)) for a in range(c))
+            blocks = ((i, a) for i in reversed(range(len(radial)))
+                      for a in range(len(angular)))
         # both sides in units of the finer of levels 2n+1 and m
         f = 1 << max(m - 2 * n - 1, 0)
         g = 1 << max(2 * n + 1 - m, 0)

@@ -222,17 +222,18 @@ def test_large_quotients_never_list_their_lattice(monkeypatch):
 def _scan_member_blocks(self, k, s):
     # every angular window tested, as member_blocks did before it
     # narrowed the scan to the two windows that can hold tau
-    rho = Fraction(s[0]) * self.radial_top(k)
-    tau = Fraction(s[1]) * self.angular_mod(k) / tower_mod.FULL_CIRCLE
-    c = self.counts(k)
-    mod = self.angular_mod(k)
+    radius, angle = self.axes
+    rho = Fraction(s[0]) * (1 << (k + 1))
+    tau = Fraction(s[1]) * (1 << (k + 1)) / tower_mod.FULL_CIRCLE
+    c = 1 << k
+    mod = 1 << (k + 1)
     res = []
-    for i in tower_mod._interval_candidates(rho, rho, 0, c - 1):
-        lo, hi = self.radial_interval(k, i)
+    for i in radius.candidates(k, rho, rho):
+        lo, hi = radius.interval(k, i)
         if not lo <= rho <= hi:
             continue
         for a in range(c):
-            ws, wl = self.angular_window(k, a)
+            ws, wl = angle.window(k, a)
             if (tau - ws) % mod <= wl:
                 res.append((i, a))
     return res
@@ -242,7 +243,7 @@ def test_sectorial_member_blocks_match_full_scan():
     gen = make_tower("sectorial_disk", 7).gen
     rng = random.Random(10)
     for k in range(8):
-        mod = gen.angular_mod(k)
+        mod = 1 << (k + 1)
         samples = list(gen.samples(7))
         # tau on window ends, at the wrap-around at 0, and seeded
         taus = [Fraction(t) for t in (0, 1, 2, 3, mod - 1, mod, -1)]
@@ -528,17 +529,17 @@ def oracle_sector_members(gen, k, blocks):
 def oracle_find_metric_block(gen, m, box):
     """A level-m block containing the rational box, or None."""
     x0, x1, y0, y1 = box
-    r = gen.half_range(m)
-    imin, imax = gen.irange(m)
+    r = 1 << (m + 1)
+    imin, imax = -(1 << m), (1 << m) - 1
     out = []
-    for lo, hi in ((x0 * r, x1 * r), (y0 * r, y1 * r)):
+    for axis, lo, hi in zip(gen.axes, (x0 * r, y0 * r), (x1 * r, y1 * r)):
         if lo < -r or hi > r:
             return None
         cand = None
         for i in (min(lo // 2, imax), imin):
             if i < imin or i > imax:
                 continue
-            blo, bhi = gen.interval(m, i)
+            blo, bhi = axis.interval(m, i)
             if blo <= lo and hi <= bhi:
                 cand = i
                 break
@@ -551,8 +552,9 @@ def oracle_find_metric_block(gen, m, box):
 def oracle_find_polar_block(gen, m, rho0, rho1, tau_s, tau_l):
     """A level-m polar block containing the radial interval times the
     circular tau arc, or None."""
-    top = gen.radial_top(m)
-    cmax = gen.counts(m) - 1
+    radius, angle = gen.axes
+    top = 1 << (m + 1)
+    cmax = (1 << m) - 1
     p0, p1 = rho0 * top, rho1 * top
     if p0 < 0 or p1 > top:
         return None
@@ -560,7 +562,7 @@ def oracle_find_polar_block(gen, m, rho0, rho1, tau_s, tau_l):
     for i in (min(p0 // 2, cmax), 0):
         if i < 0 or i > cmax:
             continue
-        lo, hi = gen.radial_interval(m, i)
+        lo, hi = radius.interval(m, i)
         if lo <= p0 and p1 <= hi:
             ri = i
             break
@@ -570,18 +572,18 @@ def oracle_find_polar_block(gen, m, rho0, rho1, tau_s, tau_l):
     if tau_l > 3 * u_tau:
         return None
     s_units = tau_s / u_tau
-    a = (s_units // 2) % gen.counts(m)
-    ws, wl = gen.angular_window(m, a)
+    a = (s_units // 2) % (1 << m)
+    ws, wl = angle.window(m, a)
     if (s_units - ws) % (1 << (m + 1)) + tau_l / u_tau <= wl:
         return (ri, int(a))
     return None
 
 
 def oracle_polar_block_fits(gen, n, b, dst_gen, m):
-    lo, hi = gen.radial_interval(n, b[0])
+    lo, hi = gen.axes[0].interval(n, b[0])
     v = Fraction(1, 1 << (n + 1))
     rho0, rho1 = lo * v, hi * v
-    ws, wl = gen.angular_window(n, b[1])
+    ws, wl = gen.axes[1].window(n, b[1])
     u_tau = Fraction(8, 1 << (n + 1))
     t0 = ws * u_tau
     t1 = t0 + wl * u_tau
@@ -658,7 +660,7 @@ def test_polar_block_fits_match_rational_geometry():
 def boundary_scan(gen, k):
     """Every level-k metric block near the range boundary or the origin
     plus a fixed stride through the interior."""
-    imin, imax = gen.irange(k)
+    imin, imax = -(1 << k), (1 << k) - 1
     edge = {imin, imin + 1, -2, -1, 0, 1, imax - 1, imax}
     return [(i, j) for i, j in gen.block_ids(k)
             if i in edge or j in edge or (i % 37 == 0 and j % 11 == 0)]
@@ -698,13 +700,14 @@ def block_inside_parent(gen, k, b):
         px0, px1, py0, py1 = gen.block_box(k - 1, pb)
         return (2 * px0 <= x0 and x1 <= 2 * px1
                 and 2 * py0 <= y0 and y1 <= 2 * py1)
-    lo, hi = gen.radial_interval(k, b[0])
-    plo, phi = gen.radial_interval(k - 1, pb[0])
+    radius, angle = gen.axes
+    lo, hi = radius.interval(k, b[0])
+    plo, phi = radius.interval(k - 1, pb[0])
     if 2 * plo > lo or hi > 2 * phi:
         return False
-    mod = gen.angular_mod(k)
-    ws, wl = gen.angular_window(k, b[1])
-    ps, pl = gen.angular_window(k - 1, pb[1])
+    mod = 1 << (k + 1)
+    ws, wl = angle.window(k, b[1])
+    ps, pl = angle.window(k - 1, pb[1])
     return tower_mod._circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
 
 
@@ -712,26 +715,27 @@ def block_star_ok(gen, k, b):
     tk = k - gen.star_lag
     f = 1 << (k - tk)
     if isinstance(gen, tower_mod._MetricGen):
-        imin, imax = gen.irange(tk)
+        imin, imax = -(1 << tk), (1 << tk) - 1
         tb = [min(max((2 * c - 2) // 16, imin), imax) for c in b]
-        r = gen.half_range(k)
+        r = 1 << (k + 1)
         for ax in (0, 1):
             s_lo = max(2 * b[ax] - 2, -r)
             s_hi = min(2 * b[ax] + 5, r)
-            t_lo, t_hi = gen.interval(tk, tb[ax])
+            t_lo, t_hi = gen.axes[ax].interval(tk, tb[ax])
             if t_lo * f > s_lo or s_hi > t_hi * f:
                 return False
         return True
-    ri = min(max((2 * b[0] - 2) // 16, 0), gen.counts(tk) - 1)
-    aa = ((2 * b[1] - 2) // 16) % gen.counts(tk)
-    top = gen.radial_top(k)
+    radius, angle = gen.axes
+    ri = min(max((2 * b[0] - 2) // 16, 0), (1 << tk) - 1)
+    aa = ((2 * b[1] - 2) // 16) % (1 << tk)
+    top = 1 << (k + 1)
     s_lo = max(2 * b[0] - 2, 0)
     s_hi = min(2 * b[0] + 5, top)
-    t_lo, t_hi = gen.radial_interval(tk, ri)
+    t_lo, t_hi = radius.interval(tk, ri)
     if t_lo * f > s_lo or s_hi > t_hi * f:
         return False
-    mod = gen.angular_mod(k)
-    ts, tl = gen.angular_window(tk, aa)
+    mod = 1 << (k + 1)
+    ts, tl = angle.window(tk, aa)
     return tower_mod._circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod,
                                     tl * f, mod)
 
@@ -744,7 +748,7 @@ class Lag2Sectorial(tower_mod._SectorialGen):
     star_lag = 2
 
 
-class ShiftedMetric(tower_mod._MetricGen):
+class Level3Shifted(tower_mod._LinearAxis):
     """Every level-3 interval moved one unit up."""
 
     def interval(self, k, i):
@@ -752,21 +756,40 @@ class ShiftedMetric(tower_mod._MetricGen):
         return (lo + 1, hi + 1) if k == 3 else (lo, hi)
 
 
-class ShiftedRadius(tower_mod._SectorialGen):
+class OneRadiusShifted(tower_mod._LinearAxis):
     """One level-4 radial interval moved one unit out: it still fits
     its parent, its children at level 5 do not."""
 
-    def radial_interval(self, k, i):
-        lo, hi = super().radial_interval(k, i)
+    def interval(self, k, i):
+        lo, hi = super().interval(k, i)
         return (lo + 1, hi + 1) if (k, i) == (4, 5) else (lo, hi)
 
 
-class ShiftedWindow(tower_mod._SectorialGen):
+class Level3Turned(tower_mod._CyclicAxis):
     """Every level-3 angular window moved one unit on."""
 
-    def angular_window(self, k, a):
-        s, l = super().angular_window(k, a)
+    def window(self, k, a):
+        s, l = super().window(k, a)
         return (s + 1, l) if k == 3 else (s, l)
+
+
+class ShiftedMetric(tower_mod._MetricGen):
+    def __init__(self):
+        super().__init__()
+        side = Level3Shifted(-1, 1)
+        self.axes = (side, side)
+
+
+class ShiftedRadius(tower_mod._SectorialGen):
+    def __init__(self):
+        super().__init__()
+        self.axes = (OneRadiusShifted(0, 1), self.axes[1])
+
+
+class ShiftedWindow(tower_mod._SectorialGen):
+    def __init__(self):
+        super().__init__()
+        self.axes = (self.axes[0], Level3Turned())
 
 
 # generator, depth, witness (read from the per-block checks)
@@ -801,12 +824,25 @@ def test_axis_checks_name_the_first_failing_block(name):
     assert rep.star_ok == all(b is None for b in unstarred.values())
 
 
+def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
+    """An index whose interval, scaled by scale, contains [lo, hi]:
+    only the largest unclipped start and the clipped low edge can
+    work.  Returns the index or None."""
+    for i in (min(lo // (2 * scale), imax), imin):
+        if i < imin or i > imax:
+            continue
+        blo, bhi = interval_fn(i)
+        if blo * scale <= lo and hi <= bhi * scale:
+            return i
+    return None
+
+
 def direct_polar_block_fits(gen, n, b, dst_gen, m):
     """The image box of one polar block fitted axis by axis into a
     level-m cartesian block: the per-block test that the scan's tables
     replace."""
-    lo, hi = gen.radial_interval(n, b[0])
-    ws, wl = gen.angular_window(n, b[1])
+    lo, hi = gen.axes[0].interval(n, b[0])
+    ws, wl = gen.axes[1].window(n, b[1])
     u = 1 << (n + 1)
     t0, t1 = 8 * ws, 8 * (ws + wl)
     ts = [t0, t1, *range(-(-t0 // (2 * u)) * 2 * u, t1, 2 * u)]
@@ -815,10 +851,10 @@ def direct_polar_block_fits(gen, n, b, dst_gen, m):
     ys = [r * g for r in (lo, hi) for g in (min(gy), max(gy))]
     f = 1 << max(m - 2 * n - 1, 0)
     g = 1 << max(2 * n + 1 - m, 0)
-    imin, imax = dst_gen.irange(m)
-    return all(tower_mod._fit_linear(
-        min(e) * f, max(e) * f, g, lambda i: dst_gen.interval(m, i),
-        imin, imax) is not None for e in (xs, ys))
+    imin, imax = -(1 << m), (1 << m) - 1
+    return all(_fit_linear(
+        min(e) * f, max(e) * f, g, lambda i: axis.interval(m, i),
+        imin, imax) is not None for e, axis in zip((xs, ys), dst_gen.axes))
 
 
 def test_polar_scan_finds_the_first_unmapped_block():
@@ -826,9 +862,128 @@ def test_polar_scan_finds_the_first_unmapped_block():
     met = make_tower("metric_disk", 8).gen
     scan = tower_mod._PolarToCartesian(sec)
     for n in range(1, 8):
-        c = sec.counts(n)
+        c = 1 << n
         order = [(i, a) for i in reversed(range(c)) for a in range(c)]
         for m in range(1, 9):
             want = next((b for b in order if not direct_polar_block_fits(
                 sec, n, b, met, m)), None)
             assert scan.first_unmapped(n, m) == want, (n, m)
+
+
+# the per-block identity fits, overlap and neighbor loops that the axes
+# replace, kept verbatim as the reference: first_unfit, blocks_meet and
+# neighbors must agree with them on sound and on broken axes
+
+
+def metric_identity_fits(gen, n, b, m):
+    f = 1 << max(m - n, 0)
+    g = 1 << max(n - m, 0)
+    imin, imax = -(1 << m), (1 << m) - 1
+    for axis, c in zip(gen.axes, b):
+        lo, hi = axis.interval(n, c)
+        if _fit_linear(lo * f, hi * f, g, lambda i: axis.interval(m, i),
+                       imin, imax) is None:
+            return False
+    return True
+
+
+def sectorial_identity_fits(gen, n, b, m):
+    radius, angle = gen.axes
+    f = 1 << max(m - n, 0)
+    g = 1 << max(n - m, 0)
+    lo, hi = radius.interval(n, b[0])
+    if _fit_linear(lo * f, hi * f, g, lambda i: radius.interval(m, i), 0,
+                   (1 << m) - 1) is None:
+        return False
+    mod = 1 << (max(n, m) + 1)
+    ws, wl = angle.window(n, b[1])
+    ws, wl = (ws * f) % mod, wl * f
+    a = (ws // (2 * g)) % (1 << m)
+    ts, tl = angle.window(m, a)
+    return tower_mod._circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
+
+
+def metric_blocks_meet(gen, k1, b1, k2, b2):
+    lvl = max(k1, k2)
+    f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+    a = tuple(c * f1 for c in gen.block_box(k1, b1))
+    b = tuple(c * f2 for c in gen.block_box(k2, b2))
+    return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
+
+
+def sectorial_blocks_meet(gen, k1, b1, k2, b2):
+    radius, angle = gen.axes
+    lvl = max(k1, k2)
+    f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
+    lo1, hi1 = radius.interval(k1, b1[0])
+    lo2, hi2 = radius.interval(k2, b2[0])
+    if hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1:
+        return False
+    mod = 1 << (lvl + 1)
+    s1, l1 = angle.window(k1, b1[1])
+    s2, l2 = angle.window(k2, b2[1])
+    return tower_mod._circ_intersects((s1 * f1) % mod, l1 * f1,
+                                      (s2 * f2) % mod, l2 * f2, mod)
+
+
+def metric_neighbors(gen, k, b):
+    imin, imax = -(1 << k), (1 << k) - 1
+    i, j = b
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            ni, nj = i + di, j + dj
+            if imin <= ni <= imax and imin <= nj <= imax:
+                yield (ni, nj)
+
+
+def sectorial_neighbors(gen, k, b):
+    c = 1 << k
+    i, a = b
+    for di in (-1, 0, 1):
+        ni = i + di
+        if not 0 <= ni < c:
+            continue
+        for da in (-1, 0, 1):
+            na = (a + da) % c
+            if (ni, na) != (i, a):
+                yield (ni, na)
+
+
+@pytest.mark.parametrize("name", ["metric", "sectorial", "shifted-metric",
+                                  "shifted-radius", "shifted-window"])
+def test_axes_match_the_per_block_code(name):
+    gen = AXIS_CASES[name][0]()
+    if isinstance(gen, tower_mod._MetricGen):
+        fits, meet, near = (metric_identity_fits, metric_blocks_meet,
+                            metric_neighbors)
+    else:
+        fits, meet, near = (sectorial_identity_fits, sectorial_blocks_meet,
+                            sectorial_neighbors)
+    for n in range(1, 8):
+        for m in range(1, 9):
+            want = next((b for b in gen.block_ids(n)
+                         if not fits(gen, n, b, m)), None)
+            assert gen.first_unfit(n, m) == want, (n, m)
+    blocks = [(k, b) for k in range(1, 4) for b in gen.block_ids(k)]
+    for k1, b1 in blocks:
+        assert list(gen.neighbors(k1, b1)) == list(near(gen, k1, b1))
+        for k2, b2 in blocks:
+            assert (gen.blocks_meet(k1, b1, k2, b2)
+                    == meet(gen, k1, b1, k2, b2)), (k1, b1, k2, b2)
+
+
+def test_identity_rejects_a_different_finite_model():
+    two = FiniteSet(["o", "c"])
+    sierpinski = make_tower("finite", 2, uniformity=sierpinski_pervin())
+    discrete = make_tower("finite", 2,
+                          uniformity=pervin(FiniteTopology.discrete(two)))
+    three = make_tower("finite", 2, uniformity=pervin(
+        FiniteTopology.discrete(FiniteSet(["o", "c", "x"]))))
+    for src, dst in ((sierpinski, discrete), (discrete, sierpinski),
+                     (discrete, three), (three, discrete)):
+        with pytest.raises(ValueError, match="incompatible generators"):
+            check_uniform_continuity("identity", src, dst)
+    again = make_tower("finite", 3, uniformity=sierpinski_pervin())
+    assert check_uniform_continuity("identity", sierpinski, again).ok
