@@ -87,11 +87,6 @@ def _poset_rows(n):
     return out
 
 
-def all_topologies(base):
-    """Every topology on base, via the preorder dictionary."""
-    return [FiniteTopology.from_preorder(r) for r in all_preorders(base)]
-
-
 def all_equivalences(base):
     """Every equivalence relation, one per set partition (restricted
     growth strings)."""

@@ -12,8 +12,6 @@ trick still works in Python, but nothing here is meant for that).
 
 from __future__ import annotations
 
-import itertools
-
 
 class FiniteSet:
     """An ordered list of distinct labels. The order fixes element indices."""
@@ -175,10 +173,6 @@ class Relation:
     __or__ = union
     __and__ = intersection
 
-    def is_subset(self, other):
-        _check_same_base(self, other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
     # relational algebra
 
     def compose(self, other):
@@ -301,14 +295,6 @@ def intersect_all(relations):
     for r in relations[1:]:
         acc = acc.intersection(r)
     return acc
-
-
-def all_relations(base):
-    """Every relation on base. 2^(n^2) of them, so keep n small."""
-    n = len(base)
-    full = (1 << n) - 1
-    for rows in itertools.product(range(full + 1), repeat=n):
-        yield Relation(base, rows)
 
 
 def random_relation(base, rng, density=0.5):

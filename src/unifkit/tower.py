@@ -31,6 +31,12 @@ membership hold of a block exactly when they hold of both positions,
 so each axis states them per position and verification tests each axis
 position of a level once, covering every block of every level.
 
+Coverage of a square block by a covering member is decided once, in
+one sweep: each axis gives a position as closed integer spans (a window
+as its two lifts about a cut), and the second axis is tested at every
+first-axis span end and midpoint.  Coverage of a class window by a
+member's tip blocks is the sweep's one-point case, over radius 0.
+
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
 stars, containment and overlap, and coverage of a block by a covering
@@ -77,29 +83,6 @@ def _circ_intersects(s1, l1, s2, l2, modulus):
     if l1 >= modulus or l2 >= modulus:
         return True
     return (s1 - s2) % modulus <= l2 or (s2 - s1) % modulus <= l1
-
-
-def _box_minus(boxes, cut):
-    """Subtract one closed box from a list of closed boxes.  Leftover
-    pieces keep closed boundaries; a truly covered target still empties
-    because each boundary strip is swallowed by the neighboring cut."""
-    cx0, cx1, cy0, cy1 = cut
-    out = []
-    for b in boxes:
-        x0, x1, y0, y1 = b
-        if cx1 < x0 or cx0 > x1 or cy1 < y0 or cy0 > y1:
-            out.append(b)
-            continue
-        if x0 < cx0:
-            out.append((x0, cx0, y0, y1))
-        if cx1 < x1:
-            out.append((cx1, x1, y0, y1))
-        mx0, mx1 = max(x0, cx0), min(x1, cx1)
-        if y0 < cy0:
-            out.append((mx0, mx1, y0, cy0))
-        if cy1 < y1:
-            out.append((mx0, mx1, cy1, y1))
-    return out
 
 
 class ThreadClass:
@@ -198,6 +181,12 @@ class _LinearAxis:
         last = min(hi // 2, (self.hi << k) - 1)
         return range(first, last + 1)
 
+    def spans(self, k, i, lvl, cut):
+        """Position i of level k in level-lvl units, less cut."""
+        f = 1 << (lvl - k)
+        lo, hi = self.interval(k, i)
+        return ((lo * f - cut, hi * f - cut),)
+
     def holding(self, k, x):
         """The level-k positions whose interval holds the point x."""
         x = Fraction(x) * (1 << (k + 1))
@@ -273,6 +262,19 @@ class _CyclicAxis:
         return _circ_intersects((s1 * f1) % mod, l1 * f1,
                                 (s2 * f2) % mod, l2 * f2, mod)
 
+    def candidates(self, k, lo, hi):
+        return self.ids(k)  # any window can meet an arc
+
+    def spans(self, k, a, lvl, cut):
+        """Window a of level k in level-lvl units with the circle cut
+        open at cut: the lift starting in [0, mod) and the one before
+        it, the only lifts that meet an arc from 0 shorter than a turn."""
+        f = 1 << (lvl - k)
+        mod = self.mod(lvl)
+        ws, wl = self.window(k, a)
+        s = (ws * f - cut) % mod
+        return (s, s + wl * f), (s - mod, s - mod + wl * f)
+
     def holding(self, k, t):
         """The level-k positions whose window holds arc length t."""
         mod = self.mod(k)
@@ -298,7 +300,7 @@ class _CyclicAxis:
 
     def near(self, k, a):
         c = 1 << k
-        return [(a - 1) % c, a, (a + 1) % c]
+        return list(dict.fromkeys(((a - 1) % c, a, (a + 1) % c)))
 
 
 class _Generator:
@@ -417,6 +419,47 @@ class _SquareGen(_Generator):
     def covers_space(self, k):
         return all(ax.covers(k) for ax in self.axes)
 
+    def covers_block(self, cov_level, mset, k, b):
+        """Exact coverage of block b of level k by the union of a
+        member's level-cov_level blocks."""
+        lvl = max(cov_level, k)
+        return self._covers_box(cov_level, mset, lvl, [
+            ax.spans(k, i, lvl, 0)[0] for ax, i in zip(self.axes, b)])
+
+    def _covers_box(self, cov_level, member, lvl, box):
+        """The closed box, one (lo, hi) span per axis in level-lvl units,
+        lies in the union of the member's level-cov_level blocks.  Each
+        axis is cut at the box's low end, so the box becomes [0, w] x
+        [0, h] with h > 0, and a window lifts to the spans that can meet
+        it.  Span ends are integers and the spans holding a first-axis
+        point change only at ends, so testing the second axis at each end
+        and at each midpoint between consecutive ends decides the box
+        exactly."""
+        f = 1 << (lvl - cov_level)
+        x, y = self.axes
+        (x0, x1), (y0, y1) = box
+        spans = []
+        for i in x.candidates(cov_level, x0 // f, -(-x1 // f)):
+            for j in y.candidates(cov_level, y0 // f, -(-y1 // f)):
+                if (i, j) in member:
+                    spans += product(x.spans(cov_level, i, lvl, x0),
+                                     y.spans(cov_level, j, lvl, y0))
+        w, h = x1 - x0, y1 - y0
+        ends = sorted({0, w}.union(e for xs, _ in spans for e in xs
+                                   if 0 < e < w))
+        # doubled coordinates keep the midpoints integer
+        for p in [2 * e for e in ends] + [a + b for a, b in
+                                          zip(ends, ends[1:])]:
+            reach = 0  # h > 0, so a reach past 0 is a span holding 0
+            for lo, hi in sorted(ys for xs, ys in spans
+                                 if 2 * xs[0] <= p <= 2 * xs[1]):
+                if lo > reach:
+                    break
+                reach = max(reach, hi)
+            if reach < h:
+                return False
+        return True
+
     def first_outside_parent(self, k):
         return self._first_failing(k, lambda ax, i: ax.inside_parent(k, i))
 
@@ -481,25 +524,6 @@ class _MetricGen(_SquareGen):
         for b in self.block_ids(k):
             if not self.is_origin(b):
                 yield b
-
-    def covers_block(self, cov_level, mset, k, b):
-        """Exact coverage of block b of level k by the union of a
-        member's level-cov_level blocks."""
-        lvl = max(cov_level, k)
-        fb = 1 << (lvl - k)
-        fm = 1 << (lvl - cov_level)
-        x0, x1, y0, y1 = (c * fb for c in self.block_box(k, b))
-        x, y = self.axes
-        region = [(x0, x1, y0, y1)]
-        for i in x.candidates(cov_level, x0 // fm, -(-x1 // fm)):
-            for j in y.candidates(cov_level, y0 // fm, -(-y1 // fm)):
-                if (i, j) not in mset:
-                    continue
-                bb = self.block_box(cov_level, (i, j))
-                region = _box_minus(region, tuple(c * fm for c in bb))
-                if not region:
-                    return True
-        return not region
 
     def absorbs_origin(self, level, member):
         """The member contains a full punctured neighborhood of the
@@ -585,65 +609,13 @@ class _SectorialGen(_SquareGen):
     def is_tip(self, b):
         return b[0] == 0
 
-    def covers_block(self, cov_level, mset, k, b):
-        """Coverage of polar block b of level k by a member union: cut
-        the circle at the block's window start and subtract (radius,
-        angle) boxes; a member window can wrap across the cut, so both
-        lifts are taken."""
-        lvl = max(cov_level, k)
-        fb = 1 << (lvl - k)
-        fm = 1 << (lvl - cov_level)
-        radius, angle = self.axes
-        mod = angle.mod(lvl)
-        lo, hi = radius.interval(k, b[0])
-        ws, wl = angle.window(k, b[1])
-        lo, hi, ws, wl = lo * fb, hi * fb, (ws * fb) % mod, wl * fb
-        region = [(lo, hi, 0, wl)]
-        for i in radius.candidates(cov_level, lo // fm, -(-hi // fm)):
-            for a in angle.ids(cov_level):
-                if (i, a) not in mset:
-                    continue
-                blo, bhi = radius.interval(cov_level, i)
-                bs, bl = angle.window(cov_level, a)
-                rel = (bs * fm - ws) % mod
-                for start in (rel, rel - mod):
-                    region = _box_minus(region, (blo * fm, bhi * fm,
-                                                 start, start + bl * fm))
-                if not region:
-                    return True
-        return not region
-
     def tips_cover(self, cov_level, member, n, a):
         """The member's tip blocks cover the level-n angular window a, so
-        the member absorbs a thin sector over the whole window."""
+        the member absorbs a thin sector over the whole window: the box
+        over radius 0 alone, which only tip blocks hold."""
         lvl = max(cov_level, n)
-        fb = 1 << (lvl - n)
-        fm = 1 << (lvl - cov_level)
-        angle = self.axes[1]
-        mod = angle.mod(lvl)
-        ws, wl = angle.window(n, a)
-        ws, wl = (ws * fb) % mod, wl * fb
-        pieces = [(0, wl)]  # the window, cut open at its start
-        for b in member:
-            if not self.is_tip(b):
-                continue
-            bs, bl = angle.window(cov_level, b[1])
-            rel = (bs * fm - ws) % mod
-            for start in (rel, rel - mod):
-                cut_lo, cut_hi = start, start + bl * fm
-                nxt = []
-                for lo, hi in pieces:
-                    if cut_hi <= lo or cut_lo >= hi:
-                        nxt.append((lo, hi))
-                        continue
-                    if lo < cut_lo:
-                        nxt.append((lo, cut_lo))
-                    if cut_hi < hi:
-                        nxt.append((cut_hi, hi))
-                pieces = nxt
-            if not pieces:
-                return True
-        return not pieces
+        return self._covers_box(cov_level, member, lvl,
+                                [(0, 0), self.axes[1].spans(n, a, lvl, 0)[0]])
 
     def sector_members(self, k):
         angle = self.axes[1]
@@ -658,20 +630,10 @@ class _SectorialGen(_SquareGen):
 
     def tangential_cycle_ok(self, n):
         angle = self.axes[1]
-        mod = angle.mod(n)
-        windows = [angle.window(n, a) for a in angle.ids(n)]
-        count = len(windows)
-        if count < 3:
-            return False
-        for a, (s1, l1) in enumerate(windows):
-            for b, (s2, l2) in enumerate(windows):
-                if a == b:
-                    continue
-                meets = _circ_intersects(s1, l1, s2, l2, mod)
-                expected = (a - b) % count in (1, count - 1)
-                if meets != expected:
-                    return False
-        return True
+        count = len(angle.ids(n))
+        return count >= 3 and all(  # meeting is symmetric: b > a only
+            angle.meets(n, a, n, b) == (b - a in (1, count - 1))
+            for a in range(count) for b in range(a + 1, count))
 
     def puncture_space(self, n):
         """The circle of angular classes with a junction point between

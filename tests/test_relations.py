@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from unifkit.relations import (FiniteSet, Relation, all_relations,
-                               intersect_all, random_relation)
+from unifkit.relations import (FiniteSet, Relation, intersect_all,
+                               random_relation)
 
 
 @pytest.fixture
@@ -74,19 +74,7 @@ def test_intersect_all(base):
     assert m == Relation.diagonal(base)
 
 
-def test_all_relations_count():
-    two = FiniteSet(["x", "y"])
-    assert sum(1 for _ in all_relations(two)) == 16
-
-
 def test_random_relation_is_seed_deterministic(base):
     a = random_relation(base, random.Random(7))
     b = random_relation(base, random.Random(7))
     assert a == b
-
-
-def test_subset_order(base):
-    small = Relation.from_pairs(base, [("a", "b")])
-    big = small | Relation.diagonal(base)
-    assert small.is_subset(big)
-    assert not big.is_subset(small)

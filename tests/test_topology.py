@@ -2,8 +2,8 @@ import itertools
 import random
 
 from unifkit.enumeration import (all_equivalences, all_partial_orders,
-                                 all_preorders, all_topologies, dense_pairs,
-                                 dense_subsets, standard_base)
+                                 all_preorders, dense_pairs, dense_subsets,
+                                 standard_base)
 from unifkit.quniform import QUniformity, topology_from
 from unifkit.relations import (FiniteSet, Relation, is_transitive_rows,
                                random_relation)
@@ -82,7 +82,6 @@ def test_enumeration_counts():
     assert len(all_preorders(standard_base(4))) == 355
     assert len(all_partial_orders(standard_base(5))) == 4231
     assert len(all_equivalences(standard_base(4))) == 15
-    assert len(all_topologies(standard_base(3))) == 29
 
 
 # differential check of the enumerators against the direct filters:

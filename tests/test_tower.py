@@ -397,6 +397,25 @@ PINNED = [
       "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256",
       "blocks[5]=1024", "refinement=ok", "star=ok", "covering=ok",
       "sample=ok"]),
+    # finer members than the blocks they cover, so covers_block decides;
+    # the second member of "arcs" wraps across the cut at window start 4
+    ("metric", 2, "tukey", ("halves", 2, [
+        [(i, j) for i in range(-4, 1) for j in range(-4, 4)],
+        [(i, j) for i in range(-1, 4) for j in range(-4, 4)]]),
+     ["covering=halves", "tukey=true", "refining_level=1",
+      "finite_subcover_size=2"]),
+    ("sectorial", 2, "tukey", ("arcs", 2, [
+        [(i, a) for i in range(4) for a in (0, 1, 2)],
+        [(i, a) for i in range(4) for a in (2, 3, 0)]]),
+     ["covering=arcs", "tukey=true", "refining_level=1",
+      "finite_subcover_size=2"]),
+    # no member holds tip r0a0 of level 1, so tips_cover decides the
+    # classes under it: tip r0a1 lifts across the cut onto window r0a0 of
+    # level 3 but leaves a gap in r0a0 of level 2 and r0a1 of level 3
+    ("sectorial", 3, "uniform", ("far-tip", 1, [[(0, 1)], [(1, 0), (1, 1)]]),
+     ["covering=far-tip", "uniform=false", "witness=tangential r0a1"]),
+    ("sectorial", 2, "uniform", ("far-tip", 1, [[(0, 1)], [(1, 0), (1, 1)]]),
+     ["covering=far-tip", "uniform=false", "witness=tangential r0a0"]),
 ]
 
 
@@ -945,8 +964,8 @@ def sectorial_neighbors(gen, k, b):
         ni = i + di
         if not 0 <= ni < c:
             continue
-        for da in (-1, 0, 1):
-            na = (a + da) % c
+        # at level 1 the circle has two windows, so a - 1 and a + 1 agree
+        for na in dict.fromkeys((a + da) % c for da in (-1, 0, 1)):
             if (ni, na) != (i, a):
                 yield (ni, na)
 
@@ -987,3 +1006,98 @@ def test_identity_rejects_a_different_finite_model():
             check_uniform_continuity("identity", src, dst)
     again = make_tower("finite", 3, uniformity=sierpinski_pervin())
     assert check_uniform_continuity("identity", sierpinski, again).ok
+
+
+@pytest.mark.parametrize("kind", [tower_mod._MetricGen,
+                                  tower_mod._SectorialGen],
+                         ids=["metric", "sectorial"])
+def test_square_neighbors_are_listed_once(kind):
+    gen = kind()
+    for k in range(1, 6):
+        for b in gen.block_ids(k):
+            nbs = list(gen.neighbors(k, b))
+            assert len(nbs) == len(set(nbs)) and b not in nbs, (k, b)
+
+
+# coverage by a covering member against brute force: every end is an
+# integer in level units, so the closed boxes decide coverage on the
+# half-unit grid; the angle is checked mod the circle, with no cut
+
+
+def grid_box(gen, k, b, lvl):
+    """Block b of level k as closed ranges of doubled level-lvl units;
+    the angle range may run past the full turn."""
+    f = 2 << (lvl - k)
+    if isinstance(gen, tower_mod._MetricGen):
+        x0, x1, y0, y1 = gen.block_box(k, b)
+        return (x0 * f, x1 * f), (y0 * f, y1 * f)
+    radius, angle = gen.axes
+    lo, hi = radius.interval(k, b[0])
+    ws, wl = angle.window(k, b[1])
+    return (lo * f, hi * f), (ws * f, (ws + wl) * f)
+
+
+def grid_holds(gen, box, lvl, x, y):
+    (x0, x1), (y0, y1) = box
+    if not x0 <= x <= x1:
+        return False
+    if isinstance(gen, tower_mod._MetricGen):
+        return y0 <= y <= y1
+    return (y - y0) % (4 << lvl) <= y1 - y0
+
+
+def grid_covered(gen, cov_level, member, lvl, xs, ys):
+    boxes = [grid_box(gen, cov_level, m, lvl) for m in member]
+    return all(any(grid_holds(gen, box, lvl, x, y) for box in boxes)
+               for x in xs for y in ys)
+
+
+def near_member(gen, rng, cov_level, k, b):
+    """Blocks of cov_level around block b of level k, each kept with one
+    seeded probability, and now and then a far one."""
+    keep = rng.choice((0.5, 0.8, 0.95, 1.0))
+    member = [c for c in gen.block_ids(cov_level)
+              if gen.blocks_meet(cov_level, c, k, b) and rng.random() < keep]
+    if rng.random() < 0.3:
+        member.append(rng.choice(list(gen.block_ids(cov_level))))
+    return frozenset(member)
+
+
+@pytest.mark.parametrize("kind", [tower_mod._MetricGen,
+                                  tower_mod._SectorialGen],
+                         ids=["metric", "sectorial"])
+def test_block_coverage_matches_the_half_unit_grid(kind):
+    gen = kind()
+    rng = random.Random(2012)
+    verdicts = set()
+    for _ in range(400):
+        cov_level, k = rng.randint(1, 4), rng.randint(1, 4)
+        b = rng.choice(list(gen.block_ids(k)))
+        member = near_member(gen, rng, cov_level, k, b)
+        lvl = max(cov_level, k)
+        (x0, x1), (y0, y1) = grid_box(gen, k, b, lvl)
+        want = grid_covered(gen, cov_level, member, lvl, range(x0, x1 + 1),
+                            range(y0, y1 + 1))
+        assert gen.covers_block(cov_level, member, k, b) == want, (
+            cov_level, k, b, sorted(member))
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_tips_coverage_matches_the_half_unit_grid():
+    gen = tower_mod._SectorialGen()
+    rng = random.Random(2012)
+    verdicts = set()
+    for _ in range(400):
+        cov_level, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = rng.choice(list(gen.axes[1].ids(n)))
+        member = near_member(gen, rng, cov_level, n, (0, a))
+        lvl = max(cov_level, n)
+        _, (y0, y1) = grid_box(gen, n, (0, a), lvl)
+        tips = [b for b in member if b[0] == 0]
+        want = grid_covered(gen, cov_level, tips, lvl, (0,),
+                            range(y0, y1 + 1))
+        assert gen.tips_cover(cov_level, member, n, a) == want, (
+            cov_level, n, a, sorted(member))
+        verdicts.add(want)
+    assert verdicts == {True, False}
