@@ -13,27 +13,12 @@ import random
 import time
 import traceback
 
-from .enumeration import all_preorders, dense_pairs, standard_base
+from .enumeration import (all_preorders, dense_pairs, reflexive_rows,
+                          standard_base)
 from .relations import Relation, random_relation
 from .topology import FiniteTopology
 
 _SEED = 20260822
-
-
-def _reflexive_relations(base):
-    n = len(base)
-    choices = []
-    for i in range(n):
-        rest = [b for b in range(n) if b != i]
-        opts = []
-        for m in range(1 << (n - 1)):
-            row = 1 << i
-            for k, b in enumerate(rest):
-                if m >> k & 1:
-                    row |= 1 << b
-            opts.append(row)
-        choices.append(opts)
-    return [Relation(base, rows) for rows in itertools.product(*choices)]
 
 
 def _c1():
@@ -60,7 +45,7 @@ def _c1():
     total = quasi = trips = 0
     for n in range(1, 5):
         base = standard_base(n)
-        rels = _reflexive_relations(base)
+        rels = [Relation(base, rows) for rows in reflexive_rows(n)]
         bases = [(r,) for r in rels]
         if n <= 3:
             bases += list(itertools.combinations(rels, 2))

@@ -12,10 +12,9 @@ structure, violated precondition).
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from . import formats
-from .formats import FormatError
+
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -263,7 +262,7 @@ def cmd_gtop_groth(args):
 def cmd_gtop_cohomology(args):
     from .gtop import sheaf_cohomology
     _, sheaf = formats.parse_sheaf(_read(args.path), args.path)
-    betti = sheaf_cohomology(sheaf) or (0,)
+    betti = sheaf_cohomology(sheaf)
     for k, d in enumerate(betti):
         print("H^%d = %d" % (k, d))
     return 0
@@ -278,8 +277,8 @@ def cmd_gtop_cech(args):
     base = pair.xhat.base
     members = [base.mask_of(b) for b in sf.coverings[0][1]]
     f = constant_sheaf(pair.xhat)
-    cech = cech_cohomology(pair, f, members) or (0,)
-    poset = sheaf_cohomology(f) or (0,)
+    cech = cech_cohomology(pair, f, members)
+    poset = sheaf_cohomology(f)
     for k, d in enumerate(cech):
         print("cech H^%d = %d" % (k, d))
     for k, d in enumerate(poset):
@@ -292,29 +291,23 @@ def cmd_gtop_cech(args):
 # differential operators
 
 
-def _point(text):
-    if text == "inf":
-        return "inf"
-    return Fraction(text)
-
-
 def _load_operator(args):
     return formats.parse_operator(_read(args.path), args.path)
 
 
 def cmd_dmod_delta(args):
-    from .dmod import to_delta_form
+    from .dmod import as_point, to_delta_form
     spec = _load_operator(args)
-    bs = to_delta_form(spec.operator, _point(args.at))
+    bs = to_delta_form(spec.operator, as_point(args.at))
     for i, b in enumerate(bs):
         print("b_%d = %s" % (i, formats.format_ratfunc(b)))
     return 0
 
 
 def cmd_dmod_polygon(args):
-    from .dmod import newton_polygon
+    from .dmod import as_point, newton_polygon
     spec = _load_operator(args)
-    np = newton_polygon(spec.operator, _point(args.at))
+    np = newton_polygon(spec.operator, as_point(args.at))
     for i, y in np.points:
         print("point %d %s" % (i, formats.format_rational(y)))
     for i, y in np.hull:
@@ -326,12 +319,12 @@ def cmd_dmod_polygon(args):
 
 
 def cmd_dmod_irregularity(args):
-    from .dmod import format_point, irregularity, _point_key
+    from .dmod import as_point, format_point, irregularity
     spec = _load_operator(args)
     if args.at is not None:
-        pts = [_point(args.at)]
+        pts = [as_point(args.at)]
     else:
-        pts = sorted(spec.points, key=_point_key)
+        pts = spec.sorted_points()
     for p in pts:
         print("ir[%s]=%d" % (format_point(p),
                              irregularity(spec.operator, p)))
@@ -495,13 +488,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, ZeroDivisionError, OSError) as e:
+        # FormatError is a ValueError
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ are again finite sums of basis elements (see _OracleSession).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, perm
 
@@ -160,11 +161,11 @@ def _low_order(p):
 def to_delta_form(op, x):
     """Coefficients b_0..b_n with L = sum b_j delta^j, delta the scaled
     derivative (z-x) d/dz at a finite x.  At infinity the substitution
-    w = 1/z is applied and the b_j come back as functions of w; the
-    sign convention there is (-1)^j per coefficient, which matters to
-    nobody downstream since only valuations are consumed.  Each b_j is
-    one RatFunc built from its numerator over the common denominator
-    (_delta_numerators), normalised once."""
+    w = 1/z is applied and the b_j come back as functions of w, each
+    times (-1)^j since w d/dw = -z d/dz, so they are the Euler form in
+    w that ordinary_at_infinity expands.  Each b_j is one RatFunc built
+    from its numerator over the common denominator (_delta_numerators),
+    normalised once."""
     x = as_point(x)
     n = op.order
     nums, den = _delta_numerators(op, x)
@@ -217,20 +218,26 @@ def delta_product(bs, cs):
     return tuple(out)
 
 
-def delta_to_partial(bs):
-    """Operator in d/dz form from Euler-form coefficients at 0."""
-    bs = [b if isinstance(b, RatFunc) else RatFunc(b) for b in bs]
+def _partial_coeffs(bs):
+    """Coefficients of the powers of d/dt in sum b_j delta^j, delta =
+    t d/dt, from delta^j = sum_k S[j][k] t^k (d/dt)^k."""
     n = len(bs) - 1
     s2 = _stirling_second(n)
-    zz = RatFunc.variable()
-    out = [RatFunc(0)] * (n + 1)
+    tt = RatFunc.variable()
+    out = []
     for k in range(n + 1):
         acc = RatFunc(0)
         for j in range(k, n + 1):
             if s2[j][k] and not bs[j].is_zero():
                 acc = acc + bs[j] * s2[j][k]
-        out[k] = acc * zz ** k
-    return DiffOp(out)
+        out.append(acc * tt ** k)
+    return out
+
+
+def delta_to_partial(bs):
+    """Operator in d/dz form from Euler-form coefficients at 0."""
+    return DiffOp(_partial_coeffs(
+        [b if isinstance(b, RatFunc) else RatFunc(b) for b in bs]))
 
 
 class NewtonPolygon:
@@ -284,19 +291,10 @@ def irregularity(op, x):
 
 def ordinary_at_infinity(op):
     """Whether the pullback under w = 1/z has pole-free monic
-    coefficients at w = 0, i.e. infinity is not a singular point."""
-    n = op.order
-    bs = to_delta_form(op, 0)
-    s2 = _stirling_second(n)
-    tt = RatFunc.variable()
-    cs = []
-    for k in range(n + 1):
-        acc = RatFunc(0)
-        for j in range(k, n + 1):
-            if s2[j][k] and not bs[j].is_zero():
-                acc = acc + bs[j].inverted() * ((-1) ** j) * s2[j][k]
-        cs.append(acc * tt ** k)
-    lead = cs[n]
+    coefficients at w = 0, i.e. infinity is not a singular point.  The
+    pullback is the d/dw form of the Euler form at infinity."""
+    cs = _partial_coeffs(to_delta_form(op, INF))
+    lead = cs[-1]
     if lead.is_zero():
         return False
     vl = lead.valuation(0)
@@ -383,7 +381,7 @@ def _shift_bound(spec):
         for x in spec.finite_points():
             s = max(s, abs(i - a.valuation(x)))
         if spec.has_inf():
-            s = max(s, abs((a.num.degree - a.den.degree) - i))
+            s = max(s, abs(a.valuation_inf() + i))
     return s
 
 
@@ -536,17 +534,9 @@ def derham_oracle(spec, degree_bound):
     return h0, h1, dims[0] == dims[1] == dims[2]
 
 
-class IndexReport:
-    __slots__ = ("spec", "irregularities", "chi_formula", "h0", "h1",
-                 "stabilized")
-
-    def __init__(self, spec, irregularities, chi_formula, h0, h1, stabilized):
-        self.spec = spec
-        self.irregularities = irregularities
-        self.chi_formula = chi_formula
-        self.h0 = h0
-        self.h1 = h1
-        self.stabilized = stabilized
+class IndexReport(namedtuple("IndexReport", [
+        "spec", "irregularities", "chi_formula", "h0", "h1", "stabilized"])):
+    __slots__ = ()
 
     @property
     def chi_oracle(self):
@@ -599,14 +589,8 @@ def index_report(spec, d_max=80):
 # built-in operator corpus
 
 
-class CorpusEntry:
-    __slots__ = ("name", "spec", "h0", "h1")
-
-    def __init__(self, name, spec, h0, h1):
-        self.name = name
-        self.spec = spec
-        self.h0 = h0
-        self.h1 = h1
+class CorpusEntry(namedtuple("CorpusEntry", ["name", "spec", "h0", "h1"])):
+    __slots__ = ()
 
     @property
     def chi(self):

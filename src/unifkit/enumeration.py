@@ -1,10 +1,11 @@
 """Exhaustive generators for small structures.
 
-These back the desk-scale checks: every preorder, poset, topology or
-equivalence on a handful of points, the dense subsets of a finite
-space, and the labeled dense pairs built from the two.  Counts for
-sanity: 355 topologies on 4 labeled points, 4231 posets on 5, Bell(4)
-= 15 equivalences, 39853 dense pairs on 1 to 5 points.
+These back the desk-scale checks: every reflexive relation, preorder,
+poset, topology or equivalence on a handful of points, the dense
+subsets of a finite space, and the labeled dense pairs built from the
+two.  Counts for sanity: 355 topologies on 4 labeled points, 4231
+posets on 5, Bell(4) = 15 equivalences, 39853 dense pairs on 1 to 5
+points.
 
 The work follows the output.  A poset on n points is a poset on the
 last n - 1 points plus the up-set and down-set of point 0, kept when
@@ -24,16 +25,20 @@ from .relations import FiniteSet, Relation, is_transitive_rows
 from .topology import FiniteTopology, up_sets
 
 
+def reflexive_rows(n):
+    """Successor rows of every reflexive relation on 0..n-1, as tuples:
+    the product of the rows holding their own point, each in mask
+    order.  There are 2^(n^2-n) of them."""
+    return itertools.product(*([m for m in range(1 << n) if m >> i & 1]
+                               for i in range(n)))
+
+
 def all_preorders(base):
-    """Every preorder on base. 2^(n^2-n) candidates get filtered, so
-    n above 4 is not realistic here."""
-    n = len(base)
-    others = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
-    out = []
-    for rows in itertools.product(*others):
-        if is_transitive_rows(rows):
-            out.append(Relation(base, rows))
-    return out
+    """Every preorder on base: the transitive reflexive rows.  The
+    2^(n^2-n) candidates get filtered, so n above 4 is not realistic
+    here."""
+    return [Relation(base, rows) for rows in reflexive_rows(len(base))
+            if is_transitive_rows(rows)]
 
 
 def all_partial_orders(base):

@@ -502,36 +502,42 @@ def _betti(dims, differentials):
     return tuple(betti)
 
 
+def _chains_by_degree(top):
+    """The strict chains of a T0 space, the simplices of its order
+    complex, as one sorted list per degree (chain length - 1).  Faces
+    of a chain are chains, so every degree up to the top one is
+    filled."""
+    by_deg = []
+    for c in sorted(top.strict_chains(), key=lambda c: (len(c), c)):
+        if len(c) > len(by_deg):
+            by_deg.append([])
+        by_deg[-1].append(c)
+    return by_deg
+
+
 def sheaf_cohomology(f):
     """Betti numbers of the ordered-chain complex: cochains assign to a
     strict chain a vector in the stalk of its top point; the coboundary
     alternates over face deletions, pushing through the restriction when
     the top point is deleted is not needed, but extending the chain at
     the top composes with the restriction matrix."""
-    top = f.top
-    chains = sorted(top.strict_chains(), key=lambda c: (len(c), c))
-    by_len = {}
-    for c in chains:
-        by_len.setdefault(len(c) - 1, []).append(c)
-    if not chains:
+    by_deg = _chains_by_degree(f.top)
+    if not by_deg:
         return (0,)
-    maxq = max(by_len)
     index = {}
-    dims_q = {}
-    for q, cs in by_len.items():
+    dims_q = []
+    for cs in by_deg:
         off = 0
         for c in cs:
             index[c] = off
             off += f.dims[c[-1]]
-        dims_q[q] = off
+        dims_q.append(off)
 
     def differential(q):
-        if q + 1 not in by_len:
+        if q + 1 == len(by_deg):
             return []
-        rows = dims_q[q + 1]
-        cols = dims_q.get(q, 0)
-        m = linalg.zeros(rows, cols)
-        for c in by_len[q + 1]:
+        m = linalg.zeros(dims_q[q + 1], dims_q[q])
+        for c in by_deg[q + 1]:
             roff = index[c]
             d_top = f.dims[c[-1]]
             sign = 1
@@ -550,28 +556,20 @@ def sheaf_cohomology(f):
                         m[roff + r][coff + cc] += sign * rmat[r][cc]
         return m
 
-    return _betti([dims_q.get(q, 0) for q in range(maxq + 1)],
-                  (differential(q) for q in range(maxq + 1)))
+    return _betti(dims_q, (differential(q) for q in range(len(by_deg))))
 
 
 def simplicial_cohomology(top):
     """Rational cohomology of the order complex, the independent route
     for constant coefficients."""
-    chains = sorted(top.strict_chains(), key=lambda c: (len(c), c))
-    by_len = {}
-    for c in chains:
-        by_len.setdefault(len(c) - 1, []).append(c)
-    maxq = max(by_len)
-    index = {}
-    for q, cs in by_len.items():
-        for k, c in enumerate(cs):
-            index[c] = k
+    by_deg = _chains_by_degree(top)
+    index = {c: k for cs in by_deg for k, c in enumerate(cs)}
 
     def differential(q):
-        if q + 1 not in by_len:
+        if q + 1 == len(by_deg):
             return []
-        m = linalg.zeros(len(by_len[q + 1]), len(by_len[q]))
-        for c in by_len[q + 1]:
+        m = linalg.zeros(len(by_deg[q + 1]), len(by_deg[q]))
+        for c in by_deg[q + 1]:
             r = index[c]
             sign = 1
             for t in range(len(c)):
@@ -580,8 +578,8 @@ def simplicial_cohomology(top):
                 sign = -sign
         return m
 
-    return _betti([len(by_len.get(q, [])) for q in range(maxq + 1)],
-                  (differential(q) for q in range(maxq + 1)))
+    return _betti([len(cs) for cs in by_deg],
+                  (differential(q) for q in range(len(by_deg))))
 
 
 # Cech side
@@ -696,7 +694,8 @@ def check_gluing(pair, f, max_family_size=2):
     """Sheaf condition for the pulled-back presheaf U -> F(check U) on
     every listed distinguished covering: the value embeds as the
     equalizer of the member values against the pairwise intersections.
-    Returns (ok, witness)."""
+    Returns (ok, witness).  Exercised by
+    tests/test_gtop.py::test_gluing_on_constant_sheaf."""
     g = GCoveringSystem(pair, max_family_size)
     for um in pair.trace_open_masks():
         w_u = pair.u_check_mask(um)

@@ -50,10 +50,6 @@ def matmul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((aij * vj for aij, vj in zip(row, v)), ZERO) for row in a]
-
-
 def _echelon(m, reduced):
     """Fraction-free elimination of the rational matrix m.  Returns
     (rows, pivot_columns) with rows of ints: the first len(pivot_columns)

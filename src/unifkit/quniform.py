@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import namedtuple
 from functools import cache
 
 from .relations import FiniteSet, Relation, bits, intersect_all
@@ -78,22 +79,13 @@ class QUniformity:
             self.base.labels, len(self.basis), self.symmetric_flag)
 
 
-class QUniformReport:
+class QUniformReport(namedtuple("QUniformReport", [
+        "reflexive_ok", "cotransitive_ok", "symmetric_ok",
+        "is_quasi_uniformity", "is_uniformity", "e_min", "witnesses"])):
     """Outcome of check_quniformity. Witnesses are (axiom, entourage,
     pair) triples pointing at a concrete failure."""
 
-    __slots__ = ("reflexive_ok", "cotransitive_ok", "symmetric_ok",
-                 "is_quasi_uniformity", "is_uniformity", "e_min", "witnesses")
-
-    def __init__(self, reflexive_ok, cotransitive_ok, symmetric_ok,
-                 is_quasi_uniformity, is_uniformity, e_min, witnesses):
-        self.reflexive_ok = reflexive_ok
-        self.cotransitive_ok = cotransitive_ok
-        self.symmetric_ok = symmetric_ok
-        self.is_quasi_uniformity = is_quasi_uniformity
-        self.is_uniformity = is_uniformity
-        self.e_min = e_min
-        self.witnesses = tuple(witnesses)
+    __slots__ = ()
 
 
 def check_quniformity(u):
@@ -201,14 +193,7 @@ class CoveringFamily:
     def from_coverings(cls, base, coverings):
         masks = []
         for cov in coverings:
-            f = 0
-            total = 0
-            for block in cov:
-                bm = base.mask_of(block)
-                if bm == 0:
-                    raise ValueError("empty block in covering")
-                f |= 1 << (bm - 1)
-                total |= bm
+            f, total = _covering_mask(base, cov)
             if total != (1 << len(base)) - 1:
                 raise ValueError("family member does not cover the base set")
             masks.append(f)
@@ -218,13 +203,7 @@ class CoveringFamily:
         return frozenset(self.base.labels_of(k + 1) for k in bits(f))
 
     def mask_from_covering(self, cov):
-        f = 0
-        for block in cov:
-            bm = self.base.mask_of(block)
-            if bm == 0:
-                raise ValueError("empty block in covering")
-            f |= 1 << (bm - 1)
-        return f
+        return _covering_mask(self.base, cov)[0]
 
     @property
     def coverings(self):
@@ -238,6 +217,19 @@ class CoveringFamily:
 
     def __repr__(self):
         return "CoveringFamily(%r, %d coverings)" % (self.base.labels, len(self.families))
+
+
+def _covering_mask(base, cov):
+    """Family mask of a covering given by label blocks, and the union
+    of its blocks."""
+    f = total = 0
+    for block in cov:
+        bm = base.mask_of(block)
+        if bm == 0:
+            raise ValueError("empty block in covering")
+        f |= 1 << (bm - 1)
+        total |= bm
+    return f, total
 
 
 def star(cov, block):
@@ -320,19 +312,15 @@ def tukey_to_weil(t):
         symmetric_flag=True)
 
 
-class TukeyReport:
-    __slots__ = ("valid", "all_coverings_ok", "meet_ok", "coarsening_ok",
-                 "star_ok", "witnesses", "exhaustive")
+class TukeyReport(namedtuple("TukeyReport", [
+        "all_coverings_ok", "meet_ok", "coarsening_ok", "star_ok", "witnesses",
+        "exhaustive"])):
+    __slots__ = ()
 
-    def __init__(self, all_coverings_ok, meet_ok, coarsening_ok, star_ok,
-                 witnesses, exhaustive):
-        self.all_coverings_ok = all_coverings_ok
-        self.meet_ok = meet_ok
-        self.coarsening_ok = coarsening_ok
-        self.star_ok = star_ok
-        self.valid = all_coverings_ok and meet_ok and coarsening_ok and star_ok
-        self.witnesses = tuple(witnesses)
-        self.exhaustive = exhaustive
+    @property
+    def valid(self):
+        return (self.all_coverings_ok and self.meet_ok
+                and self.coarsening_ok and self.star_ok)
 
 
 def _meet_mask(f1, f2):
@@ -426,12 +414,11 @@ def is_tukey_family(t, sample=None, rng=None):
 class Proximity:
     """Nearness predicate on subset pairs, always evaluated lazily."""
 
-    __slots__ = ("base", "_near", "source")
+    __slots__ = ("base", "_near")
 
-    def __init__(self, base, near_fn, source=""):
+    def __init__(self, base, near_fn):
         self.base = base
         self._near = near_fn
-        self.source = source
 
     def near(self, a, b):
         a = frozenset(a)
@@ -471,25 +458,23 @@ def proximity_from(u):
                 return True
         return False
 
-    return Proximity(base, near, source="entourage")
+    return Proximity(base, near)
 
 
-class ProximityReport:
-    __slots__ = ("intersection_ok", "additive_ok", "empty_ok", "valid",
-                 "witnesses")
+class ProximityReport(namedtuple("ProximityReport", [
+        "intersection_ok", "additive_ok", "empty_ok", "witnesses"])):
+    __slots__ = ()
 
-    def __init__(self, intersection_ok, additive_ok, empty_ok, witnesses):
-        self.intersection_ok = intersection_ok
-        self.additive_ok = additive_ok
-        self.empty_ok = empty_ok
-        self.valid = intersection_ok and additive_ok and empty_ok
-        self.witnesses = tuple(witnesses)
+    @property
+    def valid(self):
+        return self.intersection_ok and self.additive_ok and self.empty_ok
 
 
 def check_proximity(p):
     """Axioms over all subset pairs (so |X| <= 5 in practice):
     intersecting sets are near, nearness is additive in both slots,
-    nothing is near the empty set."""
+    nothing is near the empty set.  Exercised by
+    tests/test_quniform.py::test_proximity_from_uniformity."""
     base = p.base
     subs = list(base.subsets())
     witnesses = []
@@ -534,7 +519,8 @@ def check_proximity(p):
 
 def smirnov_proximity(top, dense_labels):
     """Nearness seen from inside a dense subset of a finite (hence
-    compact) space: closures taken upstairs must meet."""
+    compact) space: closures taken upstairs must meet.  Exercised by
+    tests/test_quniform.py::test_smirnov_proximity_sees_closures."""
     dense_labels = frozenset(dense_labels)
     if not top.is_dense(dense_labels):
         raise ValueError("subset is not dense")
@@ -543,7 +529,7 @@ def smirnov_proximity(top, dense_labels):
     def near(a, b):
         return bool(top.closure(a) & top.closure(b))
 
-    return Proximity(sub, near, source="compactification")
+    return Proximity(sub, near)
 
 
 # topology and the standard quasi-uniformities
@@ -589,7 +575,8 @@ def kunzi(top):
 
 
 def symmetrize(u):
-    """Meet each entourage with its inverse. The result claims symmetry."""
+    """Meet each entourage with its inverse. The result claims symmetry.
+    Exercised by tests/test_quniform.py::test_symmetrize_yields_uniformity."""
     return QUniformity(u.base, [e.intersection(e.inverse()) for e in u.basis],
                        symmetric_flag=True)
 
@@ -631,7 +618,8 @@ def hausdorff_quotient(u):
 def is_uniformly_continuous(f, ux, uy):
     """f maps labels of ux.base to labels of uy.base. Principal filters
     again: the one condition is that f x f sends E_min into E_min.
-    Returns (ok, witness_pair)."""
+    Returns (ok, witness_pair).  Exercised by
+    tests/test_quniform.py::test_uniformly_continuous_witness."""
     xl = set(ux.base.labels)
     if set(f.keys()) != xl:
         raise ValueError("map must be defined on exactly the source labels")
@@ -648,7 +636,8 @@ def is_uniformly_continuous(f, ux, uy):
 
 def is_precompact(u):
     """Always true on a finite set; the content is the minimal witness
-    Z with E_min(Z) = X."""
+    Z with E_min(Z) = X.  Exercised by
+    tests/test_quniform.py::test_finite_spaces_are_precompact."""
     base = u.base
     n = len(base)
     full = (1 << n) - 1

@@ -77,8 +77,22 @@ class FiniteSet:
             yield self.labels_of(m)
 
 
+# the set bits of every byte, for bits
+_BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1)
+                   for m in range(256))
+
+
 def bits(mask):
-    """Indices of the set bits of mask, in increasing order."""
+    """Indices of the set bits of a nonnegative mask, in increasing
+    order.  A mask below 256 (any row on at most eight points) reads a
+    table, which is cheaper than starting a generator for the few bits
+    it has."""
+    if 0 <= mask < 256:
+        return _BYTE_BITS[mask]
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -178,14 +192,12 @@ class Relation:
     def compose(self, other):
         """self then other, reading pairs as arrows."""
         _check_same_base(self, other)
-        n = len(self.base)
+        orows = other.rows
         out = []
-        for i in range(n):
-            r, acc = self.rows[i], 0
-            while r:
-                low = r & -r
-                acc |= other.rows[low.bit_length() - 1]
-                r ^= low
+        for r in self.rows:
+            acc = 0
+            for j in bits(r):
+                acc |= orows[j]
             out.append(acc)
         return Relation(self.base, out)
 
@@ -197,28 +209,6 @@ class Relation:
                 if r >> j & 1:
                     out[j] |= 1 << i
         return Relation(self.base, out)
-
-    def image(self, labels):
-        """E(A) = union of E(x) for x in A, as a frozenset of labels."""
-        m = self.base.mask_of(labels)
-        acc = 0
-        while m:
-            low = m & -m
-            acc |= self.rows[low.bit_length() - 1]
-            m ^= low
-        return self.base.labels_of(acc)
-
-    def neighborhood(self, label):
-        return self.base.labels_of(self.rows[self.base.index(label)])
-
-    def iterate(self, n, labels):
-        """n-fold image E(E(...E(A))). n must be >= 1."""
-        if n < 1:
-            raise ValueError("iterate needs n >= 1")
-        cur = labels
-        for _ in range(n):
-            cur = self.image(cur)
-        return cur
 
     # predicates
 
@@ -258,11 +248,9 @@ class Relation:
         while changed:
             changed = False
             for i in range(n):
-                r, acc = rows[i], rows[i]
-                while r:
-                    low = r & -r
-                    acc |= rows[low.bit_length() - 1]
-                    r ^= low
+                acc = rows[i]
+                for j in bits(acc):
+                    acc |= rows[j]
                 if acc != rows[i]:
                     rows[i] = acc
                     changed = True
@@ -273,16 +261,12 @@ class Relation:
 
 
 def is_transitive_rows(rows):
-    """Transitivity on raw successor rows: every successor's row folds
-    back into the row."""
+    """Transitivity on raw successor rows: every successor's row lies
+    inside the row."""
     for r in rows:
-        m, acc = r, 0
-        while m:
-            low = m & -m
-            acc |= rows[low.bit_length() - 1]
-            m ^= low
-        if acc & ~r:
-            return False
+        for j in bits(r):
+            if rows[j] & ~r:
+                return False
     return True
 
 

@@ -22,12 +22,9 @@ def up_sets(mins, within):
     each class extends the sets listed so far that hold its need and
     the work follows the output, not the 2^n subsets."""
     classes = {}
-    rest = within
-    while rest:
-        low = rest & -rest
-        key = mins[low.bit_length() - 1] & within
-        classes[key] = classes.get(key, 0) | low
-        rest ^= low
+    for i in bits(within):
+        key = mins[i] & within
+        classes[key] = classes.get(key, 0) | 1 << i
     out = [0]
     for m in sorted(classes, key=int.bit_count):
         cls = classes[m]
@@ -135,9 +132,6 @@ class FiniteTopology:
     def min_open_mask(self, i):
         return self._min_open[i]
 
-    def minimal_open(self, label):
-        return self.base.labels_of(self._min_open[self.base.index(label)])
-
     def interior_mask(self, mask):
         """The points whose minimal open lies inside the set."""
         acc = 0
@@ -145,9 +139,6 @@ class FiniteTopology:
             if m & ~mask == 0:
                 acc |= 1 << i
         return acc
-
-    def interior(self, labels):
-        return self.base.labels_of(self.interior_mask(self.base.mask_of(labels)))
 
     def closure_mask(self, mask):
         """The points whose minimal open meets the set."""

@@ -48,6 +48,7 @@ class, or one axis.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -962,19 +963,10 @@ def make_tower(generator, depth, p=None, uniformity=None):
 # structural verification
 
 
-class TowerReport:
-    __slots__ = ("tower", "refinement_ok", "star_ok", "covering_ok",
-                 "sample_ok", "witness", "checked_levels")
-
-    def __init__(self, tower, refinement_ok, star_ok, covering_ok,
-                 sample_ok, witness, checked_levels):
-        self.tower = tower
-        self.refinement_ok = refinement_ok
-        self.star_ok = star_ok
-        self.covering_ok = covering_ok
-        self.sample_ok = sample_ok
-        self.witness = witness
-        self.checked_levels = tuple(checked_levels)
+class TowerReport(namedtuple("TowerReport", [
+        "tower", "refinement_ok", "star_ok", "covering_ok", "sample_ok",
+        "witness", "checked_levels"])):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -1154,13 +1146,9 @@ def _validate_covering(tower, cov):
 # uniform coverings
 
 
-class UniformCoverReport:
-    __slots__ = ("ok", "witness", "covering")
-
-    def __init__(self, ok, witness, covering):
-        self.ok = ok
-        self.witness = witness
-        self.covering = covering
+class UniformCoverReport(namedtuple("UniformCoverReport", [
+        "ok", "witness", "covering"])):
+    __slots__ = ()
 
     def lines(self):
         out = ["covering=%s" % self.covering.name,
@@ -1211,15 +1199,9 @@ def _class_absorbed(tower, cov, cls, msets, present):
 # Tukey refinement
 
 
-class TukeyReport:
-    __slots__ = ("ok", "level", "witness", "covering", "subcover_size")
-
-    def __init__(self, ok, level, witness, covering, subcover_size):
-        self.ok = ok
-        self.level = level
-        self.witness = witness
-        self.covering = covering
-        self.subcover_size = subcover_size
+class TukeyReport(namedtuple("TukeyReport", [
+        "ok", "level", "witness", "covering", "subcover_size"])):
+    __slots__ = ()
 
     def lines(self):
         out = ["covering=%s" % self.covering.name,
@@ -1266,14 +1248,9 @@ def _block_in_some_member(tower, cov, msets, present, k, b):
 # uniform continuity
 
 
-class ContinuityReport:
-    __slots__ = ("kind", "rows", "src", "dst")
-
-    def __init__(self, kind, rows, src, dst):
-        self.kind = kind
-        self.rows = tuple(rows)
-        self.src = src
-        self.dst = dst
+class ContinuityReport(namedtuple("ContinuityReport", [
+        "kind", "rows", "src", "dst"])):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -1410,16 +1387,9 @@ class _PolarToCartesian:
 # bornology
 
 
-class BornologyReport:
-    __slots__ = ("precompact", "bounded", "level_counts", "z", "n", "level")
-
-    def __init__(self, precompact, bounded, level_counts, z, n, level):
-        self.precompact = precompact
-        self.bounded = bounded
-        self.level_counts = tuple(level_counts)
-        self.z = tuple(z)
-        self.n = n
-        self.level = level
+class BornologyReport(namedtuple("BornologyReport", [
+        "precompact", "bounded", "level_counts", "z", "n", "level"])):
+    __slots__ = ()
 
     def lines(self):
         out = ["precompact=%s" % ("true" if self.precompact else "false"),

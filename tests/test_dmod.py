@@ -11,8 +11,9 @@ import unifkit
 from unifkit import linalg
 from unifkit.dmod import (INF, ConnectionSpec, DiffOp, NewtonPolygon,
                           _OracleSession, _beyond, _coord_key,
-                          _stirling_first, as_point, corpus, deligne_chi,
-                          delta_product, delta_to_partial, delta_valuations,
+                          _stirling_first, _stirling_second, as_point,
+                          corpus, deligne_chi, delta_product,
+                          delta_to_partial, delta_valuations,
                           derham_oracle, format_point, index_report,
                           irregularity, newton_polygon, ordinary_at_infinity,
                           to_delta_form)
@@ -200,6 +201,83 @@ def test_delta_product_adds_irregularities():
 def test_ordinary_at_infinity():
     assert ordinary_at_infinity(op("gm-trivial"))
     assert not ordinary_at_infinity(op("airy"))
+
+
+# ordinary_at_infinity as it was written before it shared the Stirling
+# expansion of delta_to_partial, kept verbatim as the oracle
+
+def _reference_ordinary_at_infinity(op):
+    n = op.order
+    bs = to_delta_form(op, 0)
+    s2 = _stirling_second(n)
+    tt = RatFunc.variable()
+    cs = []
+    for k in range(n + 1):
+        acc = RatFunc(0)
+        for j in range(k, n + 1):
+            if s2[j][k] and not bs[j].is_zero():
+                acc = acc + bs[j].inverted() * ((-1) ** j) * s2[j][k]
+        cs.append(acc * tt ** k)
+    lead = cs[n]
+    if lead.is_zero():
+        return False
+    vl = lead.valuation(0)
+    for c in cs[:-1]:
+        v = c.valuation(0)
+        if v is not None and v < vl:
+            return False
+    return True
+
+
+def _pulled_back(cs):
+    """sum c_k(w) (d/dw)^k for polynomials c_k in w, written in z = 1/w,
+    where d/dw = -z^2 d/dz: an operator regular at infinity whenever
+    its leading c_k does not vanish at w = 0."""
+    minus_z2 = RatFunc(-z * z)
+    power = [RatFunc(1)]  # (d/dw)^k in powers of d/dz
+    out = [RatFunc(0)] * len(cs)
+    for c in cs:
+        cz = RatFunc(c).inverted()
+        for i, p in enumerate(power):
+            out[i] = out[i] + cz * p
+        # left-multiply by -z^2 d/dz: p D^i becomes p' D^i + p D^(i+1)
+        nxt = [RatFunc(0)] * (len(power) + 1)
+        for i, p in enumerate(power):
+            nxt[i] = nxt[i] + minus_z2 * p.deriv()
+            nxt[i + 1] = nxt[i + 1] + minus_z2 * p
+        power = nxt
+    return DiffOp(out)
+
+
+def _random_polynomial(rng):
+    return Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(rng.randint(1, 3))])
+
+
+def _small_coefficient(rng):
+    if rng.random() < 0.2:
+        return RatFunc(0)
+    den = z ** rng.choice((0, 0, 1, 2)) * (z - 1) ** rng.choice((0, 0, 1))
+    return RatFunc(_random_polynomial(rng), den)
+
+
+def test_ordinary_at_infinity_matches_the_reference():
+    ops = [e.spec.operator for e in corpus()]
+    rng = random.Random(14)
+    while len(ops) < 8 + 300:
+        n = rng.randint(1, 3)
+        if len(ops) % 3:
+            coeffs = [_small_coefficient(rng) for _ in range(n + 1)]
+            if coeffs[-1].is_zero():
+                continue
+            ops.append(DiffOp(coeffs))
+        else:
+            cs = [_random_polynomial(rng) for _ in range(n)]
+            cs.append(Polynomial.const(rng.choice((1, -2, Fraction(1, 3)))))
+            ops.append(_pulled_back(cs))
+    verdicts = [ordinary_at_infinity(d) for d in ops]
+    assert verdicts == [_reference_ordinary_at_infinity(d) for d in ops]
+    assert True in verdicts and False in verdicts
 
 
 def test_spec_requires_singular_points_listed():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unifkit.relations import (FiniteSet, Relation, intersect_all,
+from unifkit.relations import (FiniteSet, Relation, bits, intersect_all,
                                random_relation)
 
 
@@ -18,6 +18,13 @@ def test_labels_and_masks(base):
     assert base.labels_of(0b110) == frozenset({"b", "c"})
 
 
+def test_bits_lists_set_bits_in_order():
+    # masks below 256 read the byte table, wider ones the loop
+    for m in list(range(1 << 10)) + [1 << 70 | 5, (1 << 64) - 1]:
+        assert list(bits(m)) == [i for i in range(m.bit_length())
+                                 if m >> i & 1]
+
+
 def test_subsets_counts(base):
     assert len(list(base.subsets())) == 8
     assert len(list(base.subsets(nonempty=True))) == 7
@@ -28,11 +35,33 @@ def test_from_pairs_and_pairs_round_trip(base):
     assert set(r.pairs) == {("a", "b"), ("b", "c"), ("a", "a")}
 
 
+def _seeded_relations(seed, count=60):
+    """Pairs of seeded random relations on 0 to 6 points."""
+    rng = random.Random(seed)
+    for k in range(count):
+        b = FiniteSet("x%d" % i for i in range(k % 7))
+        density = rng.choice((0.2, 0.4, 0.6))
+        yield (random_relation(b, rng, density),
+               random_relation(b, rng, density))
+
+
+def _pairwise_closure(pairs):
+    out = set(pairs)
+    while True:
+        more = {(a, d) for a, b in out for c, d in out if b == c} - out
+        if not more:
+            return out
+        out |= more
+
+
 def test_compose_is_relational_composition(base):
     r = Relation.from_pairs(base, [("a", "b")])
     s = Relation.from_pairs(base, [("b", "c")])
     assert set(r.compose(s).pairs) == {("a", "c")}
     assert not set(s.compose(r).pairs)
+    for e, f in _seeded_relations(1):
+        want = {(a, d) for a, b in e.pairs for c, d in f.pairs if b == c}
+        assert set(e.compose(f).pairs) == want
 
 
 def test_inverse_swaps(base):
@@ -56,6 +85,13 @@ def test_closures(base):
     e = (r | r.inverse()).reflexive_transitive_closure()
     assert e.is_equivalence()
     assert e == Relation.full(base)
+    for e, _ in _seeded_relations(2):
+        closed = _pairwise_closure(e.pairs)
+        assert set(e.transitive_closure().pairs) == closed
+        assert e.is_transitive() == (closed == set(e.pairs))
+        diag = {(x, x) for x in e.base}
+        assert set(e.reflexive_transitive_closure().pairs) == \
+            _pairwise_closure(e.pairs | diag)
 
 
 def test_predicates_disagree_on_strict_order(base):

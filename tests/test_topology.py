@@ -3,7 +3,7 @@ import random
 
 from unifkit.enumeration import (all_equivalences, all_partial_orders,
                                  all_preorders, dense_pairs, dense_subsets,
-                                 standard_base)
+                                 reflexive_rows, standard_base)
 from unifkit.quniform import QUniformity, topology_from
 from unifkit.relations import (FiniteSet, Relation, is_transitive_rows,
                                random_relation)
@@ -34,8 +34,8 @@ def test_interior_closure_duality():
 def test_minimal_open_of_chain():
     top = chain3()
     # a sees everything above it, c only itself
-    assert top.minimal_open("a") == frozenset({"a", "b", "c"})
-    assert top.minimal_open("c") == frozenset({"c"})
+    assert top.min_open_mask(0) == 0b111
+    assert top.min_open_mask(2) == 0b100
 
 
 def test_specialization_round_trip():
@@ -75,7 +75,27 @@ def test_dense_subsets_of_chain():
     assert len(ds) == 4
 
 
+def _spread_reflexive_rows(n):
+    """The reflexive relations as the acceptance suite first built
+    them: row i is point i plus a subset of the others, spread from a
+    mask over the n - 1 other points."""
+    choices = []
+    for i in range(n):
+        rest = [b for b in range(n) if b != i]
+        opts = []
+        for m in range(1 << (n - 1)):
+            row = 1 << i
+            for k, b in enumerate(rest):
+                if m >> k & 1:
+                    row |= 1 << b
+            opts.append(row)
+        choices.append(opts)
+    return list(itertools.product(*choices))
+
+
 def test_enumeration_counts():
+    for n in range(5):
+        assert list(reflexive_rows(n)) == _spread_reflexive_rows(n)
     assert len(all_preorders(standard_base(1))) == 1
     assert len(all_preorders(standard_base(2))) == 4
     assert len(all_preorders(standard_base(3))) == 29
