@@ -163,9 +163,8 @@ def to_delta_form(op, x):
     derivative (z-x) d/dz at a finite x.  At infinity the substitution
     w = 1/z is applied and the b_j come back as functions of w, each
     times (-1)^j since w d/dw = -z d/dz, so they are the Euler form in
-    w that ordinary_at_infinity expands.  Each b_j is one RatFunc built
-    from its numerator over the common denominator (_delta_numerators),
-    normalised once."""
+    w.  Each b_j is one RatFunc built from its numerator over the
+    common denominator (_delta_numerators), normalised once."""
     x = as_point(x)
     n = op.order
     nums, den = _delta_numerators(op, x)
@@ -218,9 +217,10 @@ def delta_product(bs, cs):
     return tuple(out)
 
 
-def _partial_coeffs(bs):
-    """Coefficients of the powers of d/dt in sum b_j delta^j, delta =
-    t d/dt, from delta^j = sum_k S[j][k] t^k (d/dt)^k."""
+def delta_to_partial(bs):
+    """Operator in d/dz form from Euler-form coefficients at 0, by
+    delta^j = sum_k S[j][k] t^k (d/dt)^k."""
+    bs = [b if isinstance(b, RatFunc) else RatFunc(b) for b in bs]
     n = len(bs) - 1
     s2 = _stirling_second(n)
     tt = RatFunc.variable()
@@ -231,13 +231,7 @@ def _partial_coeffs(bs):
             if s2[j][k] and not bs[j].is_zero():
                 acc = acc + bs[j] * s2[j][k]
         out.append(acc * tt ** k)
-    return out
-
-
-def delta_to_partial(bs):
-    """Operator in d/dz form from Euler-form coefficients at 0."""
-    return DiffOp(_partial_coeffs(
-        [b if isinstance(b, RatFunc) else RatFunc(b) for b in bs]))
+    return DiffOp(out)
 
 
 class NewtonPolygon:
@@ -292,17 +286,25 @@ def irregularity(op, x):
 def ordinary_at_infinity(op):
     """Whether the pullback under w = 1/z has pole-free monic
     coefficients at w = 0, i.e. infinity is not a singular point.  The
-    pullback is the d/dw form of the Euler form at infinity."""
-    cs = _partial_coeffs(to_delta_form(op, INF))
-    lead = cs[-1]
-    if lead.is_zero():
+    pullback is the d/dw form of the Euler form at infinity: with the
+    numerators P_j over D z^n of _delta_numerators, its coefficient of
+    (d/dw)^k is w^k Q_k(1/w) / (D(1/w) w^-n) for
+    Q_k = sum_{j>=k} S[j][k] (-1)^j P_j, so its order at w = 0 is
+    k - deg Q_k plus a shift common to all k."""
+    n = op.order
+    nums, _ = _delta_numerators(op, INF)
+    s2 = _stirling_second(n)
+    orders = []
+    for k in range(n + 1):
+        q = Polynomial()
+        for j in range(k, n + 1):
+            if s2[j][k]:
+                q = q + nums[j] * (s2[j][k] * (-1) ** j)
+        orders.append(None if q.is_zero() else k - q.degree)
+    lead = orders[n]
+    if lead is None:
         return False
-    vl = lead.valuation(0)
-    for c in cs[:-1]:
-        v = c.valuation(0)
-        if v is not None and v < vl:
-            return False
-    return True
+    return all(v is None or v >= lead for v in orders)
 
 
 class ConnectionSpec:

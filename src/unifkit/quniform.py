@@ -232,21 +232,7 @@ def _covering_mask(base, cov):
     return f, total
 
 
-def star(cov, block):
-    """Union of the members of cov meeting block. block must itself be
-    a member."""
-    cov = set(cov)
-    block = frozenset(block)
-    if block not in cov:
-        raise ValueError("block is not a member of the covering")
-    out = set()
-    for a in cov:
-        if a & block:
-            out |= a
-    return frozenset(out)
-
-
-def _star_refines(fine, coarse, base):
+def _star_refines(fine, coarse):
     """Does fine star-refine coarse: star(fine, B) inside a member of
     coarse for every member B of fine. Masks in, masks out."""
     fine_blocks = [k + 1 for k in bits(fine)]
@@ -313,8 +299,8 @@ def tukey_to_weil(t):
 
 
 class TukeyReport(namedtuple("TukeyReport", [
-        "all_coverings_ok", "meet_ok", "coarsening_ok", "star_ok", "witnesses",
-        "exhaustive"])):
+        "all_coverings_ok", "meet_ok", "coarsening_ok", "star_ok",
+        "witnesses"])):
     __slots__ = ()
 
     @property
@@ -333,19 +319,29 @@ def _meet_mask(f1, f2):
     return out
 
 
-def is_tukey_family(t, sample=None, rng=None):
-    """Check the covering-family axioms.
+def is_tukey_family(t):
+    """Check the covering-family axioms, exhaustively and exactly.
 
-    Families small enough get the exhaustive pairwise treatment.  Large
-    ones (weil_to_tukey output can have tens of thousands of members)
-    need sample > 0 and an rng; meet-stability and star-refinement are
-    then spot-checked while coarsening-closure stays exhaustive, one
-    added block at a time.
+    Coverage and coarsening-closure run over every member.  Call a
+    member minimal when dropping any one of its blocks leaves the
+    family; meet-stability and star-refinement run over the minimal
+    members only, which decides them:
+
+    - star, for any family: dropping blocks from a refiner shrinks its
+      stars, adding blocks to a target makes it easier to hit, and
+      every member contains a minimal one, so every member is
+      star-refined by a member iff every minimal member is
+      star-refined by a minimal member;
+    - meet: _meet_mask is monotone in both arguments, so when
+      coarsening holds (every superset of a member is a member) the
+      meets of all pairs lie in the family iff those of minimal pairs
+      do.  When coarsening fails the family is rejected whatever the
+      meet check says.
     """
-    base = t.base
-    full = (1 << len(base)) - 1
+    full = (1 << len(t.base)) - 1
     blocks = t.blocks
     fams = sorted(t.families)
+    fam_set = t.families
     witnesses = []
 
     all_cov = True
@@ -358,18 +354,12 @@ def is_tukey_family(t, sample=None, rng=None):
             witnesses.append(("covers", f))
             break
 
-    exhaustive = len(fams) * len(fams) <= 250_000
-    if not exhaustive and not sample:
-        raise ValueError(
-            "family too large for exhaustive meet check; pass sample and rng")
+    minimal = [f for f in fams
+               if all(f & ~(1 << k) not in fam_set for k in bits(f))]
 
-    fam_set = t.families
+    # the meet is symmetric, so unordered pairs suffice
     meet_ok = True
-    if exhaustive:
-        pair_iter = itertools.product(fams, fams)
-    else:
-        pair_iter = ((rng.choice(fams), rng.choice(fams)) for _ in range(sample))
-    for f1, f2 in pair_iter:
+    for f1, f2 in itertools.combinations_with_replacement(minimal, 2):
         if _meet_mask(f1, f2) not in fam_set:
             meet_ok = False
             witnesses.append(("meet", f1, f2))
@@ -388,24 +378,14 @@ def is_tukey_family(t, sample=None, rng=None):
         if not coarsening_ok:
             break
 
-    # star-refinement: candidates are the finest members
-    def weight(f):
-        return sum((k + 1).bit_count() for k in bits(f))
-
-    cands = sorted(fams, key=weight)[:200]
     star_ok = True
-    if exhaustive:
-        targets = fams
-    else:
-        targets = [rng.choice(fams) for _ in range(min(sample, 500))]
-    for f in targets:
-        if not any(_star_refines(c, f, base) for c in cands):
+    for f in minimal:
+        if not any(_star_refines(c, f) for c in minimal):
             star_ok = False
             witnesses.append(("star", f))
             break
 
-    return TukeyReport(all_cov, meet_ok, coarsening_ok, star_ok, witnesses,
-                       exhaustive)
+    return TukeyReport(all_cov, meet_ok, coarsening_ok, star_ok, witnesses)
 
 
 # proximity side

@@ -694,6 +694,12 @@ class _PadicGen(_ResidueGen):
                     "sequences with empty intersection have no finite "
                     "block chain at this depth and are not enumerated",)
 
+    def __init__(self, p):
+        super().__init__(p)
+        if p > 10:
+            raise ValueError("padic_disk needs p < 10: its blocks are "
+                             "strings of decimal digits")
+
     def block_ids(self, k):
         digits = [str(d) for d in range(self.p)]
         for tup in product(digits, repeat=k):

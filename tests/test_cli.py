@@ -9,8 +9,9 @@ import pytest
 from unifkit import formats
 from unifkit.cli import _parser, main
 from unifkit.dmod import corpus
+from unifkit.enumeration import standard_base
 from unifkit.gtop import constant_sheaf, sierpinski_pair
-from unifkit.quniform import pervin, symmetrize
+from unifkit.quniform import QUniformity, pervin, symmetrize
 
 SIER = ("space sierpinski 2\nelements p0 p1\n"
         "open\nopen p1\nopen p0 p1\ndense p1\n")
@@ -109,6 +110,24 @@ def test_convert_round_trip(tmp_path, sym_file):
     code, back, _ = run(["convert", "--tukey-to-weil", str(cov)])
     assert code == 0
     assert "entourage" in back
+
+
+def test_check_decides_a_four_point_weil_to_tukey_family(tmp_path):
+    # every covering of four points, far past any pairwise check
+    u = QUniformity.discrete(standard_base(4))
+    disc = tmp_path / "discrete.space"
+    disc.write_text(formats.print_space(
+        formats.SpaceFile.from_uniformity("d", u)))
+    code, w2t, _ = run(["convert", "--weil-to-tukey", str(disc)])
+    assert code == 0
+    cov = tmp_path / "cov.space"
+    cov.write_text(w2t)
+    code, out, _ = run(["check", str(cov)])
+    assert code == 0
+    lines = out.splitlines()
+    assert "coverings=32297" in lines
+    assert "tukey_family=true" in lines
+    assert "exhaustive=true" in lines
 
 
 def test_derive_topology(pervin_file):

@@ -1,15 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from unifkit.enumeration import all_equivalences, standard_base
-from unifkit.quniform import (CoveringFamily, QUniformity, check_proximity,
+from unifkit.quniform import (CoveringFamily, QUniformity, _meet_mask,
+                              check_proximity,
                               check_quniformity, hausdorff_quotient,
                               is_precompact, is_tukey_family,
                               is_uniformly_continuous, kunzi, pervin,
                               proximity_from, smirnov_proximity, symmetrize,
                               topology_from, tukey_to_weil, weil_to_tukey)
-from unifkit.relations import FiniteSet, Relation, random_relation
+from unifkit.relations import FiniteSet, Relation, bits, random_relation
 from unifkit.topology import FiniteTopology
 
 
@@ -78,17 +80,14 @@ def test_weil_to_tukey_rejects_asymmetric(sier):
         weil_to_tukey(pervin(sier))
 
 
-def test_tukey_family_sampling_mode():
-    # the indiscrete uniformity on four points admits every covering,
-    # far past the exhaustive pairwise limit
+def test_tukey_family_indiscrete_four_points():
+    # the indiscrete uniformity on four points admits every covering
+    # that has the whole set as a block, and that block alone is the
+    # one minimal member
     base = standard_base(4)
-    u = QUniformity(base, [Relation.full(base)], symmetric_flag=True)
-    fam = weil_to_tukey(u)
-    rep = is_tukey_family(fam, sample=200, rng=random.Random(3))
-    assert rep.valid
-    assert not rep.exhaustive
-    with pytest.raises(ValueError):
-        is_tukey_family(fam)
+    fam = weil_to_tukey(QUniformity.indiscrete(base))
+    assert len(fam) == 16384
+    assert is_tukey_family(fam).valid
 
 
 def test_covering_family_star():
@@ -280,3 +279,109 @@ def test_tukey_to_weil_rejects_a_member_that_misses_a_point():
     # blocks {x0} and {x1} leave x2 uncovered
     with pytest.raises(ValueError, match="does not cover the base set"):
         tukey_to_weil(CoveringFamily(base, [0b11, 1 << 6]))
+
+
+# is_tukey_family's exhaustive branch as it stood before the check moved
+# to minimal members, kept verbatim with the star-refinement helper it
+# called, as the oracle
+
+def _reference_star_refines(fine, coarse, base):
+    """Does fine star-refine coarse: star(fine, B) inside a member of
+    coarse for every member B of fine. Masks in, masks out."""
+    fine_blocks = [k + 1 for k in bits(fine)]
+    coarse_blocks = [k + 1 for k in bits(coarse)]
+    for b in fine_blocks:
+        st = 0
+        for a in fine_blocks:
+            if a & b:
+                st |= a
+        if not any(st & ~c == 0 for c in coarse_blocks):
+            return False
+    return True
+
+
+def _reference_is_tukey_family(t):
+    base = t.base
+    full = (1 << len(base)) - 1
+    blocks = t.blocks
+    fams = sorted(t.families)
+    witnesses = []
+
+    all_cov = True
+    for f in fams:
+        u = 0
+        for k in bits(f):
+            u |= k + 1
+        if u != full:
+            all_cov = False
+            witnesses.append(("covers", f))
+            break
+
+    fam_set = t.families
+    meet_ok = True
+    pair_iter = itertools.product(fams, fams)
+    for f1, f2 in pair_iter:
+        if _meet_mask(f1, f2) not in fam_set:
+            meet_ok = False
+            witnesses.append(("meet", f1, f2))
+            break
+
+    # adding any block keeps a covering a covering and only coarsens it
+    coarsening_ok = True
+    nb = len(blocks)
+    for f in fams:
+        for k in range(nb):
+            g = f | 1 << k
+            if g not in fam_set:
+                coarsening_ok = False
+                witnesses.append(("coarsening", f, blocks[k]))
+                break
+        if not coarsening_ok:
+            break
+
+    # star-refinement: candidates are the finest members
+    def weight(f):
+        return sum((k + 1).bit_count() for k in bits(f))
+
+    cands = sorted(fams, key=weight)[:200]
+    star_ok = True
+    targets = fams
+    for f in targets:
+        if not any(_reference_star_refines(c, f, base) for c in cands):
+            star_ok = False
+            witnesses.append(("star", f))
+            break
+
+    return all_cov, meet_ok, coarsening_ok, star_ok
+
+
+def _seeded_covering_families(count, seed=15):
+    """Families on at most three points, where the oracle's caps never
+    bind: arbitrary mask sets (some miss a point), and the up-closures
+    of one to three masks, which are closed under coarsening."""
+    rng = random.Random(seed)
+    for i in range(count):
+        base = standard_base(rng.choice((1, 2, 3, 3, 3, 3)))
+        masks = range(1, 1 << (1 << len(base)) - 1)
+        if i % 2:
+            gens = rng.sample(masks, min(len(masks), rng.randint(1, 3)))
+            fams = [f for f in masks if any(f & g == g for g in gens)]
+        else:
+            p = rng.choice((0.1, 0.5, 0.9))
+            fams = [f for f in masks if rng.random() < p]
+        yield CoveringFamily(base, fams)
+
+
+def test_tukey_family_matches_the_oracle_on_seeded_families():
+    verdicts = set()
+    for t in _seeded_covering_families(2000):
+        rep = is_tukey_family(t)
+        cov, meet, coarse, star = _reference_is_tukey_family(t)
+        assert rep.all_coverings_ok == cov, t.families
+        assert rep.coarsening_ok == coarse, t.families
+        assert rep.star_ok == star, t.families
+        # meet is decided on minimal members, exact once coarsening holds
+        if coarse:
+            assert rep.meet_ok == meet, t.families
+        verdicts.add(rep.valid)
+    assert verdicts == {True, False}

@@ -34,6 +34,11 @@ def test_make_tower_argument_checks():
         make_tower("padic_disk", 3)
     with pytest.raises(ValueError):
         make_tower("formal", 3)
+    # p-adic blocks are decimal digit strings, so digit 10 has no name;
+    # formal blocks are ints and take any prime
+    with pytest.raises(ValueError, match="decimal digits"):
+        make_tower("padic_disk", 2, p=11)
+    assert verify_tower(make_tower("formal", 2, p=11)).ok
     with pytest.raises(ValueError):
         make_tower("finite", 1)
     with pytest.raises(ValueError):
