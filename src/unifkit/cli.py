@@ -101,8 +101,8 @@ def cmd_derive(args):
         sys.stdout.write(formats.print_space(
             formats.SpaceFile.from_topology(sf.name, top)))
         return 0
-    from .quniform import proximity_from
-    table = proximity_from(u).table()
+    from .quniform import Proximity
+    table = Proximity(u).table()
     for a, b in table:
         print("near %s %s" % ("+".join(sorted(a)), "+".join(sorted(b))))
     return 0

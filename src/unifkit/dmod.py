@@ -453,9 +453,26 @@ class _OracleSession:
 
     def window_dims(self, d):
         """Kernel and cokernel sizes against the window of bound d.
-        The kernel is exact inside the window; the cokernel counts
-        window coordinates missed by images of the slightly larger
-        window, the enlargement swallowing the coordinate shift."""
+
+        h0 is the kernel of the operator L on the window V_d, exactly.
+        h1 is the dimension of W_d / (L(V) & W_d), W_d the window's
+        coordinates and V the whole function space.  An element outside
+        V_d can map into W_d (d/dz sends z^(d+1) to (d+1) z^d), so the
+        images come from the outer window V_(d+s), s = _shift_bound,
+        the most that one term a_i (d/dz)^i moves the pole order at a
+        point of Z, or the degree at infinity, of a basis element.
+
+        Why s is enough: let v have order K > d + s at some point.  Each
+        term moves K by at least -s, and the terms that move it most give
+        Lv one coordinate of order above d, whose coefficient is a
+        nonzero polynomial in K (their leading coefficients times rising
+        or falling factorials of K).  Lower orders of v, elements at
+        other points and the coefficients' own poles reach lower orders
+        only.  So unless K is a root of that polynomial, Lv leaves W_d,
+        and L(V) & W_d = L(V_(d+s)) & W_d.  This is per window; it does
+        not bound the d from which (h0, h1) stop changing, which
+        derham_oracle checks on three windows.  k_out - k_full below is
+        the dimension of the outer window's images inside W_d."""
         inner = self.basis_keys(d)
         inner_set = set(inner)
         # inner keys first, so the first n_inner columns are the window

@@ -2,9 +2,10 @@
 operators.
 
 Every format is line oriented; blank lines and lines starting with '#'
-are skipped.  Parse errors carry path:line:column.  Printers emit the
-canonical form (sorted labels everywhere), and parsing a canonical file
-and printing it back is byte identical.
+are skipped.  Parse errors carry path:line:column.  Only space files
+are printed: print_space emits the canonical form (sorted labels
+everywhere), and parsing a canonical space file and printing it back
+is byte identical.  Tower, sheaf and operator files are only read.
 
 Space file:
 
@@ -42,7 +43,7 @@ z and integer literals, and the singular set:
 
 from fractions import Fraction
 
-from .dmod import ConnectionSpec, DiffOp, as_point, format_point
+from .dmod import ConnectionSpec, DiffOp, as_point
 from .gtop import DensePair, PosetSheaf
 from .poly import Polynomial, RatFunc
 from .quniform import CoveringFamily, QUniformity
@@ -347,15 +348,6 @@ def parse_tower(text, path="<tower>"):
     return decl
 
 
-def print_tower(decl):
-    parts = ["tower %s" % decl["generator"], "depth=%d" % decl["depth"]]
-    if decl.get("p") is not None:
-        parts.append("p=%d" % decl["p"])
-    if decl.get("space") is not None:
-        parts.append("space=%s" % decl["space"])
-    return " ".join(parts) + "\n"
-
-
 # rational numbers and expressions
 
 
@@ -585,18 +577,6 @@ def parse_operator(text, path="<operator>"):
                           infinity_regular=inf_regular)
 
 
-def print_operator(spec):
-    out = []
-    for i, c in enumerate(spec.operator.coeffs):
-        if not c.is_zero():
-            out.append("a_%d = %s" % (i, format_ratfunc(c)))
-    pts = [format_point(p) for p in spec.points]
-    out.append("Z = {%s}" % ", ".join(pts))
-    if spec.infinity_regular:
-        out.append("regular_at_infinity = true")
-    return "\n".join(out) + "\n"
-
-
 # sheaf files
 
 
@@ -675,17 +655,3 @@ def parse_sheaf(text, path="<sheaf>"):
         r, c = dims[y], dims[x]
         mats[(i, j)] = [vals[k * c:(k + 1) * c] for k in range(r)]
     return name, PosetSheaf(top, dim_list, mats)
-
-
-def print_sheaf(name, sheaf):
-    base = sheaf.top.base
-    out = ["sheaf %s" % name]
-    for i, lab in sorted(enumerate(base.labels), key=lambda t: t[1]):
-        out.append("point %s dim=%d" % (lab, sheaf.dims[i]))
-    lines = []
-    for (i, j), m in sheaf.edge_mats.items():
-        flat = " ".join(format_rational(x) for row in m for x in row)
-        body = "edge %s %s" % (base.labels[i], base.labels[j])
-        lines.append(body + (" " + flat if flat else ""))
-    out.extend(sorted(lines))
-    return "\n".join(out) + "\n"

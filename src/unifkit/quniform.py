@@ -202,18 +202,12 @@ class CoveringFamily:
     def covering_from_mask(self, f):
         return frozenset(self.base.labels_of(k + 1) for k in bits(f))
 
-    def mask_from_covering(self, cov):
-        return _covering_mask(self.base, cov)[0]
-
     @property
     def coverings(self):
         return tuple(self.covering_from_mask(f) for f in sorted(self.families))
 
     def __len__(self):
         return len(self.families)
-
-    def __contains__(self, cov):
-        return self.mask_from_covering(cov) in self.families
 
     def __repr__(self):
         return "CoveringFamily(%r, %d coverings)" % (self.base.labels, len(self.families))
@@ -392,23 +386,19 @@ def is_tukey_family(t):
 
 
 class Proximity:
-    """Nearness predicate on subset pairs, always evaluated lazily."""
+    """Nearness induced by an entourage filter: A near B when some
+    entourage pair crosses from A to B, which for a principal filter
+    means (A x B) meets E_min."""
 
-    __slots__ = ("base", "_near")
+    __slots__ = ("base", "_rows")
 
-    def __init__(self, base, near_fn):
-        self.base = base
-        self._near = near_fn
+    def __init__(self, u):
+        self.base = u.base
+        self._rows = u.e_min.rows
 
     def near(self, a, b):
-        a = frozenset(a)
-        b = frozenset(b)
-        if not a or not b:
-            return False
-        return self._near(a, b)
-
-    def separated(self, a, b):
-        return not self.near(a, b)
+        bm = self.base.mask_of(b)
+        return any(self._rows[self.base.index(x)] & bm for x in a)
 
     def table(self):
         """Sorted list of near pairs over nonempty subsets. Guarded."""
@@ -422,94 +412,6 @@ class Proximity:
                 if self.near(a, b):
                     out.append((a, b))
         return out
-
-
-def proximity_from(u):
-    """Nearness induced by an entourage filter: A near B when some
-    entourage pair crosses from A to B, which for a principal filter
-    means (A x B) meets E_min."""
-    e_min = u.e_min
-    base = u.base
-
-    def near(a, b):
-        bm = base.mask_of(b)
-        for x in a:
-            if e_min.rows[base.index(x)] & bm:
-                return True
-        return False
-
-    return Proximity(base, near)
-
-
-class ProximityReport(namedtuple("ProximityReport", [
-        "intersection_ok", "additive_ok", "empty_ok", "witnesses"])):
-    __slots__ = ()
-
-    @property
-    def valid(self):
-        return self.intersection_ok and self.additive_ok and self.empty_ok
-
-
-def check_proximity(p):
-    """Axioms over all subset pairs (so |X| <= 5 in practice):
-    intersecting sets are near, nearness is additive in both slots,
-    nothing is near the empty set.  Exercised by
-    tests/test_quniform.py::test_proximity_from_uniformity."""
-    base = p.base
-    subs = list(base.subsets())
-    witnesses = []
-    intersection_ok = True
-    additive_ok = True
-    empty_ok = True
-    for a in subs:
-        if p.near(a, frozenset()) or p.near(frozenset(), a):
-            empty_ok = False
-            witnesses.append(("empty", a))
-            break
-    for a in subs:
-        for b in subs:
-            if a & b and not p.near(a, b):
-                intersection_ok = False
-                witnesses.append(("intersection", a, b))
-                break
-        if not intersection_ok:
-            break
-    for a in subs:
-        for a2 in subs:
-            u = a | a2
-            for b in subs:
-                lhs = p.near(u, b)
-                rhs = p.near(a, b) or p.near(a2, b)
-                if lhs != rhs:
-                    additive_ok = False
-                    witnesses.append(("additivity", a, a2, b))
-                    break
-                lhs = p.near(b, u)
-                rhs = p.near(b, a) or p.near(b, a2)
-                if lhs != rhs:
-                    additive_ok = False
-                    witnesses.append(("additivity", b, a, a2))
-                    break
-            if not additive_ok:
-                break
-        if not additive_ok:
-            break
-    return ProximityReport(intersection_ok, additive_ok, empty_ok, witnesses)
-
-
-def smirnov_proximity(top, dense_labels):
-    """Nearness seen from inside a dense subset of a finite (hence
-    compact) space: closures taken upstairs must meet.  Exercised by
-    tests/test_quniform.py::test_smirnov_proximity_sees_closures."""
-    dense_labels = frozenset(dense_labels)
-    if not top.is_dense(dense_labels):
-        raise ValueError("subset is not dense")
-    sub = FiniteSet(lab for lab in top.base.labels if lab in dense_labels)
-
-    def near(a, b):
-        return bool(top.closure(a) & top.closure(b))
-
-    return Proximity(sub, near)
 
 
 # topology and the standard quasi-uniformities
@@ -593,40 +495,3 @@ def hausdorff_quotient(u):
             pairs.add((mapping[a], mapping[b]))
         qrels.add(Relation.from_pairs(qbase, pairs))
     return QUniformity(qbase, qrels, symmetric_flag=True), mapping
-
-
-def is_uniformly_continuous(f, ux, uy):
-    """f maps labels of ux.base to labels of uy.base. Principal filters
-    again: the one condition is that f x f sends E_min into E_min.
-    Returns (ok, witness_pair).  Exercised by
-    tests/test_quniform.py::test_uniformly_continuous_witness."""
-    xl = set(ux.base.labels)
-    if set(f.keys()) != xl:
-        raise ValueError("map must be defined on exactly the source labels")
-    for v in f.values():
-        if v not in uy.base:
-            raise ValueError("map must send every point to a target label")
-    ex = ux.e_min
-    ey = uy.e_min
-    for (a, b) in sorted(ex.pairs):
-        if (f[a], f[b]) not in ey:
-            return False, (a, b)
-    return True, None
-
-
-def is_precompact(u):
-    """Always true on a finite set; the content is the minimal witness
-    Z with E_min(Z) = X.  Exercised by
-    tests/test_quniform.py::test_finite_spaces_are_precompact."""
-    base = u.base
-    n = len(base)
-    full = (1 << n) - 1
-    rows = u.e_min.rows
-    for size in range(n + 1):
-        for comb in itertools.combinations(range(n), size):
-            acc = 0
-            for i in comb:
-                acc |= rows[i]
-            if acc == full:
-                return True, frozenset(base.labels[i] for i in comb)
-    return True, frozenset(base.labels)

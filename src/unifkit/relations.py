@@ -232,15 +232,6 @@ class Relation:
     def is_equivalence(self):
         return self.is_preorder() and self.is_symmetric()
 
-    def is_antisymmetric(self):
-        n = len(self.base)
-        return all(
-            not (self.rows[i] >> j & 1 and self.rows[j] >> i & 1)
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
-
     def transitive_closure(self):
         rows = list(self.rows)
         n = len(rows)

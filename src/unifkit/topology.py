@@ -118,9 +118,6 @@ class FiniteTopology:
         return "FiniteTopology(%r, minimal opens %r)" % (self.base.labels,
                                                        self._min_open)
 
-    def is_open(self, labels):
-        return self.is_open_mask(self.base.mask_of(labels))
-
     def is_open_mask(self, mask):
         """Open exactly when the set holds the minimal open of each of
         its points."""
@@ -147,12 +144,6 @@ class FiniteTopology:
             if m & mask:
                 acc |= 1 << i
         return acc
-
-    def closure(self, labels):
-        return self.base.labels_of(self.closure_mask(self.base.mask_of(labels)))
-
-    def is_dense(self, labels):
-        return self.closure_mask(self.base.mask_of(labels)) == (1 << len(self.base)) - 1
 
     def is_t0(self):
         return len(set(self._min_open)) == len(self.base)

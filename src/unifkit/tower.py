@@ -630,11 +630,21 @@ class _SectorialGen(_SquareGen):
         return members
 
     def tangential_cycle_ok(self, n):
+        """The 2^n angular windows form a cycle: each meets exactly its
+        two neighbors.  Window a is [2a, 2a+3] mod 2^(n+1), the same arc
+        turned by 2a, so whether windows a and b meet depends only on
+        b - a mod 2^n, and symmetrically in its sign.  Offset 1 leaves
+        an overlap of one unit; at offsets 2 to 2^n - 2 both gaps
+        between the two windows are at least one unit.  So windows a and
+        b meet iff b - a = 0, 1 or -1 mod 2^n, and with at least 3
+        windows it is enough to check, per position, that window a
+        meets window a+1 and not window a+2."""
         angle = self.axes[1]
         count = len(angle.ids(n))
-        return count >= 3 and all(  # meeting is symmetric: b > a only
-            angle.meets(n, a, n, b) == (b - a in (1, count - 1))
-            for a in range(count) for b in range(a + 1, count))
+        return count >= 3 and all(
+            angle.meets(n, a, n, (a + 1) % count)
+            and not angle.meets(n, a, n, (a + 2) % count)
+            for a in range(count))
 
     def puncture_space(self, n):
         """The circle of angular classes with a junction point between
@@ -916,14 +926,6 @@ class CoveringTower:
     def block_ids(self, k):
         self._check_level(k)
         return self.gen.block_ids(k)
-
-    def block_name(self, k, b):
-        return self.gen.block_name(k, b)
-
-    def parent(self, k, b):
-        if k < 2:
-            raise ValueError("level 1 has no parent level")
-        return self.gen.parent(k, b)
 
     def ancestor(self, k, b, target):
         while k > target:

@@ -3,14 +3,14 @@
 import argparse
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 
 from unifkit import formats
 from unifkit.cli import _parser, main
-from unifkit.dmod import corpus
 from unifkit.enumeration import standard_base
-from unifkit.gtop import constant_sheaf, sierpinski_pair
+from unifkit.gtop import sierpinski_pair
 from unifkit.quniform import QUniformity, pervin, symmetrize
 
 SIER = ("space sierpinski 2\nelements p0 p1\n"
@@ -35,11 +35,8 @@ def sier_file(tmp_path):
 
 
 @pytest.fixture
-def airy_file(tmp_path):
-    spec = next(e for e in corpus() if e.name == "airy").spec
-    p = tmp_path / "airy.op"
-    p.write_text(formats.print_operator(spec))
-    return str(p)
+def airy_file():
+    return str(Path(__file__).parent.parent / "samples" / "airy.op")
 
 
 @pytest.fixture
@@ -136,10 +133,19 @@ def test_derive_topology(pervin_file):
     assert "open p1" in out.splitlines()
 
 
-def test_derive_proximity(sym_file):
+def test_derive_proximity(sym_file, pervin_file):
     code, out, _ = run(["derive", "--proximity", sym_file])
     assert code == 0
-    assert all(l.startswith("near ") for l in out.splitlines())
+    assert out.splitlines() == [
+        "near p0 p0", "near p0 p0+p1", "near p1 p1", "near p1 p0+p1",
+        "near p0+p1 p0", "near p0+p1 p1", "near p0+p1 p0+p1"]
+    # the Pervin core is not symmetric: p0 is near p1, not the reverse
+    code, out, _ = run(["derive", "--proximity", pervin_file])
+    assert code == 0
+    assert out.splitlines() == [
+        "near p0 p0", "near p0 p1", "near p0 p0+p1", "near p1 p1",
+        "near p1 p0+p1", "near p0+p1 p0", "near p0+p1 p1",
+        "near p0+p1 p0+p1"]
 
 
 def test_pervin_kunzi_emit_entourages(sier_file):
@@ -249,8 +255,8 @@ def test_gtop_groth(sier_file):
 
 def test_gtop_cohomology(tmp_path):
     sh = tmp_path / "c.sheaf"
-    sh.write_text(formats.print_sheaf("c", constant_sheaf(
-        sierpinski_pair().xhat)))
+    # the constant sheaf on the Sierpinski space
+    sh.write_text("sheaf c\npoint p0 dim=1\npoint p1 dim=1\nedge p0 p1 1\n")
     code, out, _ = run(["gtop", "cohomology", str(sh)])
     assert code == 0
     assert out.splitlines()[0] == "H^0 = 1"

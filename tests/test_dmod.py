@@ -417,6 +417,19 @@ def _reference_window_dims(session, d):
     return h0, h1
 
 
+def test_window_enlargement_is_needed():
+    # d/dz sends z^21 to 21 z^20, so without the outer window z^20
+    # counts as missed and h1 grows by one
+    for name, enlarged, unenlarged in (
+            ("gm-trivial", (1, 1), (1, 2)),
+            ("thrice-punctured-trivial", (1, 2), (1, 3))):
+        session = _OracleSession(ENTRIES[name].spec)
+        assert session.shift == 1
+        assert session.window_dims(20) == enlarged
+        session.shift = 0
+        assert session.window_dims(20) == unenlarged
+
+
 @pytest.mark.parametrize("name", sorted(set(_cross_check_specs())
                                          - {"z^2 + z^4 d/dz"}))
 def test_window_dims_match_three_ranks(name):

@@ -18,7 +18,8 @@ from unifkit.topology import FiniteTopology
 def test_sierpinski_orientation():
     pair = sierpinski_pair()
     assert pair.x_labels == frozenset({"p1"})
-    assert pair.xhat.is_dense(["p1"])
+    xhat = pair.xhat
+    assert xhat.closure_mask(xhat.base.mask_of(["p1"])) == 0b11
 
 
 def test_trace_opens():

@@ -4,13 +4,11 @@ import random
 import pytest
 
 from unifkit.enumeration import all_equivalences, standard_base
-from unifkit.quniform import (CoveringFamily, QUniformity, _meet_mask,
-                              check_proximity,
-                              check_quniformity, hausdorff_quotient,
-                              is_precompact, is_tukey_family,
-                              is_uniformly_continuous, kunzi, pervin,
-                              proximity_from, smirnov_proximity, symmetrize,
-                              topology_from, tukey_to_weil, weil_to_tukey)
+from unifkit.quniform import (CoveringFamily, Proximity, QUniformity,
+                              _meet_mask, check_quniformity,
+                              hausdorff_quotient, is_tukey_family, kunzi,
+                              pervin, symmetrize, topology_from,
+                              tukey_to_weil, weil_to_tukey)
 from unifkit.relations import FiniteSet, Relation, bits, random_relation
 from unifkit.topology import FiniteTopology
 
@@ -98,26 +96,28 @@ def test_covering_family_star():
     assert frozenset({frozenset({"a", "b", "c"})}) in covs
 
 
-def test_proximity_from_uniformity():
-    u = uniform_two_blocks()
-    p = proximity_from(u)
-    assert p.near(["a"], ["b"])
-    assert p.separated(["a"], ["c"])
-    assert check_proximity(p).valid
+def test_proximity_from_uniformity(sier):
+    two = uniform_two_blocks()
+    assert Proximity(two).near(["a"], ["b"])
+    assert not Proximity(two).near(["a"], ["c"])
+    # A near B iff some E_min pair runs from A into B, on every pair of
+    # subsets, the empty one included; the Pervin core is not symmetric,
+    # so it also pins the orientation
+    for u in (two, pervin(sier)):
+        p = Proximity(u)
+        pairs = u.e_min.pairs
+        subs = list(u.base.subsets())
+        for a in subs:
+            for b in subs:
+                assert p.near(a, b) == any((x, y) in pairs
+                                           for x in a for y in b)
 
 
 def test_proximity_table_guard():
     base = standard_base(6)
     u = QUniformity(base, [Relation.diagonal(base)], symmetric_flag=True)
     with pytest.raises(ValueError):
-        proximity_from(u).table()
-
-
-def test_smirnov_proximity_sees_closures(sier):
-    sm = smirnov_proximity(sier, ["p1"])
-    assert sm.near(["p0"], ["p1"])
-    assert sm.near(["p1"], ["p1"])
-    assert check_proximity(sm).valid
+        Proximity(u).table()
 
 
 def test_symmetrize_yields_uniformity(sier):
@@ -137,28 +137,6 @@ def test_hausdorff_quotient_collapses_core():
 def test_quotient_requires_symmetric(sier):
     with pytest.raises(ValueError):
         hausdorff_quotient(pervin(sier))
-
-
-def test_uniformly_continuous_collapse():
-    u = uniform_two_blocks()
-    base = FiniteSet(["x"])
-    point = QUniformity(base, [Relation.diagonal(base)], symmetric_flag=True)
-    ok, _ = is_uniformly_continuous(
-        {"a": "x", "b": "x", "c": "x"}, u, point)
-    assert ok
-
-
-def test_uniformly_continuous_witness():
-    u = uniform_two_blocks()
-    disc = QUniformity.discrete(u.base)
-    ok, wit = is_uniformly_continuous(
-        {"a": "a", "b": "b", "c": "c"}, u, disc)
-    assert not ok
-    assert set(wit) == {"a", "b"}
-
-
-def test_finite_spaces_are_precompact():
-    assert is_precompact(uniform_two_blocks())
 
 
 # The translations as the covering layer first wrote them, loop for loop,

@@ -1,0 +1,51 @@
+"""The public surface of the library is what its commands, acceptance
+criteria and benchmark reach.  A module-level public function or class
+that no library module and no benchmark module names is reached by tests
+alone; the only such names allowed are in KEPT, each with its reason."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "unifkit").glob("*.py"))
+BENCHMARK = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
+
+KEPT = {
+    "check_gluing": "the sheaf condition that makes a uniform sheaf, the "
+                    "paper's central notion",
+    "symmetrize": "a five-line builder of symmetric uniformities that "
+                  "three test files use; moving it would remove nothing",
+}
+
+
+def _names(tree):
+    """Every name a module uses: variables, attributes, imports, and
+    string constants that are dotted identifiers, with which getattr
+    dispatch and the benchmark's tracer address functions.  A method
+    that shares a public function's name counts as a use of it, so the
+    scan can miss an unreached name but never flags a reached one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            out.add(node.value.rpartition(".")[2])
+    return out
+
+
+def unreached():
+    trees = {p: ast.parse(p.read_text()) for p in LIBRARY + BENCHMARK}
+    used = set().union(*map(_names, trees.values()))
+    return {node.name for p in LIBRARY for node in trees[p].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used}
+
+
+def test_only_kept_public_names_go_unreached():
+    assert unreached() == set(KEPT)

@@ -69,6 +69,23 @@ def test_sectorial_thread_classes_form_a_cycle():
     assert rep.tangential_cycle_ok()
 
 
+def _pairwise_cycle_ok(gen, n):
+    # every pair of windows meets exactly when they are neighbors
+    angle = gen.axes[1]
+    count = len(angle.ids(n))
+    return count >= 3 and all(  # meeting is symmetric: b > a only
+        angle.meets(n, a, n, b) == (b - a in (1, count - 1))
+        for a in range(count) for b in range(a + 1, count))
+
+
+def test_tangential_cycle_per_position_matches_pairwise():
+    gen = make_tower("sectorial_disk", 1).gen
+    for n in range(11):
+        assert gen.tangential_cycle_ok(n) == _pairwise_cycle_ok(gen, n), n
+    assert not gen.tangential_cycle_ok(1)  # two windows are no cycle
+    assert gen.tangential_cycle_ok(2)
+
+
 def test_padic_leaf_classes_and_note():
     rep = enumerate_threads(make_tower("padic_disk", 4, p=2))
     assert rep.count_by_tag() == {"end": 16}
@@ -82,7 +99,7 @@ def test_formal_branch_classes():
 
 def test_parent_chain():
     t = make_tower("metric_disk", 4)
-    assert t.parent(4, (3, -2)) == (1, -1)
+    assert t.gen.parent(4, (3, -2)) == (1, -1)
     assert t.ancestor(4, (3, -2), 1) == (0, -1)
 
 
@@ -191,10 +208,9 @@ def test_puncture_quotients():
 def test_basis_only_quotient_knows_every_open():
     top, _ = puncture_quotient(make_tower("sectorial_disk", 4))
     assert len(top.base) == 32  # stored by its minimal opens only
-    assert top.is_open(("c0", "c1"))
-    assert top.is_open(("c0", "c1", "j0"))
-    assert not top.is_open(("j0",))
-    assert not top.is_open(("c0", "j1"))
+    for labels, is_open in ((("c0", "c1"), True), (("c0", "c1", "j0"), True),
+                            (("j0",), False), (("c0", "j1"), False)):
+        assert top.is_open_mask(top.base.mask_of(labels)) == is_open
     sheaf = constant_sheaf(top)
     assert sheaf.dim_sections(top.base.mask_of(("c0", "c1"))) == 2
     assert sheaf.dim_sections(top.base.mask_of(("c0", "c1", "j0"))) == 1
@@ -267,7 +283,7 @@ def test_sectorial_member_blocks_match_full_scan():
 def test_finite_embedding_tower():
     t = make_tower("finite", 1, uniformity=finite_uniformity())
     assert verify_tower(t).ok
-    names = {t.block_name(1, b) for b in t.gen.block_ids(1)}
+    names = {t.gen.block_name(1, b) for b in t.gen.block_ids(1)}
     assert names == {"ea", "ec"}
 
 
@@ -461,7 +477,7 @@ def test_block_names_read_back(tmp_path, name):
     tower = TOWERS[name](int(decl.split("depth=")[1].split()[0]))
     for k in tower.levels():
         for b in tower.block_ids(k):
-            text = tower.block_name(k, b)
+            text = tower.gen.block_name(k, b)
             code, out, _ = cli(["tower", "bornology", str(path),
                                 "--level", str(k), "--blocks", text])
             assert code == 0 and "Z=%s" % text in out
