@@ -546,11 +546,20 @@ def derham_oracle(spec, degree_bound):
     separates the function-space index from the connection index."""
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
+    return _stable_dims(spec, range(degree_bound, degree_bound + 11, 5))
+
+
+def _stable_dims(spec, bounds):
+    """(h0, h1, stabilized) over the oracle windows at the given degree
+    bounds: the dimensions of the first window that agrees with the two
+    before it, or of the last window, flagged unstabilized."""
     session = _OracleSession(spec)
-    dims = [session.window_dims(d)
-            for d in (degree_bound, degree_bound + 5, degree_bound + 10)]
-    h0, h1 = dims[-1]
-    return h0, h1, dims[0] == dims[1] == dims[2]
+    history = []
+    for d in bounds:
+        history.append(session.window_dims(d))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            return history[-1] + (True,)
+    return history[-1] + (False,)
 
 
 class IndexReport(namedtuple("IndexReport", [
@@ -593,15 +602,8 @@ def index_report(spec, d_max=80):
                          % (D_START + 2 * D_STEP))
     irs = {p: irregularity(spec.operator, p) for p in spec.points}
     chi = _chi(spec, irs)
-    session = _OracleSession(spec)
-    history = []
-    stabilized = False
-    for d in range(D_START, d_max + 1, D_STEP):
-        history.append(session.window_dims(d))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            stabilized = True
-            break
-    h0, h1 = history[-1]
+    h0, h1, stabilized = _stable_dims(spec,
+                                      range(D_START, d_max + 1, D_STEP))
     return IndexReport(spec, irs, chi, h0, h1, stabilized)
 
 

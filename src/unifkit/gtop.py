@@ -469,6 +469,8 @@ class PosetSheaf:
         """Matrix of F(big) -> F(small) in the chosen bases."""
         pb, offb, bb = self.section_space(big)
         ps, offs, bs = self.section_space(small)
+        if not bs:
+            return []
         total_s = sum(self.dims[p] for p in ps)
         cut = []
         for v in bb:
@@ -477,8 +479,6 @@ class PosetSheaf:
                 for t in range(self.dims[p]):
                     w[offs[p] + t] = v[offb[p] + t]
             cut.append(w)
-        if not bs:
-            return []
         cols = linalg.solve_many(linalg.transpose(bs), cut)
         return linalg.transpose(cols)
 
@@ -502,6 +502,28 @@ def _betti(dims, differentials):
     return tuple(betti)
 
 
+def _coboundary(rows, cols, cells, index, face_map):
+    """The rows x cols matrix of an alternating coboundary into the given
+    cells, each a tuple.  The face of a cell that drops entry t enters
+    with sign (-1)^t, as the block face_map(face, cell) at row offset
+    index[cell] and column offset index[face]; [] stands for a zero
+    map."""
+    if not rows or not cols:
+        return []
+    m = linalg.zeros(rows, cols)
+    for c in cells:
+        roff = index[c]
+        for t in range(len(c)):
+            face = c[:t] + c[t + 1:]
+            coff = index[face]
+            for r, row in enumerate(face_map(face, c)):
+                out = m[roff + r]
+                for cc, x in enumerate(row):
+                    if x:
+                        out[coff + cc] += -x if t & 1 else x
+    return m
+
+
 def _chains_by_degree(top):
     """The strict chains of a T0 space, the simplices of its order
     complex, as one sorted list per degree (chain length - 1).  Faces
@@ -517,10 +539,9 @@ def _chains_by_degree(top):
 
 def sheaf_cohomology(f):
     """Betti numbers of the ordered-chain complex: cochains assign to a
-    strict chain a vector in the stalk of its top point; the coboundary
-    alternates over face deletions, pushing through the restriction when
-    the top point is deleted is not needed, but extending the chain at
-    the top composes with the restriction matrix."""
+    strict chain a vector in the stalk of its top point.  A face that
+    keeps the top point enters by the identity; the face that drops it
+    composes with the restriction from the new top point."""
     by_deg = _chains_by_degree(f.top)
     if not by_deg:
         return (0,)
@@ -536,25 +557,9 @@ def sheaf_cohomology(f):
     def differential(q):
         if q + 1 == len(by_deg):
             return []
-        m = linalg.zeros(dims_q[q + 1], dims_q[q])
-        for c in by_deg[q + 1]:
-            roff = index[c]
-            d_top = f.dims[c[-1]]
-            sign = 1
-            for t in range(len(c) - 1):
-                face = c[:t] + c[t + 1:]
-                coff = index[face]
-                for r in range(d_top):
-                    m[roff + r][coff + r] += sign
-                sign = -sign
-            face = c[:-1]
-            coff = index[face]
-            rmat = f.restriction(face[-1], c[-1])
-            for r in range(d_top):
-                for cc in range(f.dims[face[-1]]):
-                    if rmat[r][cc]:
-                        m[roff + r][coff + cc] += sign * rmat[r][cc]
-        return m
+        # restriction(x, x) is the identity
+        return _coboundary(dims_q[q + 1], dims_q[q], by_deg[q + 1], index,
+                           lambda face, c: f.restriction(face[-1], c[-1]))
 
     return _betti(dims_q, (differential(q) for q in range(len(by_deg))))
 
@@ -634,6 +639,35 @@ def cech_adequate(pair, members):
     return True
 
 
+def _nerve(pair, f, um, members, sizes):
+    """The Cech nerve of members over the trace-open um, for the given
+    numbers of members: the check-open of each intersection, keyed by
+    the sorted tuple of member positions (() for um itself), the offset
+    of its values among those of its size, and the total dimension per
+    size."""
+    w_of, index, dims = {}, {}, {}
+    for size in sizes:
+        off = 0
+        for sigma in itertools.combinations(range(len(members)), size):
+            inter = um
+            for t in sigma:
+                inter &= members[t]
+            w_of[sigma] = w = pair.u_check_mask(inter)
+            index[sigma] = off
+            off += f.dim_sections(w)
+        dims[size] = off
+    return w_of, index, dims
+
+
+def _nerve_coboundary(f, members, nerve, size):
+    """The Cech coboundary into the intersections of size members."""
+    w_of, index, dims = nerve
+    return _coboundary(
+        dims[size], dims[size - 1],
+        itertools.combinations(range(len(members)), size), index,
+        lambda face, sigma: f.restrict_sections(w_of[face], w_of[sigma]))
+
+
 def cech_cohomology(pair, f, members):
     """Cech complex of a distinguished covering of X with values
     F(check of the intersections). Returns Betti dimensions per degree."""
@@ -645,100 +679,31 @@ def cech_cohomology(pair, f, members):
     if not g.is_g_covering(full_trace, members):
         raise ValueError("not a distinguished covering of the dense subset")
     r = len(members)
-    w_of = {}
-    for size in range(1, r + 1):
-        for sigma in itertools.combinations(range(r), size):
-            inter = full_trace
-            for t in sigma:
-                inter &= members[t]
-            w_of[sigma] = pair.u_check_mask(inter)
-
-    index = {}
-    dims_q = {}
-    for size in range(1, r + 1):
-        off = 0
-        for sigma in itertools.combinations(range(r), size):
-            index[sigma] = off
-            off += f.dim_sections(w_of[sigma])
-        dims_q[size - 1] = off
-
-    def differential(q):
-        rows = dims_q.get(q + 1, 0)
-        cols = dims_q.get(q, 0)
-        if rows == 0 or cols == 0:
-            return []
-        m = linalg.zeros(rows, cols)
-        for sigma in itertools.combinations(range(r), q + 2):
-            roff = index[sigma]
-            wt = w_of[sigma]
-            dt = f.dim_sections(wt)
-            if dt == 0:
-                continue
-            sign = 1
-            for t in range(len(sigma)):
-                face = sigma[:t] + sigma[t + 1:]
-                rmat = f.restrict_sections(w_of[face], wt)
-                coff = index[face]
-                for rr in range(dt):
-                    for cc in range(len(rmat[rr]) if rmat else 0):
-                        if rmat[rr][cc]:
-                            m[roff + rr][coff + cc] += sign * rmat[rr][cc]
-                sign = -sign
-        return m
-
-    return _betti([dims_q.get(q, 0) for q in range(r)],
-                  (differential(q) for q in range(r)))
+    # degree q holds the intersections of q + 1 members; size r + 1 has
+    # none, so the last coboundary is the zero map
+    nerve = _nerve(pair, f, full_trace, members, range(1, r + 2))
+    return _betti([nerve[2][q + 1] for q in range(r)], (
+        _nerve_coboundary(f, members, nerve, q + 2) for q in range(r)))
 
 
 def check_gluing(pair, f, max_family_size=2):
     """Sheaf condition for the pulled-back presheaf U -> F(check U) on
-    every listed distinguished covering: the value embeds as the
-    equalizer of the member values against the pairwise intersections.
-    Returns (ok, witness).  Exercised by
-    tests/test_gtop.py::test_gluing_on_constant_sheaf."""
+    every listed distinguished covering: the augmented Cech complex
+    F(check U) -alpha-> prod F(check U_i) -beta-> prod F(check U_ij) is
+    exact at its first two terms, so the value embeds as the equalizer of
+    the member values against the pairwise intersections.  Returns (ok,
+    witness)."""
     g = GCoveringSystem(pair, max_family_size)
     for um in pair.trace_open_masks():
-        w_u = pair.u_check_mask(um)
-        d_u = f.dim_sections(w_u)
         for fam in g.listed(um):
-            if not fam:
-                if d_u != 0 and um == 0:
-                    return False, (um, fam)
-                continue
-            w_i = [pair.u_check_mask(m) for m in fam]
-            offs = []
-            total = 0
-            for w in w_i:
-                offs.append(total)
-                total += f.dim_sections(w)
-            # alpha: F(check U) -> product of member values
-            alpha = linalg.zeros(total, d_u)
-            for k, w in enumerate(w_i):
-                m = f.restrict_sections(w_u, w)
-                for rr in range(len(m)):
-                    for cc in range(d_u):
-                        alpha[offs[k] + rr][cc] = m[rr][cc]
-            # beta: differences into the pairwise intersections
-            rows2 = []
-            for a in range(len(fam)):
-                for b in range(a + 1, len(fam)):
-                    w_ab = pair.u_check_mask(fam[a] & fam[b])
-                    d_ab = f.dim_sections(w_ab)
-                    if d_ab == 0:
-                        continue
-                    ra = f.restrict_sections(w_i[a], w_ab)
-                    rb = f.restrict_sections(w_i[b], w_ab)
-                    for t in range(d_ab):
-                        row = [linalg.ZERO] * total
-                        for cc in range(len(ra[t]) if ra else 0):
-                            row[offs[a] + cc] += ra[t][cc]
-                        for cc in range(len(rb[t]) if rb else 0):
-                            row[offs[b] + cc] -= rb[t][cc]
-                        rows2.append(row)
-            ker = total - linalg.rank(rows2)
-            composed = linalg.matmul(rows2, alpha) if rows2 else []
-            square_zero = all(all(x == 0 for x in row) for row in composed)
-            if linalg.rank(alpha) != d_u or ker != d_u or not square_zero:
+            nerve = _nerve(pair, f, um, fam, range(3))
+            d_u, total = nerve[2][0], nerve[2][1]
+            alpha = _nerve_coboundary(f, fam, nerve, 1)
+            beta = _nerve_coboundary(f, fam, nerve, 2)
+            square_zero = not alpha or not beta or not any(
+                any(row) for row in linalg.matmul(beta, alpha))
+            if (linalg.rank(alpha) != d_u or total - linalg.rank(beta) != d_u
+                    or not square_zero):
                 return False, (um, fam)
     return True, None
 

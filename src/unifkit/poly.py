@@ -9,6 +9,7 @@ reconstruction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -192,24 +193,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else "%s*" % abs(c)
-                term = "%sz" % mag if i == 1 else "%sz^%d" % (mag, i)
-                if c < 0:
-                    term = "-" + term
-            if bits and not term.startswith("-"):
-                bits.append("+")
-            bits.append(term)
-        return " ".join(bits).replace("+ -", "- ")
+        return "Polynomial(%r)" % (self.coeffs,)
 
 
 def _as_poly(v):
@@ -232,9 +216,7 @@ def rational_roots(p):
         p = p // Polynomial.monomial(v0)
     while p.degree > 0:
         # clear to integers for the candidate search
-        den_lcm = 1
-        for c in p.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * den_lcm) for c in p.coeffs]
         found = None
         for q in _divisors(ints[-1]):
@@ -253,12 +235,6 @@ def rational_roots(p):
         roots[found] = mult
         p = p // (Polynomial((-found, ONE)) ** mult)
     return roots, p
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n):

@@ -31,19 +31,22 @@ membership hold of a block exactly when they hold of both positions,
 so each axis states them per position and verification tests each axis
 position of a level once, covering every block of every level.
 
-Coverage of a square block by a covering member is decided once, in
-one sweep: each axis gives a position as closed integer spans (a window
-as its two lifts about a cut), and the second axis is tested at every
-first-axis span end and midpoint.  Coverage of a class window by a
-member's tip blocks is the sweep's one-point case, over radius 0.
+Each axis gives a position as closed integer spans (a window as its two
+lifts about a cut), which decide overlap and, in one sweep testing the
+second axis at every first-axis span end and midpoint, coverage of a
+box by a covering member.  That sweep absorbs every square thread
+class: an interior class over its block, the puncture class over the
+box [-1, 1]^2 about the origin, a tangential class over its window at
+radius 0.
 
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
-stars, containment and overlap, and coverage of a block by a covering
-member.  The operations below ask the generator instead of switching
-on its kind (only make_tower and the domains of the chart-change maps
-name kinds), so adding or changing a uniform structure touches one
-class, or one axis.
+stars, containment and overlap, coverage of a block by a covering
+member, and which member absorbs each of its thread classes.  The
+operations below ask the generator instead of switching on its kind or
+on a class tag (only make_tower and the domains of the chart-change
+maps name kinds), so adding or changing a uniform structure touches
+one class, or one axis.
 """
 
 from __future__ import annotations
@@ -78,12 +81,6 @@ def _circ_contains(s1, l1, s2, l2, modulus):
     if l1 > l2:
         return False
     return (s1 - s2) % modulus + l1 <= l2
-
-
-def _circ_intersects(s1, l1, s2, l2, modulus):
-    if l1 >= modulus or l2 >= modulus:
-        return True
-    return (s1 - s2) % modulus <= l2 or (s2 - s1) % modulus <= l1
 
 
 class ThreadClass:
@@ -167,13 +164,6 @@ class _LinearAxis:
                 return True
         return False
 
-    def meets(self, k1, i1, k2, i2):
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        lo1, hi1 = self.interval(k1, i1)
-        lo2, hi2 = self.interval(k2, i2)
-        return not (hi1 * f1 < lo2 * f2 or hi2 * f2 < lo1 * f1)
-
     def candidates(self, k, lo, hi):
         """Positions whose interval could meet [lo, hi], in level-k
         units; callers re-check exactly.  Fraction // int floors to an
@@ -254,15 +244,6 @@ class _CyclicAxis:
         ts, tl = self.window(m, (ws // (2 * g)) % (1 << m))
         return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
 
-    def meets(self, k1, a1, k2, a2):
-        lvl = max(k1, k2)
-        f1, f2 = 1 << (lvl - k1), 1 << (lvl - k2)
-        mod = self.mod(lvl)
-        s1, l1 = self.window(k1, a1)
-        s2, l2 = self.window(k2, a2)
-        return _circ_intersects((s1 * f1) % mod, l1 * f1,
-                                (s2 * f2) % mod, l2 * f2, mod)
-
     def candidates(self, k, lo, hi):
         return self.ids(k)  # any window can meet an arc
 
@@ -304,11 +285,25 @@ class _CyclicAxis:
         return list(dict.fromkeys(((a - 1) % c, a, (a + 1) % c)))
 
 
+def _spans_meet(axis, k1, i1, k2, i2):
+    """Position i1 of level k1 and i2 of level k2 of one axis overlap.
+    Cut at the start of the first, which becomes [0, w]; only a window's
+    two lifts about the cut can meet it, so the positions overlap iff a
+    span of the second reaches into [0, w]."""
+    lvl = max(k1, k2)
+    lo, hi = axis.spans(k1, i1, lvl, 0)[0]
+    for s, e in axis.spans(k2, i2, lvl, lo):
+        if s <= hi - lo and e >= 0:
+            return True
+    return False
+
+
 class _Generator:
     """What a generator owns: its blocks and their names, parents, stars,
-    containment, overlap and coverage by a covering member.  The defaults
-    fit a generator whose levels all repeat one covering by pairwise
-    disjoint blocks; the others override what differs."""
+    containment, overlap, coverage by a covering member, and its thread
+    classes, of which classes(n) yields those over the puncture first.
+    The defaults fit a generator whose levels all repeat one covering by
+    pairwise disjoint blocks; the others override what differs."""
 
     symmetric = True
     star_lag = 1
@@ -335,7 +330,11 @@ class _Generator:
         return self.parent(k, b) == b
 
     def path(self, n, b):
-        return (b,) * n
+        """The chain of ancestors of block b of level n, level 1 first."""
+        out = [b]
+        for k in range(n, 1, -1):
+            out.append(self.parent(k, out[-1]))
+        return tuple(reversed(out))
 
     def neighbors(self, k, b):
         return iter(())  # one level's blocks are disjoint
@@ -359,6 +358,11 @@ class _Generator:
         """The level's blocks, those a sector can never hold first, so
         that scans of failing levels stay cheap."""
         return self.block_ids(k)
+
+    def absorbs(self, cov_level, member, n, cls):
+        """The member's level-cov_level blocks hold the depth-n thread
+        class cls: by default, they cover its block."""
+        return self.covers_block(cov_level, member, n, cls.rep)
 
     def identity_fits(self, n, b, m):
         """Block b of level n lies inside a single level-m block."""
@@ -408,9 +412,8 @@ class _SquareGen(_Generator):
                     yield (i, j)
 
     def blocks_meet(self, k1, b1, k2, b2):
-        x, y = self.axes
-        return (x.meets(k1, b1[0], k2, b2[0])
-                and y.meets(k1, b1[1], k2, b2[1]))
+        return all(_spans_meet(ax, k1, i1, k2, i2)
+                   for ax, i1, i2 in zip(self.axes, b1, b2))
 
     def member_blocks(self, k, s):
         x, y = self.axes
@@ -481,14 +484,6 @@ class _SquareGen(_Generator):
         bad_y = next(((xs[0], j) for j in ys if not ok(y, j)), None)
         return min((b for b in (bad_x, bad_y) if b is not None), default=None)
 
-    def path(self, n, b):
-        out = [b]
-        for k in range(n, 1, -1):
-            b = self.parent(k, b)
-            out.append(b)
-        out.reverse()
-        return tuple(out)
-
 
 class _MetricGen(_SquareGen):
     """The punctured square with the euclidean uniformity: overlapping
@@ -526,23 +521,15 @@ class _MetricGen(_SquareGen):
             if not self.is_origin(b):
                 yield b
 
-    def absorbs_origin(self, level, member):
-        """The member contains a full punctured neighborhood of the
-        origin: each open corner quadrant is filled near 0 by some
-        block."""
-        need = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-        for b in member:
-            if not self.is_origin(b):
-                continue
-            x0, x1, y0, y1 = self.block_box(level, b)
-            for sx, sy in tuple(need):
-                okx = (x0 <= 0 < x1) if sx > 0 else (x0 < 0 <= x1)
-                oky = (y0 <= 0 < y1) if sy > 0 else (y0 < 0 <= y1)
-                if okx and oky:
-                    need.discard((sx, sy))
-            if not need:
-                return True
-        return not need
+    def absorbs(self, cov_level, member, n, cls):
+        """The puncture class (rep an origin block) needs a punctured
+        neighborhood of the origin: the box [-1, 1]^2 in level
+        cov_level + 1 units, where member block ends are even, so it is
+        covered iff each open quadrant at 0 lies in one block."""
+        if not self.is_origin(cls.rep):
+            return super().absorbs(cov_level, member, n, cls)
+        return self._covers_box(cov_level, member, cov_level + 1,
+                                [(-1, 1), (-1, 1)])
 
     def sector_members(self, k):
         """Quarter q collects the blocks whose directions stay in the arc
@@ -610,13 +597,14 @@ class _SectorialGen(_SquareGen):
     def is_tip(self, b):
         return b[0] == 0
 
-    def tips_cover(self, cov_level, member, n, a):
-        """The member's tip blocks cover the level-n angular window a, so
-        the member absorbs a thin sector over the whole window: the box
-        over radius 0 alone, which only tip blocks hold."""
+    def absorbs(self, cov_level, member, n, cls):
+        """A tangential class (rep a tip block) needs a thin sector over
+        its window: the box over radius 0, which only tips hold."""
+        if not self.is_tip(cls.rep):
+            return super().absorbs(cov_level, member, n, cls)
         lvl = max(cov_level, n)
-        return self._covers_box(cov_level, member, lvl,
-                                [(0, 0), self.axes[1].spans(n, a, lvl, 0)[0]])
+        return self._covers_box(cov_level, member, lvl, [
+            (0, 0), self.axes[1].spans(n, cls.rep[1], lvl, 0)[0]])
 
     def sector_members(self, k):
         angle = self.axes[1]
@@ -642,8 +630,8 @@ class _SectorialGen(_SquareGen):
         angle = self.axes[1]
         count = len(angle.ids(n))
         return count >= 3 and all(
-            angle.meets(n, a, n, (a + 1) % count)
-            and not angle.meets(n, a, n, (a + 2) % count)
+            _spans_meet(angle, n, a, n, (a + 1) % count)
+            and not _spans_meet(angle, n, a, n, (a + 2) % count)
             for a in range(count))
 
     def puncture_space(self, n):
@@ -733,9 +721,6 @@ class _PadicGen(_ResidueGen):
 
     def inside_parent(self, k, b):
         return b[:k - 1] == self.parent(k, b)
-
-    def path(self, n, b):
-        return tuple(b[:k] for k in range(1, n + 1))
 
     def identity_fits(self, n, b, m):
         return n >= m
@@ -904,18 +889,6 @@ class CoveringTower:
         self.gen = gen
         self.depth = depth
 
-    @property
-    def kind(self):
-        return self.gen.kind
-
-    @property
-    def symmetric_flag(self):
-        return self.gen.symmetric
-
-    @property
-    def star_lag(self):
-        return self.gen.star_lag
-
     def levels(self):
         return range(1, self.depth + 1)
 
@@ -982,13 +955,13 @@ class TowerReport(namedtuple("TowerReport", [
                 and self.sample_ok)
 
     def lines(self):
-        t = self.tower
-        out = ["generator=%s" % t.kind]
-        for key in sorted(t.gen.params):
-            out.append("%s=%s" % (key, t.gen.params[key]))
+        t, gen = self.tower, self.tower.gen
+        out = ["generator=%s" % gen.kind]
+        for key in sorted(gen.params):
+            out.append("%s=%s" % (key, gen.params[key]))
         out.append("depth=%d" % t.depth)
-        out.append("symmetric=%s" % ("true" if t.symmetric_flag else "false"))
-        out.append("star_lag=%d" % t.star_lag)
+        out.append("symmetric=%s" % ("true" if gen.symmetric else "false"))
+        out.append("star_lag=%d" % gen.star_lag)
         for k in t.levels():
             out.append("blocks[%d]=%d" % (k, t.block_count(k)))
         for name in ("refinement", "star", "covering", "sample"):
@@ -1168,40 +1141,32 @@ class UniformCoverReport(namedtuple("UniformCoverReport", [
 
 def is_uniform_covering(tower, cov):
     """True when every thread class, limit classes included, lies in
-    the extension of a single member: an interior class needs its block
-    inside the member's union; a class over the puncture needs a member
-    absorbing a punctured neighborhood (metric) or a thin sector over
-    its angular window (sectorial); a residue class needs its disk
-    covered.  Limit classes are tested first, so the failure witness is
-    a limit class whenever one fails."""
+    the extension of a single member, as the generator's absorbs decides:
+    an interior class needs its block inside the member's union; a class
+    over the puncture needs a member absorbing a punctured neighborhood
+    (metric) or a thin sector over its angular window (sectorial); a
+    residue class needs its disk covered.  classes yields the limit
+    classes first, so the failure witness is a limit class whenever one
+    fails."""
     _validate_covering(tower, cov)
     gen = tower.gen
     n = tower.depth
     msets = [frozenset(m) for m in cov.members]
     present = frozenset().union(*msets) if msets else frozenset()
-    for limit_pass in (True, False):
-        for cls in gen.classes(n):
-            if (cls.tag != "interior") != limit_pass:
-                continue
-            if not _class_absorbed(tower, cov, cls, msets, present):
-                witness = "%s %s" % (cls.tag, gen.block_name(n, cls.rep))
-                return UniformCoverReport(False, witness, cov)
+    for cls in gen.classes(n):
+        if not _class_absorbed(tower, cov, cls, msets, present):
+            witness = "%s %s" % (cls.tag, gen.block_name(n, cls.rep))
+            return UniformCoverReport(False, witness, cov)
     return UniformCoverReport(True, None, cov)
 
 
 def _class_absorbed(tower, cov, cls, msets, present):
+    # an enclosing block in a member settles a limit class too: an origin
+    # block holds the origin inside, a tip window holds the class window
     n = tower.depth
-    if cls.tag not in ("puncture", "tangential"):
-        return _block_in_some_member(tower, cov, msets, present, n, cls.rep)
-    # an enclosing block in some member settles a limit class too: a
-    # metric origin block contains the origin in its ambient interior, a
-    # tip block's window contains the class window
     if cov.level <= n and tower.ancestor(n, cls.rep, cov.level) in present:
         return True
-    gen = tower.gen
-    if cls.tag == "puncture":
-        return any(gen.absorbs_origin(cov.level, ms) for ms in msets)
-    return any(gen.tips_cover(cov.level, ms, n, cls.rep[1]) for ms in msets)
+    return any(tower.gen.absorbs(cov.level, ms, n, cls) for ms in msets)
 
 
 # Tukey refinement
@@ -1283,17 +1248,17 @@ def check_uniform_continuity(kind, src, dst):
     resumes where the previous row stopped."""
     gen = src.gen
     if kind == "identity":
-        if (src.kind != dst.kind or gen.params != dst.gen.params
+        if (gen.kind != dst.gen.kind or gen.params != dst.gen.params
                 or gen.model != dst.gen.model):
             raise ValueError("incompatible generators for the identity")
         unmapped = gen.first_unfit
     elif kind == "polar_to_cartesian":
-        if src.kind != "sectorial_disk" or dst.kind != "metric_disk":
+        if gen.kind != "sectorial_disk" or dst.gen.kind != "metric_disk":
             raise ValueError("polar_to_cartesian maps the sectorial tower "
                              "to the metric tower")
         unmapped = _PolarToCartesian(gen).first_unmapped
     elif kind == "cartesian_to_polar":
-        if src.kind != "metric_disk" or dst.kind != "sectorial_disk":
+        if gen.kind != "metric_disk" or dst.gen.kind != "sectorial_disk":
             raise ValueError("cartesian_to_polar maps the metric tower "
                              "to the sectorial tower")
 

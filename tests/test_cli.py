@@ -88,6 +88,32 @@ def test_check_reports_axioms(pervin_file):
     assert "quasi_uniformity=true" in out.splitlines()
 
 
+def test_check_topology_golden(sier_file):
+    code, out, _ = run(["check", sier_file])
+    assert code == 0
+    assert out.splitlines() == ["opens=3", "topology=ok", "t0=true"]
+
+
+def test_check_topology_not_closed_under_union(tmp_path):
+    p = tmp_path / "gap.space"
+    p.write_text("space gap 3\nelements a b c\nopen a\nopen b\n")
+    code, out, _ = run(["check", str(p)])
+    assert code == 1
+    assert out.splitlines() == [
+        "topology=FAIL opens not closed under union/intersection"]
+
+
+def test_check_failing_symmetric_uniformity(tmp_path):
+    p = tmp_path / "asym.space"
+    p.write_text("space asym 2\nelements a b\nuniformity symmetric\n"
+                 "entourage e\npair a a\npair b b\npair a b\nend\n")
+    code, out, _ = run(["check", str(p)])
+    assert code == 1
+    assert out.splitlines() == [
+        "entourages=1", "reflexive=ok", "cotransitive=ok", "symmetric=FAIL",
+        "quasi_uniformity=true", "uniformity=false", "witness=symmetry b,a"]
+
+
 def test_check_parse_error_cites_position(tmp_path):
     p = tmp_path / "bad.space"
     p.write_text("space x 1\nelements a\nfrob a\n")

@@ -437,3 +437,19 @@ def test_window_dims_match_three_ranks(name):
     session = _OracleSession(_cross_check_specs()[name])
     for d in range(10, 36, 5):
         assert session.window_dims(d) == _reference_window_dims(session, d), d
+
+
+def oracle_derham(spec, degree_bound):
+    """Three windows five apart, compared outright."""
+    session = _OracleSession(spec)
+    dims = [session.window_dims(d)
+            for d in (degree_bound, degree_bound + 5, degree_bound + 10)]
+    h0, h1 = dims[-1]
+    return h0, h1, dims[0] == dims[1] == dims[2]
+
+
+@pytest.mark.parametrize("bound", [1, 5, 10])
+def test_derham_oracle_matches_three_windows(bound):
+    for name, entry in ENTRIES.items():
+        assert derham_oracle(entry.spec, bound) == oracle_derham(
+            entry.spec, bound), name

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from unifkit import linalg
 from unifkit.enumeration import dense_pairs
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
@@ -110,6 +111,115 @@ def test_gluing_on_constant_sheaf():
     f = constant_sheaf(pair.xhat)
     ok, _ = check_gluing(pair, f)
     assert ok
+
+
+def oracle_check_gluing(pair, f, max_family_size=2):
+    """The equalizer test written out: alpha into the member values,
+    beta as the differences into the pairwise intersections."""
+    g = GCoveringSystem(pair, max_family_size)
+    for um in pair.trace_open_masks():
+        w_u = pair.u_check_mask(um)
+        d_u = f.dim_sections(w_u)
+        for fam in g.listed(um):
+            if not fam:
+                if d_u != 0 and um == 0:
+                    return False, (um, fam)
+                continue
+            w_i = [pair.u_check_mask(m) for m in fam]
+            offs = []
+            total = 0
+            for w in w_i:
+                offs.append(total)
+                total += f.dim_sections(w)
+            alpha = linalg.zeros(total, d_u)
+            for k, w in enumerate(w_i):
+                m = f.restrict_sections(w_u, w)
+                for rr in range(len(m)):
+                    for cc in range(d_u):
+                        alpha[offs[k] + rr][cc] = m[rr][cc]
+            rows2 = []
+            for a in range(len(fam)):
+                for b in range(a + 1, len(fam)):
+                    w_ab = pair.u_check_mask(fam[a] & fam[b])
+                    d_ab = f.dim_sections(w_ab)
+                    if d_ab == 0:
+                        continue
+                    ra = f.restrict_sections(w_i[a], w_ab)
+                    rb = f.restrict_sections(w_i[b], w_ab)
+                    for t in range(d_ab):
+                        row = [linalg.ZERO] * total
+                        for cc in range(len(ra[t]) if ra else 0):
+                            row[offs[a] + cc] += ra[t][cc]
+                        for cc in range(len(rb[t]) if rb else 0):
+                            row[offs[b] + cc] -= rb[t][cc]
+                        rows2.append(row)
+            ker = total - linalg.rank(rows2)
+            composed = linalg.matmul(rows2, alpha) if rows2 else []
+            square_zero = all(all(x == 0 for x in row) for row in composed)
+            if linalg.rank(alpha) != d_u or ker != d_u or not square_zero:
+                return False, (um, fam)
+    return True, None
+
+
+def pairwise_block_is_nonzero(pair, f):
+    """Some listed family has two members whose values restrict to
+    their intersection by a nonzero matrix."""
+    g = GCoveringSystem(pair)
+    for um in pair.trace_open_masks():
+        for fam in g.listed(um):
+            for a, b in itertools.combinations(fam, 2):
+                block = f.restrict_sections(pair.u_check_mask(a),
+                                            pair.u_check_mask(a & b))
+                if any(any(row) for row in block):
+                    return True
+    return False
+
+
+def gluing_cases():
+    pairs = [pseudo_circle(True), pseudo_circle(False)]
+    for n in range(1, 4):
+        pairs += [DensePair(top, d) for top, d in dense_pairs(n)]
+    for i, pair in enumerate(pairs):
+        yield pair, constant_sheaf(pair.xhat)
+        for seed in range(3):
+            yield pair, random_sheaf(pair.xhat, random.Random(100 * i + seed))
+
+
+def test_gluing_matches_the_equalizer_oracle():
+    nonzero = False
+    count = 0
+    for pair, f in gluing_cases():
+        got = check_gluing(pair, f)
+        assert got == (True, None), pair
+        assert got == oracle_check_gluing(pair, f), pair
+        nonzero = nonzero or pairwise_block_is_nonzero(pair, f)
+        count += 1
+    assert nonzero
+    assert count > 200
+
+
+class DoubledSide(PosetSheaf):
+    """Restrictions out of one open into smaller opens doubled: no longer
+    a presheaf, so a family through that open fails the equalizer."""
+
+    __slots__ = ("side",)
+
+    def restrict_sections(self, big, small):
+        m = super().restrict_sections(big, small)
+        if big != self.side or small == big:
+            return m
+        return [[2 * x for x in row] for row in m]
+
+
+def test_gluing_rejects_a_doubled_restriction():
+    pair = pseudo_circle(True)
+    top = pair.xhat
+    f = DoubledSide(top, [1] * len(top.base),
+                    {e: [[1]] for e in top.hasse_edges()})
+    f.side = top.base.mask_of(["a", "b", "c"])
+    got = check_gluing(pair, f)
+    assert got[0] is False and got[1] is not None
+    assert got == oracle_check_gluing(pair, f)
 
 
 def test_random_sheaf_determinism_and_dims():

@@ -4,6 +4,8 @@ that no library module and no benchmark module names is reached by tests
 alone; the only such names allowed are in KEPT, each with its reason."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +51,22 @@ def unreached():
 
 def test_only_kept_public_names_go_unreached():
     assert unreached() == set(KEPT)
+
+
+def test_tracer_targets_resolve():
+    """Every name the benchmark's tracer wraps exists: a module attribute,
+    or an entry in its class's __dict__, which is what the tracer
+    patches."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for t in tracing.TARGETS:
+        owner_name, _, attr = t.attr.rpartition(".")
+        owner = importlib.import_module("unifkit." + t.module)
+        if owner_name:
+            owner = vars(owner).get(owner_name)
+        if owner is None or attr not in vars(owner):
+            missing.append(t.name)
+    assert missing == []

@@ -74,7 +74,7 @@ def _pairwise_cycle_ok(gen, n):
     angle = gen.axes[1]
     count = len(angle.ids(n))
     return count >= 3 and all(  # meeting is symmetric: b > a only
-        angle.meets(n, a, n, b) == (b - a in (1, count - 1))
+        tower_mod._spans_meet(angle, n, a, n, b) == (b - a in (1, count - 1))
         for a in range(count) for b in range(a + 1, count))
 
 
@@ -430,7 +430,7 @@ PINNED = [
         [(i, a) for i in range(4) for a in (2, 3, 0)]]),
      ["covering=arcs", "tukey=true", "refining_level=1",
       "finite_subcover_size=2"]),
-    # no member holds tip r0a0 of level 1, so tips_cover decides the
+    # no member holds tip r0a0 of level 1, so absorbs decides the
     # classes under it: tip r0a1 lifts across the cut onto window r0a0 of
     # level 3 but leaves a gap in r0a0 of level 2 and r0a1 of level 3
     ("sectorial", 3, "uniform", ("far-tip", 1, [[(0, 1)], [(1, 0), (1, 1)]]),
@@ -485,7 +485,7 @@ def test_block_names_read_back(tmp_path, name):
                         "--blocks", bad])
     assert code == 2
     assert err == "error: bad block name %r for generator %s\n" % (
-        bad, tower.kind)
+        bad, tower.gen.kind)
 
 
 # chart changes against the rational geometry: the oracles below are
@@ -951,6 +951,13 @@ def metric_blocks_meet(gen, k1, b1, k2, b2):
     return not (a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2])
 
 
+def _circ_intersects(s1, l1, s2, l2, modulus):
+    """Closed circular arcs (start s1, length l1) and (s2, l2) meet."""
+    if l1 >= modulus or l2 >= modulus:
+        return True
+    return (s1 - s2) % modulus <= l2 or (s2 - s1) % modulus <= l1
+
+
 def sectorial_blocks_meet(gen, k1, b1, k2, b2):
     radius, angle = gen.axes
     lvl = max(k1, k2)
@@ -962,8 +969,8 @@ def sectorial_blocks_meet(gen, k1, b1, k2, b2):
     mod = 1 << (lvl + 1)
     s1, l1 = angle.window(k1, b1[1])
     s2, l2 = angle.window(k2, b2[1])
-    return tower_mod._circ_intersects((s1 * f1) % mod, l1 * f1,
-                                      (s2 * f2) % mod, l2 * f2, mod)
+    return _circ_intersects((s1 * f1) % mod, l1 * f1,
+                            (s2 * f2) % mod, l2 * f2, mod)
 
 
 def metric_neighbors(gen, k, b):
@@ -1118,7 +1125,53 @@ def test_tips_coverage_matches_the_half_unit_grid():
         tips = [b for b in member if b[0] == 0]
         want = grid_covered(gen, cov_level, tips, lvl, (0,),
                             range(y0, y1 + 1))
-        assert gen.tips_cover(cov_level, member, n, a) == want, (
+        cls = tower_mod.ThreadClass("tangential", n, (0, a), ((0, a),))
+        assert gen.absorbs(cov_level, member, n, cls) == want, (
             cov_level, n, a, sorted(member))
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def oracle_absorbs_origin(gen, level, member):
+    """The member contains a full punctured neighborhood of the origin:
+    each open corner quadrant is filled near 0 by some origin block."""
+    need = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    for b in member:
+        if not gen.is_origin(b):
+            continue
+        x0, x1, y0, y1 = gen.block_box(level, b)
+        for sx, sy in tuple(need):
+            okx = (x0 <= 0 < x1) if sx > 0 else (x0 < 0 <= x1)
+            oky = (y0 <= 0 < y1) if sy > 0 else (y0 < 0 <= y1)
+            if okx and oky:
+                need.discard((sx, sy))
+    return not need
+
+
+def test_puncture_absorption_matches_the_quadrant_rule():
+    gen = tower_mod._MetricGen()
+    rng = random.Random(2012)
+    verdicts = set()
+    origin = gen.origin_ids()
+    for _ in range(2000):
+        cov_level, n = rng.randint(1, 6), rng.randint(1, 6)
+        cls = tower_mod.ThreadClass("puncture", n, origin[0], origin)
+        ids = gen.axes[0].ids(cov_level)
+        keep = rng.choice((0.5, 0.8, 0.95))
+        member = frozenset((i, j) for i in range(-3, 3) for j in range(-3, 3)
+                           if i in ids and j in ids and rng.random() < keep)
+        want = oracle_absorbs_origin(gen, cov_level, member)
+        assert gen.absorbs(cov_level, member, n, cls) == want, (
+            cov_level, n, sorted(member))
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_limit_classes_come_first(name):
+    """is_uniform_covering scans classes in order and names the first
+    unabsorbed one, so the classes over the puncture must lead."""
+    for depth in range(1, 5):
+        tags = [c.tag for c in TOWERS[name](depth).gen.classes(depth)]
+        limit = [t != "interior" for t in tags]
+        assert limit == sorted(limit, reverse=True), (name, depth)
