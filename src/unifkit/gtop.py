@@ -373,7 +373,8 @@ class PosetSheaf:
     per Hasse edge of its specialization order, validated to compose
     consistently.  Values on opens are the compatible families."""
 
-    __slots__ = ("top", "dims", "edge_mats", "_full_maps", "_sections")
+    __slots__ = ("top", "dims", "edge_mats", "_full_maps", "_sections",
+                 "_restrictions")
 
     def __init__(self, top, dims, edge_mats):
         if not top.is_t0():
@@ -394,6 +395,7 @@ class PosetSheaf:
                           for e, m in edge_mats.items()}
         self._full_maps = None
         self._sections = {}
+        self._restrictions = {}
         self._check_functorial()
 
     def _order(self):
@@ -435,7 +437,10 @@ class PosetSheaf:
     def section_space(self, mask):
         """Basis of F(W) inside the direct sum of the stalks over W.
         W must be open; edge constraints inside an up-closed W pin the
-        whole compatibility."""
+        whole compatibility.  The constraint of an edge i -> j and
+        stalk row rj is one row, e_(j, rj) - row rj of the edge matrix
+        in the i block; the blocks of i != j are disjoint, so each entry
+        is assigned once."""
         try:
             return self._sections[mask]
         except KeyError:
@@ -452,10 +457,10 @@ class PosetSheaf:
         for (i, j), m in sorted(self.edge_mats.items()):
             if mask >> i & 1 and mask >> j & 1:
                 for rj in range(self.dims[j]):
-                    row = [linalg.ZERO] * total
-                    row[offs[j] + rj] = linalg.ONE
-                    for ci in range(self.dims[i]):
-                        row[offs[i] + ci] -= m[rj][ci]
+                    row = [0] * total
+                    row[offs[j] + rj] = 1
+                    for ci, x in enumerate(m[rj]):
+                        row[offs[i] + ci] = -x
                     rows.append(row)
         basis = linalg.kernel_basis(rows, total)
         out = (tuple(points), offs, basis)
@@ -466,21 +471,28 @@ class PosetSheaf:
         return len(self.section_space(mask)[2])
 
     def restrict_sections(self, big, small):
-        """Matrix of F(big) -> F(small) in the chosen bases."""
+        """Matrix of F(big) -> F(small) in the chosen bases, solved once
+        per pair of opens."""
+        try:
+            return self._restrictions[(big, small)]
+        except KeyError:
+            pass
         pb, offb, bb = self.section_space(big)
         ps, offs, bs = self.section_space(small)
-        if not bs:
-            return []
-        total_s = sum(self.dims[p] for p in ps)
-        cut = []
-        for v in bb:
-            w = [linalg.ZERO] * total_s
-            for p in ps:
-                for t in range(self.dims[p]):
-                    w[offs[p] + t] = v[offb[p] + t]
-            cut.append(w)
-        cols = linalg.solve_many(linalg.transpose(bs), cut)
-        return linalg.transpose(cols)
+        out = []
+        if bs:
+            total_s = sum(self.dims[p] for p in ps)
+            cut = []
+            for v in bb:
+                w = [linalg.ZERO] * total_s
+                for p in ps:
+                    for t in range(self.dims[p]):
+                        w[offs[p] + t] = v[offb[p] + t]
+                cut.append(w)
+            out = linalg.transpose(
+                linalg.solve_many(linalg.transpose(bs), cut))
+        self._restrictions[(big, small)] = out
+        return out
 
 
 def constant_sheaf(top, dim=1):
@@ -507,10 +519,13 @@ def _coboundary(rows, cols, cells, index, face_map):
     cells, each a tuple.  The face of a cell that drops entry t enters
     with sign (-1)^t, as the block face_map(face, cell) at row offset
     index[cell] and column offset index[face]; [] stands for a zero
-    map."""
+    map.  The entries of a cell are distinct (the points of a strict
+    chain, the positions of an index tuple), so its faces are distinct
+    and so are their column blocks: each entry is assigned once, into
+    rows of int 0 fill."""
     if not rows or not cols:
         return []
-    m = linalg.zeros(rows, cols)
+    m = [[0] * cols for _ in range(rows)]
     for c in cells:
         roff = index[c]
         for t in range(len(c)):
@@ -520,7 +535,7 @@ def _coboundary(rows, cols, cells, index, face_map):
                 out = m[roff + r]
                 for cc, x in enumerate(row):
                     if x:
-                        out[coff + cc] += -x if t & 1 else x
+                        out[coff + cc] = -x if t & 1 else x
     return m
 
 
@@ -573,13 +588,14 @@ def simplicial_cohomology(top):
     def differential(q):
         if q + 1 == len(by_deg):
             return []
-        m = linalg.zeros(len(by_deg[q + 1]), len(by_deg[q]))
+        # the faces of a strict chain are distinct: one assignment each
+        m = [[0] * len(by_deg[q]) for _ in by_deg[q + 1]]
         for c in by_deg[q + 1]:
             r = index[c]
             sign = 1
             for t in range(len(c)):
                 face = c[:t] + c[t + 1:]
-                m[r][index[face]] += sign
+                m[r][index[face]] = sign
                 sign = -sign
         return m
 

@@ -1,16 +1,28 @@
-"""Exact linear algebra over the rationals on one integer kernel.
+"""Exact linear algebra over the rationals on one sparse integer kernel.
 
-Matrices are lists of rows of Fractions.  Elimination runs
-fraction-free on Python ints: each row is multiplied by the lcm of its
-denominators, and a pivot row with pivot p clears the entry f of
-another row by cross-multiplication, row := (p/g)*row - (f/g)*pivot_row
-with g = gcd(p, f), after which the new row is divided by its content
-(the gcd of its entries).  Every row therefore stays the primitive
-integer vector along the row that elimination over Q would give, so
-entry sizes stay bounded by the matching minors.  Rows with a zero in
-the pivot column are not touched, which is most rows of the sparse
-0/+-1 differentials of the order complexes.  Pivots are the first
-nonzero entry in their column; results leave the kernel as Fractions.
+Matrices are lists of equal-length rows of ints or Fractions.  The
+kernel sees each row as its nonzero entries {column: int}, multiplied
+by the lcm of their denominators, so a row combination touches only
+the columns where either row is nonzero; the 0/+-1 differentials of
+the order complexes have a few entries per row.  Rows are inserted one
+at a time: a row whose leading column already holds a pivot row with
+pivot p has its leading entry f cleared by cross-multiplication,
+row := (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), and is divided
+by its content (the gcd of its entries), until its leading column is
+new (it becomes a pivot row there) or it vanishes.  Every row
+therefore stays the primitive integer vector along the row that
+elimination over Q would give, so entry sizes stay bounded by the
+matching minors (Bareiss 1968).
+
+The pivot rows span the row space and have distinct leading columns,
+so they are a row echelon basis of it, and the leading columns of any
+echelon basis of a row space are the pivot columns of its reduced row
+echelon form: column c is a leading column exactly when it is not in
+the span of the columns before it.  So the pivot columns come out the
+same whatever the order the rows are inserted in.  One
+back-substitution clears every pivot column in the other pivot rows
+and serves rref, kernel_basis and solve_many; results leave the kernel
+as Fractions.
 """
 
 from __future__ import annotations
@@ -33,12 +45,24 @@ def identity(n):
     return m
 
 
+def _width(m, ncols=None):
+    """The length every row of m shares (ncols, if given, must agree;
+    a matrix without rows has width ncols or 0).  Raises ValueError on
+    ragged rows."""
+    widths = set(map(len, m))
+    if ncols is not None:
+        widths.add(ncols)
+    if len(widths) > 1:
+        raise ValueError("rows of unequal length %s" % sorted(widths))
+    return widths.pop() if widths else 0
+
+
 def matmul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    if not b:
-        return [[] for _ in a]
-    rc = len(b[0])
+    inner = _width(a)
+    if a and inner != len(b):
+        raise ValueError("shape mismatch: %d columns against %d rows"
+                         % (inner, len(b)))
+    rc = _width(b)
     out = zeros(len(a), rc)
     for i, row in enumerate(a):
         for k, aik in enumerate(row):
@@ -50,69 +74,85 @@ def matmul(a, b):
     return out
 
 
-def _echelon(m, reduced):
-    """Fraction-free elimination of the rational matrix m.  Returns
-    (rows, pivot_columns) with rows of ints: the first len(pivot_columns)
-    rows are the pivot rows in pivot order, the rest are zero.
-    reduced=False stops after the forward phase (row echelon form);
-    reduced=True also clears each pivot column above its pivot
-    (Gauss-Jordan), so row k divided by its entry in pivot column k is
-    row k of the rref."""
-    rows = []
-    for row in m:
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            rows.append([x.numerator for x in row])
+def _int_row(row):
+    """The nonzero entries of a rational row as {column: int}, scaled by
+    the lcm of their denominators."""
+    entries = {c: x for c, x in enumerate(row) if x}
+    den = lcm(*[x.denominator for x in entries.values()])
+    return {c: x.numerator * (den // x.denominator)
+            for c, x in entries.items()}
+
+
+def _combine(row, prow, c):
+    """row with its entry in column c cleared by the pivot row prow
+    (whose entry there is its pivot), divided by its content."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in prow.items():
+        x = new.get(k, 0) - b * y
+        if x:
+            new[k] = x
         else:
-            rows.append([x.numerator * (den // x.denominator) for x in row])
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
+            del new[k]
+    content = gcd(*new.values())
+    if content > 1:
+        new = {k: x // content for k, x in new.items()}
+    return new
+
+
+def _echelon(m):
+    """Insert the rows of m one at a time; returns {pivot column: pivot
+    row}, the rows sparse and integer with their leading entry at the
+    key."""
+    pivots = {}
+    for row in m:
+        row = _int_row(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(0 if reduced else r + 1, nr):
-            f = rows[i][c]
-            if not f or i == r:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(rows[i], prow)]
-            content = gcd(*new)
-            if content > 1:
-                new = [x // content for x in new]
-            rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+            row = _combine(row, prow, c)
+    return pivots
+
+
+def _reduced(pivots):
+    """The pivot rows with every other pivot column cleared (each row
+    still sparse, integer and primitive), ascending by pivot column.
+    Back-substitution from the last pivot: a row reduced earlier holds
+    no pivot column but its own, so clearing one column adds no other."""
+    done = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k in done]:
+            row = _combine(row, done[k], k)
+        done[c] = row
+    return [(c, done[c]) for c in sorted(done)]
 
 
 def rref(m):
     """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows, pivots = _echelon(m, True)
-    nc = len(rows[0]) if rows else 0
-    out = [[Fraction(x, row[c]) if x else ZERO for x in row]
-           for row, c in zip(rows, pivots)]
-    out.extend([ZERO] * nc for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+    nc = _width(m)
+    rows = _reduced(_echelon(m))
+    out = []
+    for c, row in rows:
+        dense = [ZERO] * nc
+        for k, x in row.items():
+            dense[k] = Fraction(x, row[c])
+        out.append(dense)
+    out.extend([ZERO] * nc for _ in range(len(m) - len(rows)))
+    return out, [c for c, _ in rows]
 
 
 def pivot_columns(m):
     """Pivot columns of the row echelon form, ascending.  Column c is a
     pivot exactly when it is not in the span of the columns before it,
     so the pivots below c count the rank of the first c columns."""
-    return _echelon(m, False)[1]
+    _width(m)
+    return sorted(_echelon(m))
 
 
 def rank(m):
@@ -121,46 +161,38 @@ def rank(m):
 
 def kernel_basis(m, ncols=None):
     """Basis of the right kernel, one vector per free column."""
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    if not m or ncols == 0:
-        return [[ONE if i == j else ZERO for j in range(ncols)]
-                for i in range(ncols)]
-    rows, pivots = _echelon(m, True)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [ZERO] * ncols
+    ncols = _width(m, ncols)
+    rows = _reduced(_echelon(m))
+    pivots = {c for c, _ in rows}
+    basis = {fc: [ZERO] * ncols for fc in range(ncols) if fc not in pivots}
+    for fc, v in basis.items():
         v[fc] = ONE
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        out.append(v)
-    return out
+    for pc, row in rows:
+        for k, x in row.items():
+            if k != pc:
+                basis[k][pc] = Fraction(-x, row[pc])
+    return list(basis.values())
 
 
 def solve_many(a, bs):
     """Solve a x = b for each b in bs; returns list of solutions.
     Raises if some b is outside the column span (callers rely on
-    consistency, so that is a real error)."""
+    consistency, so that is a real error).  That happens exactly when
+    the augmented matrix [a | b_1 ... b_k] has a pivot column past a:
+    the first such b is not in the span of the columns before it."""
     nr = len(a)
-    nc = len(a[0]) if a else 0
-    k = len(bs)
+    nc = _width(a)
+    if any(len(b) != nr for b in bs):
+        raise ValueError("right-hand side of the wrong length")
     aug = [list(a[i]) + [b[i] for b in bs] for i in range(nr)]
-    rows, pivots = _echelon(aug, True)
-    sols = []
-    piv_in_a = [p for p in pivots if p < nc]
-    for t in range(k):
-        v = [ZERO] * nc
-        for row, pc in zip(rows, piv_in_a):
-            if row[nc + t]:
-                v[pc] = Fraction(row[nc + t], row[pc])
-        # verify by multiplication; rref bookkeeping alone can miss an
-        # inconsistent right-hand side when several share a bad row
-        for i in range(nr):
-            if sum((a[i][j] * v[j] for j in range(nc)), ZERO) != bs[t][i]:
-                raise ValueError("inconsistent system")
-        sols.append(v)
+    rows = _reduced(_echelon(aug))
+    if rows and rows[-1][0] >= nc:
+        raise ValueError("inconsistent system")
+    sols = [[ZERO] * nc for _ in bs]
+    for pc, row in rows:
+        for k, x in row.items():
+            if k >= nc:
+                sols[k - nc][pc] = Fraction(x, row[pc])
     return sols
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unifkit import linalg
+from unifkit import gtop, linalg
 from unifkit.enumeration import dense_pairs
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
@@ -14,6 +14,7 @@ from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           simplicial_cohomology, uniform_g_topology)
 from unifkit.relations import FiniteSet, Relation
 from unifkit.topology import FiniteTopology
+from unifkit.tower import make_tower, puncture_quotient
 
 
 def test_sierpinski_orientation():
@@ -237,6 +238,116 @@ def test_euler_characteristic_is_chain_count():
     chi = sum((-1) ** k * d for k, d in enumerate(betti))
     chains = top.strict_chains()
     assert chi == sum((-1) ** (len(c) - 1) for c in chains)
+
+
+def oracle_coboundary(rows, cols, cells, index, face_map):
+    """The coboundary accumulated into Fraction zeros with +=."""
+    if not rows or not cols:
+        return []
+    m = linalg.zeros(rows, cols)
+    for c in cells:
+        roff = index[c]
+        for t in range(len(c)):
+            face = c[:t] + c[t + 1:]
+            coff = index[face]
+            for r, row in enumerate(face_map(face, c)):
+                out = m[roff + r]
+                for cc, x in enumerate(row):
+                    if x:
+                        out[coff + cc] += -x if t & 1 else x
+    return m
+
+
+def oracle_simplicial_differentials(top):
+    """The order-complex differentials accumulated with +=."""
+    by_deg = gtop._chains_by_degree(top)
+    index = {c: k for cs in by_deg for k, c in enumerate(cs)}
+    out = []
+    for q in range(len(by_deg)):
+        if q + 1 == len(by_deg):
+            out.append([])
+            continue
+        m = linalg.zeros(len(by_deg[q + 1]), len(by_deg[q]))
+        for c in by_deg[q + 1]:
+            sign = 1
+            for t in range(len(c)):
+                m[index[c]][index[c[:t] + c[t + 1:]]] += sign
+                sign = -sign
+        out.append(m)
+    return out
+
+
+def differentials(monkeypatch, route, *args, coboundary=None):
+    """(Betti numbers, the differentials that _betti ranked) of one
+    cohomology route, with _coboundary replaced if one is given."""
+    seen = []
+    betti = gtop._betti
+
+    def spy(dims, ds):
+        seen.extend(ds)
+        return betti(dims, seen)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gtop, "_betti", spy)
+        if coboundary is not None:
+            mp.setattr(gtop, "_coboundary", coboundary)
+        return route(*args), seen
+
+
+def check_coboundaries(monkeypatch, pair, f):
+    """Compares the differentials of every route; returns how many of
+    them were nonzero matrices."""
+    nonzero = 0
+    routes = [(sheaf_cohomology, (f,))]
+    if pair is not None:
+        routes.append((cech_cohomology,
+                       (pair, f, finest_g_covering(pair))))
+    for route, args in routes:
+        got = differentials(monkeypatch, route, *args)
+        want = differentials(monkeypatch, route, *args,
+                             coboundary=oracle_coboundary)
+        assert got == want
+        nonzero += sum(1 for d in got[1] if any(map(any, d)))
+    got = differentials(monkeypatch, simplicial_cohomology, f.top)
+    assert got[1] == oracle_simplicial_differentials(f.top)
+    assert all(type(x) is int for d in got[1] for row in d for x in row)
+    return nonzero
+
+
+def test_coboundaries_match_the_accumulating_oracle(monkeypatch):
+    count = nonzero = 0
+    for n in range(1, 4):
+        for top, d in dense_pairs(n):
+            pair = DensePair(top, d)
+            nonzero += check_coboundaries(monkeypatch, pair,
+                                          constant_sheaf(top))
+            for seed in range(3):
+                f = random_sheaf(top, random.Random(100 * count + seed))
+                nonzero += check_coboundaries(monkeypatch, pair, f)
+            count += 1
+    assert count == 61
+    assert nonzero > 100
+    for depth in (2, 3, 4):
+        top, _ = puncture_quotient(make_tower("sectorial_disk", depth))
+        assert check_coboundaries(monkeypatch, None, constant_sheaf(top)) == 1
+
+
+def test_restriction_maps_are_solved_once():
+    for pair, f in gluing_cases():
+        top = f.top
+        fresh = PosetSheaf(top, f.dims, f.edge_mats)
+        opens = top.open_masks
+        for big in opens:
+            d = f.dim_sections(big)
+            same = f.restrict_sections(big, big)
+            assert same == [[int(i == j) for j in range(d)]
+                            for i in range(d)] if d else same == []
+            for small in opens:
+                if small & ~big:
+                    continue
+                m = f.restrict_sections(big, small)
+                assert f.restrict_sections(big, small) is m
+                assert m == fresh.restrict_sections(big, small)
 
 
 def test_g_covering_rejects_a_non_open_set():

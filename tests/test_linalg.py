@@ -12,7 +12,7 @@ from unifkit.tower import make_tower, puncture_quotient
 
 def oracle_rref(m):
     """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
+    rows = [[Fraction(x) for x in r] for r in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -39,10 +39,21 @@ def oracle_rref(m):
     return rows, pivots
 
 
-def entries(zero_share):
-    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+INTS = st.integers(-9, 9)
+KINDS = {"fraction": FRACTIONS, "int": INTS,
+         "mixed": st.one_of(FRACTIONS, INTS)}
+
+
+def entries(zero_share, kind="fraction"):
+    """Entries of one kind (Fractions, ints, or both mixed within a
+    row), zero with probability zero_share / 4; a zero is 0 or
+    Fraction(0) as the kind says."""
+    entry = KINDS[kind]
+    zero = st.just(0) if kind == "int" else st.sampled_from(
+        (Fraction(0), 0) if kind == "mixed" else (Fraction(0),))
     return st.integers(0, 3).flatmap(
-        lambda k: st.just(Fraction(0)) if k < zero_share else entry)
+        lambda k: zero if k < zero_share else entry)
 
 
 @st.composite
@@ -50,7 +61,7 @@ def matrices(draw, max_rows=8, max_cols=8):
     nr = draw(st.integers(0, max_rows))
     nc = draw(st.integers(0, max_cols))
     zero_share = draw(st.integers(0, 4))
-    entry = entries(zero_share)
+    entry = entries(zero_share, draw(st.sampled_from(sorted(KINDS))))
     return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
 
 
@@ -80,6 +91,16 @@ def check_against_oracle(m):
 @given(matrices())
 def test_rref_rank_kernel_match_the_oracle(m):
     check_against_oracle(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_pivot_columns_do_not_depend_on_the_row_order(m, data):
+    shuffled = data.draw(st.permutations(m))
+    _, want = oracle_rref(m)
+    assert linalg.pivot_columns(shuffled) == linalg.pivot_columns(m) == want
+    assert linalg.rank(shuffled) == len(want)
+    assert linalg.rref(shuffled) == linalg.rref(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,6 +142,38 @@ F = Fraction
 ])
 def test_edge_shapes(m):
     check_against_oracle(m)
+
+
+def test_malformed_shapes_raise():
+    for bad in ([[1], [1, 2]], [[1, 2], [1]], [[F(1), F(2)], []]):
+        with pytest.raises(ValueError):
+            linalg.rank(bad)
+        with pytest.raises(ValueError):
+            linalg.rref(bad)
+        with pytest.raises(ValueError):
+            linalg.kernel_basis(bad)
+        with pytest.raises(ValueError):
+            linalg.solve_many(bad, [[1] * len(bad)])
+        with pytest.raises(ValueError):
+            linalg.matmul(bad, [[1], [1]])
+        with pytest.raises(ValueError):
+            linalg.matmul([[1, 1]], bad)
+    with pytest.raises(ValueError):
+        linalg.kernel_basis([[1], [1, 2]], 2)
+    with pytest.raises(ValueError):
+        linalg.kernel_basis([[1, 2]], 3)
+    with pytest.raises(ValueError):
+        linalg.matmul([[1, 2, 3]], [])
+    with pytest.raises(ValueError):
+        linalg.matmul([[1, 2]], [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        linalg.solve_many([[1, 2], [3, 4]], [[1, 2, 3]])
+    # shapes without entries stay legal
+    assert linalg.matmul([], [[1]]) == []
+    assert linalg.matmul([[]], []) == [[]]
+    assert linalg.matmul([[1], [2]], [[]]) == [[], []]
+    assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert linalg.rank([[], []]) == 0
 
 
 def test_inconsistent_system_raises():
