@@ -482,13 +482,15 @@ class _OracleSession:
         coords = sorted({c for v in cols for c in v},
                         key=_coord_key)
         cindex = {c: i for i, c in enumerate(coords)}
-        full = [[ZERO] * len(outer) for _ in coords]
+        full = [[0] * len(outer) for _ in coords]
         for j, vec in enumerate(cols):
             for c, val in vec.items():
                 full[cindex[c]][j] = val
         n_inner = len(inner)
-        # forward elimination goes column by column, so the pivots of
-        # full below n_inner count the rank of its first n_inner columns
+        # a pivot column is one outside the span of the columns before
+        # it, whatever the row order (linalg.pivot_columns), so the
+        # pivots of full below n_inner count the rank of its first
+        # n_inner columns
         pivots = linalg.pivot_columns(full)
         h0 = n_inner - sum(1 for c in pivots if c < n_inner)
         out_rows = [row for c, row in zip(coords, full)

@@ -370,11 +370,16 @@ def check_grothendieck(g):
 
 class PosetSheaf:
     """Stalk dimensions per point of a T0 space plus one rational matrix
-    per Hasse edge of its specialization order, validated to compose
-    consistently.  Values on opens are the compatible families."""
+    per Hasse edge of its specialization order.  Values on opens are the
+    compatible families, and they are the one representation: the map
+    stalk(x) -> stalk(y) is the restriction F(U_x) -> F(U_y) between
+    minimal opens.  Every point of U_x is reached from x along Hasse
+    edges inside U_x, so a section over U_x is fixed by its value at x,
+    and that value is free exactly when every route out of x composes
+    to the same map: the edge matrices compose consistently iff
+    dim F(U_x) == dims[x] at every x."""
 
-    __slots__ = ("top", "dims", "edge_mats", "_full_maps", "_sections",
-                 "_restrictions")
+    __slots__ = ("top", "dims", "edge_mats", "_out", "_sections")
 
     def __init__(self, top, dims, edge_mats):
         if not top.is_t0():
@@ -393,106 +398,77 @@ class PosetSheaf:
         self.dims = dims
         self.edge_mats = {e: [[Fraction(x) for x in row] for row in m]
                           for e, m in edge_mats.items()}
-        self._full_maps = None
+        # the Hasse edges out of each point, with their matrices
+        self._out = [[] for _ in range(n)]
+        for (i, j), m in self.edge_mats.items():
+            self._out[i].append((j, m))
         self._sections = {}
-        self._restrictions = {}
-        self._check_functorial()
-
-    def _order(self):
-        # linear extension: larger minimal opens first
-        n = len(self.top.base)
-        return sorted(range(n),
-                      key=lambda i: (-self.top.min_open_mask(i).bit_count(), i))
-
-    def _check_functorial(self):
-        n = len(self.top.base)
-        mins = [self.top.min_open_mask(i) for i in range(n)]
-        preds = {j: [i for (i, jj) in self.edge_mats if jj == j]
-                 for j in range(n)}
-        full = {}
         for x in range(n):
-            full[(x, x)] = linalg.identity(self.dims[x])
-        for y in self._order():
-            for x in range(n):
-                if x == y or not mins[x] >> y & 1:
-                    continue
-                got = None
-                for p in preds[y]:
-                    if p != x and not mins[x] >> p & 1:
-                        continue
-                    m = linalg.matmul(self.edge_mats[(p, y)], full[(x, p)])
-                    if got is None:
-                        got = m
-                    elif got != m:
-                        raise ValueError(
-                            "restrictions are not functorial at %s"
-                            % self.top.base.labels[y])
-                full[(x, y)] = got
-        self._full_maps = full
+            if self.dim_sections(top.min_open_mask(x)) != dims[x]:
+                raise ValueError("restrictions are not functorial at %s"
+                                 % top.base.labels[x])
 
     def restriction(self, x, y):
-        """Full map stalk(x) -> stalk(y) for x below y."""
-        return self._full_maps[(x, y)]
+        """Map stalk(x) -> stalk(y) for x below y: the y block of the
+        basis of F(U_x), which is the stalk basis at x."""
+        offs, basis, _ = self.section_space(self.top.min_open_mask(x))
+        return [[v[offs[y] + r] for v in basis] for r in range(self.dims[y])]
 
     def section_space(self, mask):
-        """Basis of F(W) inside the direct sum of the stalks over W.
-        W must be open; edge constraints inside an up-closed W pin the
-        whole compatibility.  The constraint of an edge i -> j and
-        stalk row rj is one row, e_(j, rj) - row rj of the edge matrix
-        in the i block; the blocks of i != j are disjoint, so each entry
-        is assigned once."""
+        """(offsets, basis, free) of F(W), W open, inside the direct sum
+        of the stalks over W.  The blocks run by growing minimal open,
+        ties by index, so over U_x the point x comes last: the columns
+        before it are independent (a section vanishing at x vanishes),
+        so x's columns are the free ones and the basis is x's stalk
+        basis.  free[k] = (point, stalk index) is the free column of
+        basis vector k, where it is 1 and the others are 0
+        (linalg.kernel_basis), so a section's values there are its
+        coordinates.  An edge i -> j and stalk row rj give one row,
+        e_(j, rj) - row rj of the edge matrix in the i block; the edges
+        out of the points of an open W stay inside it and the blocks of
+        i != j are disjoint, so each entry is assigned once."""
         try:
             return self._sections[mask]
         except KeyError:
             pass
         if not self.top.is_open_mask(mask):
             raise ValueError("sections are only defined on opens")
-        points = [i for i in range(len(self.top.base)) if mask >> i & 1]
+        # bits ascend and sorted is stable: ties stay in index order
+        mins = self.top.min_open_mask
+        points = sorted(bits(mask), key=lambda i: mins(i).bit_count())
         offs = {}
-        total = 0
+        cols = []
         for p in points:
-            offs[p] = total
-            total += self.dims[p]
+            offs[p] = len(cols)
+            cols += [(p, t) for t in range(self.dims[p])]
         rows = []
-        for (i, j), m in sorted(self.edge_mats.items()):
-            if mask >> i & 1 and mask >> j & 1:
-                for rj in range(self.dims[j]):
-                    row = [0] * total
+        for i in points:
+            for j, m in self._out[i]:
+                for rj, mrow in enumerate(m):
+                    row = [0] * len(cols)
                     row[offs[j] + rj] = 1
-                    for ci, x in enumerate(m[rj]):
+                    for ci, x in enumerate(mrow):
                         row[offs[i] + ci] = -x
                     rows.append(row)
-        basis = linalg.kernel_basis(rows, total)
-        out = (tuple(points), offs, basis)
+        basis = linalg.kernel_basis(rows, len(cols))
+        free = [cols[max(c for c, x in enumerate(v) if x)] for v in basis]
+        out = (offs, basis, free)
         self._sections[mask] = out
         return out
 
     def dim_sections(self, mask):
-        return len(self.section_space(mask)[2])
+        return len(self.section_space(mask)[1])
 
     def restrict_sections(self, big, small):
-        """Matrix of F(big) -> F(small) in the chosen bases, solved once
-        per pair of opens."""
-        try:
-            return self._restrictions[(big, small)]
-        except KeyError:
-            pass
-        pb, offb, bb = self.section_space(big)
-        ps, offs, bs = self.section_space(small)
-        out = []
-        if bs:
-            total_s = sum(self.dims[p] for p in ps)
-            cut = []
-            for v in bb:
-                w = [linalg.ZERO] * total_s
-                for p in ps:
-                    for t in range(self.dims[p]):
-                        w[offs[p] + t] = v[offb[p] + t]
-                cut.append(w)
-            out = linalg.transpose(
-                linalg.solve_many(linalg.transpose(bs), cut))
-        self._restrictions[(big, small)] = out
-        return out
+        """Matrix of F(big) -> F(small) in the chosen bases, [] when F(big)
+        is zero: row k reads the basis of F(big) at small's free column k."""
+        if small & ~big:
+            raise ValueError("restriction needs an open inside the other")
+        offb, bb, _ = self.section_space(big)
+        free = self.section_space(small)[2]
+        if not bb:
+            return []
+        return [[v[offb[p] + t] for v in bb] for p, t in free]
 
 
 def constant_sheaf(top, dim=1):

@@ -160,7 +160,11 @@ def rank(m):
 
 
 def kernel_basis(m, ncols=None):
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column, ascending.
+    The vector of free column c is 1 at c and 0 at the other free
+    columns; elsewhere it is nonzero only at pivot columns before c
+    (each reduced pivot row holds free columns after its pivot), so c
+    is its last nonzero entry."""
     ncols = _width(m, ncols)
     rows = _reduced(_echelon(m))
     pivots = {c for c, _ in rows}

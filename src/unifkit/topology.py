@@ -123,8 +123,7 @@ class FiniteTopology:
         its points."""
         if mask >> len(self.base):
             return False
-        return all(self._min_open[i] & ~mask == 0
-                   for i in range(len(self.base)) if mask >> i & 1)
+        return all(self._min_open[i] & ~mask == 0 for i in bits(mask))
 
     def min_open_mask(self, i):
         return self._min_open[i]

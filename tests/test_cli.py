@@ -15,6 +15,9 @@ from unifkit.quniform import QUniformity, pervin, symmetrize
 
 SIER = ("space sierpinski 2\nelements p0 p1\n"
         "open\nopen p1\nopen p0 p1\ndense p1\n")
+CIRCLE = ("space circle 4\nelements a b c d\nopen\nopen a\nopen b\n"
+          "open a b\nopen a b c\nopen a b d\nopen a b c d\n"
+          "dense a b c d\n")
 
 
 def run(argv):
@@ -288,12 +291,44 @@ def test_gtop_cohomology(tmp_path):
     assert out.splitlines()[0] == "H^0 = 1"
 
 
+def test_gtop_cohomology_of_a_twisted_plane_bundle_on_the_circle(tmp_path):
+    # the pseudo-circle a, b < c, d with stalk Q^2 and the two
+    # coordinates swapped along one edge: H^0 holds the invariants and
+    # H^1 the coinvariants of the swap
+    sh = tmp_path / "twisted.sheaf"
+    sh.write_text("sheaf twisted\n"
+                  + "".join("point %s dim=2\n" % p for p in "abcd")
+                  + "edge a c 1 0 0 1\nedge a d 1 0 0 1\n"
+                  "edge b c 1 0 0 1\nedge b d 0 1 1 0\n")
+    assert run(["gtop", "cohomology", str(sh)]) == (0, "H^0 = 1\nH^1 = 1\n",
+                                                    "")
+
+
+def test_gtop_cohomology_rejects_a_non_functorial_diamond(tmp_path):
+    # a < b < d and a < c < d, with c -> d scaled by 2: the two routes
+    # out of a disagree, so the stalk at a has no section over its
+    # minimal open
+    sh = tmp_path / "diamond.sheaf"
+    sh.write_text("sheaf diamond\n"
+                  + "".join("point %s dim=1\n" % p for p in "abcd")
+                  + "edge a b 1\nedge a c 1\nedge b d 1\nedge c d 2\n")
+    assert run(["gtop", "cohomology", str(sh)]) == (
+        2, "", "error: restrictions are not functorial at a\n")
+
+
 def test_gtop_cech(tmp_path):
     p = tmp_path / "cech.space"
     p.write_text(SIER + "covering C1\nblock p1\nend\n")
-    code, out, _ = run(["gtop", "cech", str(p)])
-    assert code == 0
-    assert "match=true" in out.splitlines()
+    assert run(["gtop", "cech", str(p)]) == (
+        0, "cech H^0 = 1\nposet H^0 = 1\nmatch=true\n", "")
+
+
+def test_gtop_cech_on_the_pseudo_circle(tmp_path):
+    p = tmp_path / "circle.space"
+    p.write_text(CIRCLE + "covering C1\nblock a b c\nblock a b d\nend\n")
+    assert run(["gtop", "cech", str(p)]) == (
+        0, "cech H^0 = 1\ncech H^1 = 1\nposet H^0 = 1\nposet H^1 = 1\n"
+        "match=true\n", "")
 
 
 def test_dmod_subcommands(tmp_path, airy_file):

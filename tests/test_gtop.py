@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from unifkit import gtop, linalg
-from unifkit.enumeration import dense_pairs
+from unifkit.enumeration import (all_partial_orders, dense_pairs,
+                                 standard_base)
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
                           check_grothendieck, check_l7, constant_sheaf,
                           finest_g_covering, pseudo_circle, random_sheaf,
                           sheaf_cohomology, sierpinski_pair,
                           simplicial_cohomology, uniform_g_topology)
-from unifkit.relations import FiniteSet, Relation
+from unifkit.relations import FiniteSet, Relation, bits
 from unifkit.topology import FiniteTopology
 from unifkit.tower import make_tower, puncture_quotient
 
@@ -332,7 +333,73 @@ def test_coboundaries_match_the_accumulating_oracle(monkeypatch):
         assert check_coboundaries(monkeypatch, None, constant_sheaf(top)) == 1
 
 
-def test_restriction_maps_are_solved_once():
+def oracle_full_maps(top, dims, edge_mats):
+    """Every map stalk(x) -> stalk(y), x below y, composed along the
+    Hasse edges in a linear extension (larger minimal opens first);
+    raises ValueError at the target point where two routes disagree."""
+    n = len(top.base)
+    mins = [top.min_open_mask(i) for i in range(n)]
+    preds = {j: [i for (i, jj) in edge_mats if jj == j] for j in range(n)}
+    full = {(x, x): linalg.identity(dims[x]) for x in range(n)}
+    for y in sorted(range(n), key=lambda i: (-mins[i].bit_count(), i)):
+        for x in range(n):
+            if x == y or not mins[x] >> y & 1:
+                continue
+            got = None
+            for p in preds[y]:
+                if p != x and not mins[x] >> p & 1:
+                    continue
+                m = linalg.matmul(edge_mats[(p, y)], full[(x, p)])
+                if got is None:
+                    got = m
+                elif got != m:
+                    raise ValueError("restrictions are not functorial at %s"
+                                     % top.base.labels[y])
+            full[(x, y)] = got
+    return full
+
+
+def oracle_restrict_sections(f, big, small):
+    """F(big) -> F(small) in the bases of f: each basis vector of F(big)
+    cut down to small and solved against the basis of F(small)."""
+    offb, bb, _ = f.section_space(big)
+    offs, bs, _ = f.section_space(small)
+    if not bs:
+        return []
+    total_s = sum(f.dims[p] for p in offs)
+    cut = []
+    for v in bb:
+        w = [linalg.ZERO] * total_s
+        for p in offs:
+            for t in range(f.dims[p]):
+                w[offs[p] + t] = v[offb[p] + t]
+        cut.append(w)
+    return linalg.transpose(linalg.solve_many(linalg.transpose(bs), cut))
+
+
+def puncture_sheaves():
+    for depth in range(2, 7):
+        top, _ = puncture_quotient(make_tower("sectorial_disk", depth))
+        yield constant_sheaf(top)
+        yield random_sheaf(top, random.Random(depth))
+
+
+def test_stalk_maps_are_the_composed_hasse_paths():
+    count = 0
+    sheaves = itertools.chain((f for _, f in gluing_cases()),
+                              puncture_sheaves())
+    for f in sheaves:
+        top = f.top
+        full = oracle_full_maps(top, f.dims, f.edge_mats)
+        for x in range(len(top.base)):
+            for y in bits(top.min_open_mask(x)):
+                assert f.restriction(x, y) == full[(x, y)], (top, x, y)
+                count += 1
+    assert count > 1000
+
+
+def test_restriction_maps_match_the_solve_on_nested_opens():
+    nonzero = 0
     for pair, f in gluing_cases():
         top = f.top
         fresh = PosetSheaf(top, f.dims, f.edge_mats)
@@ -346,8 +413,54 @@ def test_restriction_maps_are_solved_once():
                 if small & ~big:
                     continue
                 m = f.restrict_sections(big, small)
-                assert f.restrict_sections(big, small) is m
+                assert m == oracle_restrict_sections(f, big, small)
                 assert m == fresh.restrict_sections(big, small)
+                nonzero += any(map(any, m)) and small != big
+    assert nonzero > 100
+
+
+def test_restrict_sections_rejects_an_open_outside_the_other():
+    top = pseudo_circle(True).xhat
+    f = constant_sheaf(top)
+    a, b = top.base.mask_of(["a"]), top.base.mask_of(["b"])
+    assert f.restrict_sections(a | b, a) == [[1, 0]]
+    with pytest.raises(ValueError, match="inside the other"):
+        f.restrict_sections(a, a | b)
+    with pytest.raises(ValueError, match="inside the other"):
+        f.restrict_sections(a, b)
+
+
+def scaled_edge_sheaves():
+    """(top, dims, edge matrices) of seeded sheaves with the matrix of
+    one edge doubled, every edge in turn.  The orders on 4 points
+    include the diamond, whose two routes then disagree."""
+    rng = random.Random(20)
+    tops = [FiniteTopology.from_preorder(rel)
+            for rel in all_partial_orders(standard_base(4))]
+    sheaves = itertools.chain(
+        (f for _, f in gluing_cases()),
+        (constant_sheaf(top) for top in tops),
+        (random_sheaf(top, rng) for top in tops))
+    for f in sheaves:
+        for e, m in f.edge_mats.items():
+            mats = dict(f.edge_mats)
+            mats[e] = [[2 * x for x in row] for row in m]
+            yield f.top, f.dims, mats
+
+
+def test_functoriality_check_matches_the_composed_oracle():
+    outcomes = {True: 0, False: 0}
+    for top, dims, mats in scaled_edge_sheaves():
+        try:
+            oracle_full_maps(top, dims, mats)
+        except ValueError:
+            with pytest.raises(ValueError, match="not functorial"):
+                PosetSheaf(top, dims, mats)
+            outcomes[False] += 1
+        else:
+            PosetSheaf(top, dims, mats)
+            outcomes[True] += 1
+    assert outcomes[True] > 500 and outcomes[False] > 50, outcomes
 
 
 def test_g_covering_rejects_a_non_open_set():

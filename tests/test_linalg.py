@@ -93,6 +93,19 @@ def test_rref_rank_kernel_match_the_oracle(m):
     check_against_oracle(m)
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_vector_of_a_free_column_ends_there(m):
+    ncols = len(m[0]) if m else 0
+    _, pivots = oracle_rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = linalg.kernel_basis(m, ncols)
+    assert len(basis) == len(free)
+    for c, v in zip(free, basis):
+        assert [v[k] for k in free] == [int(k == c) for k in free]
+        assert max(k for k, x in enumerate(v) if x) == c
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
 def test_pivot_columns_do_not_depend_on_the_row_order(m, data):
