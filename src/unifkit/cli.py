@@ -4,9 +4,10 @@ Every operation reads the documented text formats and prints
 deterministic key=value or section lines, so outputs diff cleanly and
 golden files stay stable.  Exit codes: 0 the requested check or
 computation succeeded (verdicts included), 1 it ran but the verdict is
-negative (an axiom fails, a covering is not uniform, the oracle
-disagrees), 2 the input could not be used (parse error, missing
-structure, violated precondition).
+negative (an axiom fails, a covering is not uniform, the formula and the
+oracle disagree), 2 the input could not be used (parse error, missing
+structure, violated precondition).  `dmod oracle` has no negative
+verdict: its windows are certified, so it exits 0 or 2.
 """
 
 import argparse
@@ -336,14 +337,11 @@ def cmd_dmod_chi(args):
 
 
 def cmd_dmod_oracle(args):
-    from .dmod import derham_oracle
-    spec = _load_operator(args)
-    h0, h1, stab = derham_oracle(spec, args.dmax)
-    print("h0=%d" % h0)
-    print("h1=%d" % h1)
-    print("chi_oracle=%d" % (h0 - h1))
-    print("stabilized=%s" % _bool(stab))
-    return 0 if stab else 1
+    from .dmod import index_report
+    rep = index_report(_load_operator(args), args.dmax)
+    # h0, h1, chi_oracle and stabilized: the report without the formula
+    print("\n".join(rep.lines()[-5:-1]))
+    return 0
 
 
 def cmd_dmod_report(args):
@@ -452,12 +450,12 @@ def _parser():
     dm = sub.add_parser("dmod", help="connection index operations")
     dsub = dm.add_subparsers(dest="sub", required=True, metavar="operation")
     for name, fn, with_at, dmax in (
-            ("delta", cmd_dmod_delta, True, None),
-            ("polygon", cmd_dmod_polygon, True, None),
-            ("irregularity", cmd_dmod_irregularity, "optional", None),
-            ("chi", cmd_dmod_chi, False, None),
-            ("oracle", cmd_dmod_oracle, False, 30),
-            ("report", cmd_dmod_report, False, 80)):
+            ("delta", cmd_dmod_delta, True, False),
+            ("polygon", cmd_dmod_polygon, True, False),
+            ("irregularity", cmd_dmod_irregularity, "optional", False),
+            ("chi", cmd_dmod_chi, False, False),
+            ("oracle", cmd_dmod_oracle, False, True),
+            ("report", cmd_dmod_report, False, True)):
         q = dsub.add_parser(name)
         q.add_argument("path")
         if with_at == "optional":
@@ -466,8 +464,9 @@ def _parser():
         elif with_at:
             q.add_argument("--at", required=True,
                            help="point (a rational or inf)")
-        if dmax is not None:
-            q.add_argument("--dmax", type=int, default=dmax)
+        if dmax:
+            q.add_argument("--dmax", type=int, default=80,
+                           help="cap on the oracle's last window")
         q.set_defaults(func=fn)
 
     c = sub.add_parser("corpus", help="the acceptance suite")

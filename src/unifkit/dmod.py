@@ -9,8 +9,8 @@ from one numerator per coefficient over the common denominator of the
 operator's coefficients (_delta_numerators), and their valuations are
 read off those numerators without normalising.  The index formula
 n*(2 - #Z) - sum of irregularities is validated against brute-force
-linear algebra on growing windows of the partial fraction basis of the
-functions regular away from Z.  The images of basis elements come in
+linear algebra on windows of the partial fraction basis of the functions
+regular away from Z, started past the indicial roots.  The images of basis elements come in
 closed form: each coefficient is split into partial fractions once, and
 the derivative of a basis element and the product of two basis elements
 are again finite sums of basis elements (see _OracleSession).
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 from . import linalg
-from .poly import (ONE, ZERO, Polynomial, RatFunc, partial_fractions,
-                   rational_roots)
+from .poly import (ONE, ZERO, Polynomial, RatFunc, _divisors,
+                   partial_fractions, rational_roots)
 
 INF = "inf"
 
@@ -179,15 +179,15 @@ def to_delta_form(op, x):
     return tuple(RatFunc(p, den) for p in nums)
 
 
-def delta_valuations(op, x):
+def delta_valuations(op, x, numerators=None):
     """Local orders of the Euler-form coefficients; None marks a zero
     coefficient.  They are read off the numerators over the common
-    denominator (_delta_numerators) without normalising: the order of
-    P_j / (D t^n) is that of P_j minus that of D t^n, whatever factors
-    the two share."""
+    denominator (_delta_numerators, or numerators when given) without
+    normalising: the order of P_j / (D t^n) is that of P_j minus that of
+    D t^n, whatever factors the two share."""
     x = as_point(x)
     n = op.order
-    nums, den = _delta_numerators(op, x)
+    nums, den = numerators or _delta_numerators(op, x)
     if x == INF:
         # order at w = 0 of a function of z is its degree drop
         return tuple(None if p.is_zero() else den.degree + n - p.degree
@@ -387,6 +387,35 @@ def _shift_bound(spec):
     return s
 
 
+def _indicial_bound(numerators):
+    """d*, the largest positive integer root over Z of the indicial
+    polynomials, or 0; numerators[x] is _delta_numerators at x in Z.
+    L t^-K = t^-K sum_j P_j (-K)^j / (D t^n) at t = z - x, and
+    L z^M = z^M sum_j P_j M^j / (D z^n): the P_j's coefficients at their
+    least shared order (greatest degree at infinity) make I_x, so unless
+    I_x(-K) = 0 (I_inf(M) = 0) the image has pole order K + e exactly
+    (degree M + e); e, the most a term moves an order there, is at most
+    s = _shift_bound, and lower orders and regular terms reach less.  So
+    every window d >= d* + s reads the (h0, h1) of L on all of V:
+    - a kernel element's top order K at any point is a root, else its
+      image has order K + e there; so ker L lies in V_d;
+    - a coordinate of order N > d is, up to a scalar, the top term of the
+      image of the basis element of order N - e > d*, a non-root, whose
+      other terms lie lower there and at orders <= s <= d elsewhere; top
+      down, V = W_d + L(V), so V / L(V) = W_d / (L(V) & W_d);
+    - window_dims' own argument needs no root past d + s."""
+    best = 0
+    for x, (nums, _) in numerators.items():
+        sign, m = ((1, max(p.degree for p in nums)) if x == INF
+                   else (-1, min(_low_order(p) for p in nums if p.coeffs)))
+        ind = [p.coeffs[m] if m <= p.degree else ZERO for p in nums]
+        # an integer root k != 0 divides I's lowest nonzero coefficient
+        low = next(c for c in ind if c) * lcm(*(c.denominator for c in ind))
+        best = max([best] + [k for k in _divisors(int(low)) if not sum(
+            c * (sign * k) ** j for j, c in enumerate(ind))])
+    return best
+
+
 class _OracleSession:
     """Shared image cache for one spec across growing windows.
 
@@ -469,10 +498,9 @@ class _OracleSession:
         or falling factorials of K).  Lower orders of v, elements at
         other points and the coefficients' own poles reach lower orders
         only.  So unless K is a root of that polynomial, Lv leaves W_d,
-        and L(V) & W_d = L(V_(d+s)) & W_d.  This is per window; it does
-        not bound the d from which (h0, h1) stop changing, which
-        derham_oracle checks on three windows.  k_out - k_full below is
-        the dimension of the outer window's images inside W_d."""
+        and L(V) & W_d = L(V_(d+s)) & W_d, per window; _indicial_bound
+        gives the d from which (h0, h1) are those of L on V.  k_out -
+        k_full below is the dimension of the outer images inside W_d."""
         inner = self.basis_keys(d)
         inner_set = set(inner)
         # inner keys first, so the first n_inner columns are the window
@@ -539,34 +567,10 @@ def _coord_key(c):
     return (1, c[1], c[2])
 
 
-def derham_oracle(spec, degree_bound):
-    """Index data from three windows starting at the given bound.
-    Returns (h0, h1, stabilized) where the flag records agreement of
-    the three consecutive windows.  The comparison with the index
-    formula is only meaningful when infinity is punctured; otherwise
-    the trivialization by dz, which has a double pole at infinity,
-    separates the function-space index from the connection index."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be at least 1")
-    return _stable_dims(spec, range(degree_bound, degree_bound + 11, 5))
-
-
-def _stable_dims(spec, bounds):
-    """(h0, h1, stabilized) over the oracle windows at the given degree
-    bounds: the dimensions of the first window that agrees with the two
-    before it, or of the last window, flagged unstabilized."""
-    session = _OracleSession(spec)
-    history = []
-    for d in bounds:
-        history.append(session.window_dims(d))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return history[-1] + (True,)
-    return history[-1] + (False,)
-
-
 class IndexReport(namedtuple("IndexReport", [
-        "spec", "irregularities", "chi_formula", "h0", "h1", "stabilized"])):
+        "spec", "irregularities", "chi_formula", "h0", "h1"])):
     __slots__ = ()
+    stabilized = True  # certified by _indicial_bound, see index_report
 
     @property
     def chi_oracle(self):
@@ -574,7 +578,7 @@ class IndexReport(namedtuple("IndexReport", [
 
     @property
     def agree(self):
-        return self.stabilized and self.chi_formula == self.chi_oracle
+        return self.chi_formula == self.chi_oracle
 
     def lines(self):
         out = []
@@ -585,28 +589,36 @@ class IndexReport(namedtuple("IndexReport", [
         out.append("h0=%d" % self.h0)
         out.append("h1=%d" % self.h1)
         out.append("chi_oracle=%d" % self.chi_oracle)
-        out.append("stabilized=%s" % ("true" if self.stabilized else "false"))
+        out.append("stabilized=true")
         out.append("agree=%s" % ("true" if self.agree else "false"))
         return out
 
 
-D_START = 10  # degree bound of the first oracle window of index_report
+D_START = 10  # least degree bound of the first oracle window
 D_STEP = 5  # growth of the bound from one window to the next
 
 
 def index_report(spec, d_max=80):
-    """Irregularities, the formula value, and the stabilized oracle
-    index over the windows D_START, D_START + D_STEP, ... up to d_max;
-    non-stabilization by d_max is flagged, not fatal."""
-    # stabilization needs three windows
-    if d_max < D_START + 2 * D_STEP:
-        raise ValueError("degree bound must be at least %d"
-                         % (D_START + 2 * D_STEP))
-    irs = {p: irregularity(spec.operator, p) for p in spec.points}
+    """Irregularities, the formula value, and the oracle dimensions on
+    three windows D_STEP apart from max(D_START, d* + s), exact by
+    _indicial_bound; the extra two re-check that, and a disagreement is
+    a fault.  d_max caps the last window.  With infinity regular, dz (a
+    double pole there) separates function-space and connection index."""
+    op = spec.operator
+    numerators = {p: _delta_numerators(op, p) for p in spec.points}
+    session = _OracleSession(spec)
+    start = max(D_START, _indicial_bound(numerators) + session.shift)
+    last = start + 2 * D_STEP
+    if d_max < last:
+        raise ValueError("degree bound must be at least %d" % last)
+    irs = {p: NewtonPolygon(delta_valuations(op, p, nd)).irregularity
+           for p, nd in numerators.items()}
     chi = _chi(spec, irs)
-    h0, h1, stabilized = _stable_dims(spec,
-                                      range(D_START, d_max + 1, D_STEP))
-    return IndexReport(spec, irs, chi, h0, h1, stabilized)
+    dims = {session.window_dims(d) for d in range(start, last + 1, D_STEP)}
+    if len(dims) > 1:
+        raise RuntimeError("oracle windows from %d disagree: %r"
+                           % (start, sorted(dims)))
+    return IndexReport(spec, irs, chi, *dims.pop())
 
 
 # built-in operator corpus

@@ -548,9 +548,10 @@ def sheaf_cohomology(f):
     def differential(q):
         if q + 1 == len(by_deg):
             return []
-        # restriction(x, x) is the identity
+        eye = {d: linalg.identity(d) for d in set(f.dims)}
         return _coboundary(dims_q[q + 1], dims_q[q], by_deg[q + 1], index,
-                           lambda face, c: f.restriction(face[-1], c[-1]))
+                           lambda face, c: f.restriction(face[-1], c[-1])
+                           if face[-1] != c[-1] else eye[f.dims[c[-1]]])
 
     return _betti(dims_q, (differential(q) for q in range(len(by_deg))))
 

@@ -359,9 +359,34 @@ def test_report_at_the_third_window_runs(airy_file):
 
 
 def test_oracle_dmax_zero_is_not_replaced(airy_file):
+    # --dmax caps the last window for oracle as for report
     code, out, err = run(["dmod", "oracle", airy_file, "--dmax", "0"])
     assert code == 2 and out == ""
-    assert err == "error: degree bound must be at least 1\n"
+    assert err == "error: degree bound must be at least 20\n"
+
+
+@pytest.fixture
+def euler30_file():
+    return str(Path(__file__).parent.parent / "samples" / "euler30.op")
+
+
+def test_report_reads_a_kernel_past_the_benchmark_windows(euler30_file):
+    # z d/dz - 30 has kernel z^30: the windows start past the indicial
+    # root 30 plus the shift 1, at 31, 36 and 41
+    code, out, _ = run(["dmod", "report", euler30_file])
+    assert (code, out) == (0, "ir[0]=0\nir[inf]=0\nchi_formula=0\nh0=1\n"
+                              "h1=1\nchi_oracle=0\nstabilized=true\n"
+                              "agree=true\n")
+    code, out, _ = run(["dmod", "oracle", euler30_file])
+    assert (code, out) == (0, "h0=1\nh1=1\nchi_oracle=0\nstabilized=true\n")
+
+
+@pytest.mark.parametrize("command", ["report", "oracle"])
+def test_cap_below_the_certified_windows_is_input_error(euler30_file,
+                                                        command):
+    code, out, err = run(["dmod", command, euler30_file, "--dmax", "30"])
+    assert (code, out) == (2, "")
+    assert err == "error: degree bound must be at least 41\n"
 
 
 @pytest.mark.parametrize("command", ["report", "oracle"])

@@ -9,12 +9,13 @@ import pytest
 
 import unifkit
 from unifkit import linalg
-from unifkit.dmod import (INF, ConnectionSpec, DiffOp, NewtonPolygon,
-                          _OracleSession, _beyond, _coord_key,
-                          _stirling_first, _stirling_second, as_point,
-                          corpus, deligne_chi, delta_product,
+from unifkit.dmod import (D_START, INF, ConnectionSpec, DiffOp,
+                          NewtonPolygon, _OracleSession, _beyond,
+                          _coord_key, _delta_numerators, _indicial_bound,
+                          _shift_bound, _stirling_first, _stirling_second,
+                          as_point, corpus, deligne_chi, delta_product,
                           delta_to_partial, delta_valuations,
-                          derham_oracle, format_point, index_report,
+                          format_point, index_report,
                           irregularity, newton_polygon, ordinary_at_infinity,
                           to_delta_form)
 from unifkit.poly import Polynomial, RatFunc, partial_fractions
@@ -291,13 +292,48 @@ def test_closed_form_index_on_corpus():
         assert deligne_chi(e.spec) == e.chi, e.name
 
 
+def _dims(rep):
+    return rep.h0, rep.h1, rep.stabilized
+
+
 def test_oracle_stabilizes_on_euler():
-    assert derham_oracle(ENTRIES["euler-integer"].spec, 20) == (1, 1, True)
+    assert _dims(index_report(ENTRIES["euler-integer"].spec)) == (1, 1, True)
 
 
 def test_oracle_rejects_silly_bound():
-    with pytest.raises(ValueError):
-        derham_oracle(ENTRIES["euler-integer"].spec, 0)
+    with pytest.raises(ValueError, match="at least 20"):
+        index_report(ENTRIES["euler-integer"].spec, 0)
+
+
+def _d_star(spec):
+    return _indicial_bound({p: _delta_numerators(spec.operator, p)
+                            for p in spec.points})
+
+
+def _euler(r, s):
+    # z^2 D^2 + (1 - r - s) z D + rs = (delta - r)(delta - s), kernel
+    # spanned by z^r and z^s
+    return ConnectionSpec(DiffOp([Polynomial.const(r * s), (1 - r - s) * z,
+                                  z * z]), [0, INF])
+
+
+@pytest.mark.parametrize("r", range(-30, 31, 7))
+def test_euler_family_reads_its_closed_form(r):
+    for s in range(-30, 31, 5):
+        spec = _euler(r, s)
+        assert _d_star(spec) == max(abs(r), abs(s)), s
+        rep = index_report(spec)
+        assert _dims(rep) == (len({r, s}), len({r, s}), True), s
+        assert rep.agree, s
+
+
+def test_first_order_integer_roots_read_their_kernel():
+    # z d/dz - c has kernel z^c, a pole at 0 when c < 0
+    for c in list(range(-60, 0)) + list(range(1, 61)):
+        spec = ConnectionSpec(DiffOp([Polynomial.const(-c), z]), [0, INF])
+        assert _d_star(spec) == abs(c), c
+        rep = index_report(spec)
+        assert _dims(rep) == (1, 1, True) and rep.agree, c
 
 
 def test_report_lines_shape():
@@ -387,9 +423,9 @@ def test_oracle_images_match_direct_path(name):
 
 def test_oracle_on_infinity_regular_specs():
     specs = _infinity_regular_specs()
-    assert derham_oracle(specs["d/dz"], 10) == (1, 2, True)
-    assert derham_oracle(specs["z d/dz"], 10) == (1, 1, True)
-    assert derham_oracle(specs["d/dz + 1/(z(z-1))"], 10) == (1, 3, True)
+    assert _dims(index_report(specs["d/dz"])) == (1, 2, True)
+    assert _dims(index_report(specs["z d/dz"])) == (1, 1, True)
+    assert _dims(index_report(specs["d/dz + 1/(z(z-1))"])) == (1, 3, True)
 
 
 def _reference_window_dims(session, d):
@@ -448,8 +484,43 @@ def oracle_derham(spec, degree_bound):
     return h0, h1, dims[0] == dims[1] == dims[2]
 
 
-@pytest.mark.parametrize("bound", [1, 5, 10])
-def test_derham_oracle_matches_three_windows(bound):
+def test_index_report_matches_three_windows():
     for name, entry in ENTRIES.items():
-        assert derham_oracle(entry.spec, bound) == oracle_derham(
-            entry.spec, bound), name
+        start = max(D_START, _d_star(entry.spec) + _shift_bound(entry.spec))
+        assert _dims(index_report(entry.spec)) == oracle_derham(
+            entry.spec, start), name
+
+
+@pytest.mark.parametrize("name", sorted(_cross_check_specs()))
+def test_certified_start_agrees_with_later_windows(name):
+    spec = _cross_check_specs()[name]
+    session = _OracleSession(spec)
+    d0 = _d_star(spec) + session.shift
+    if name == "z^2 + z^4 d/dz":
+        with pytest.raises(ValueError):
+            session.window_dims(d0)
+        return
+    want = _reference_window_dims(session, d0)
+    for d in (d0, d0 + 4, d0 + 9):
+        assert session.window_dims(d) == want, d
+    assert _reference_window_dims(session, d0 + 9) == want
+
+
+def _index_workload_specs():
+    # every c + z^k d/dz the index benchmark can draw, and the corpus
+    for a in range(1, 7):
+        for b in range(1, 5):
+            for sign in (-1, 1):
+                for k in range(4):
+                    for points in ((0, INF), (0, 1, INF)):
+                        yield ConnectionSpec(DiffOp([
+                            Polynomial.const(Fraction(sign * a, b)),
+                            z ** k]), points)
+    for e in corpus():
+        yield e.spec
+
+
+def test_benchmark_windows_start_at_d_start():
+    # the index workload's windows stay at 10, 15 and 20
+    for spec in _index_workload_specs():
+        assert _d_star(spec) + _shift_bound(spec) <= D_START
