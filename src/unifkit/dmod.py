@@ -10,10 +10,12 @@ operator's coefficients (_delta_numerators), and their valuations are
 read off those numerators without normalising.  The index formula
 n*(2 - #Z) - sum of irregularities is validated against brute-force
 linear algebra on windows of the partial fraction basis of the functions
-regular away from Z, started past the indicial roots.  The images of basis elements come in
-closed form: each coefficient is split into partial fractions once, and
-the derivative of a basis element and the product of two basis elements
-are again finite sums of basis elements (see _OracleSession).
+regular away from Z, started past the indicial roots.  The images of
+basis elements are columns of lambda*L in closed form, lambda the lcm
+of the denominators of the coefficients' partial fractions (split
+once); integral punctures are ints, so the columns are integer when the
+coefficients are polynomials.  Derivatives and products of basis
+elements are again finite sums of basis elements (see _OracleSession).
 """
 
 from __future__ import annotations
@@ -433,25 +435,32 @@ class _OracleSession:
                       + sum_{t<l} (-1)^t C(k+t-1,t) (-d)^(-k-t) (z-y)^(t-l).
     ConnectionSpec puts every pole of a coefficient in Z, and the split
     is unique, so each image equals partial_fractions of the operator
-    applied to the element.  No image is rebuilt and checked on its own;
+    applied to the element, times scale, the lcm lambda of the split's
+    denominators: the terms are ints, the images those of lambda*L, and
+    lambda*L has the kernel and image of L, so each window's (h0, h1)
+    is that of L.  Integral points are ints, so polynomial coefficients
+    give integer images.  No image is rebuilt and checked on its own;
     the tests cross-check the images against that direct path."""
 
     def __init__(self, spec):
         self.spec = spec
         self.shift = _shift_bound(spec)
         self._images = {}
-        self._terms = []
+        self.points = [_int_point(x) for x in spec.finite_points()]
+        terms = []
         for a in spec.operator.coeffs:
             poly_part, parts = partial_fractions(a, spec.finite_points())
-            self._terms.append(
+            terms.append(
                 [(("pw", j), c) for j, c in enumerate(poly_part.coeffs) if c]
-                + [(("pole", y, l), c) for y, cs in parts.items()
+                + [(("pole", _int_point(y), l), c) for y, cs in parts.items()
                    for l, c in cs.items()])
+        lam = self.scale = lcm(*(t[1].denominator for ts in terms for t in ts))
+        self._terms = [[(t, int(c * lam)) for t, c in ts] for ts in terms]
 
     def basis_keys(self, d):
         top = d if self.spec.has_inf() else 0
         return ([("pw", m) for m in range(top + 1)]
-                + [("pole", x, k) for x in self.spec.finite_points()
+                + [("pole", x, k) for x in self.points
                    for k in range(1, d + 1)])
 
     def image(self, key):
@@ -548,11 +557,12 @@ def _product(f, g):
     _, y, l = f
     if y == x:
         return ((("pole", x, k + l), 1),)
-    d = x - y
-    return ([(("pole", x, k - t), comb(l + t - 1, t) * (-1) ** t
-              / d ** (l + t)) for t in range(k)]
-            + [(("pole", y, l - t), comb(k + t - 1, t) * (-1) ** t
-                / (-d) ** (k + t)) for t in range(l)])
+    d = x - y  # an int for int points: Fraction, not /, keeps it exact
+    return ([(("pole", x, k - t), Fraction((-1) ** t * comb(l + t - 1, t),
+                                           d ** (l + t))) for t in range(k)]
+            + [(("pole", y, l - t), Fraction((-1) ** t * comb(k + t - 1, t),
+                                             (-d) ** (k + t)))
+               for t in range(l)])
 
 
 def _beyond(coord, d):
@@ -561,9 +571,14 @@ def _beyond(coord, d):
     return coord[2] > d
 
 
+def _int_point(x):
+    # an integral point as an int: cheap to hash, its powers stay ints
+    return x.numerator if x.denominator == 1 else x
+
+
 def _coord_key(c):
     if c[0] == "pw":
-        return (0, Fraction(0), c[1])
+        return (0, 0, c[1])
     return (1, c[1], c[2])
 
 

@@ -395,6 +395,12 @@ def _cross_check_specs():
         RatFunc(z ** 2) + RatFunc(Polynomial.const(3), half ** 2),
         RatFunc(z ** 3 + 1, z * (z - 1)),
         RatFunc(2)]), [0, 1, Fraction(-1, 2), "inf"])
+    # poles at 0 and 3, so the pole-by-pole products divide by powers
+    # of 3, not of +-1
+    specs["poles at 0 and 3"] = ConnectionSpec(DiffOp([
+        RatFunc(Polynomial.const(2), z * (z - 3) ** 2),
+        RatFunc(z ** 2 + 1, z - 3), RatFunc(Fraction(1, 2))]),
+        [0, 3, "inf"])
     specs.update(_infinity_regular_specs())
     # regular at infinity, but the image of 1 has a pole there
     specs["z^2 + z^4 d/dz"] = ConnectionSpec(
@@ -415,10 +421,44 @@ def test_oracle_images_match_direct_path(name):
             with pytest.raises(ValueError):
                 session.image(key)
             continue
-        assert session.image(key) == want, key
+        # the session's images are those of scale * L
+        assert session.image(key) == {
+            c: session.scale * v for c, v in want.items()}, key
     # the images of 1, 1/z and 1/z^2 have a polynomial part of degree > 0
     if name == "z^2 + z^4 d/dz":
         assert raised == 3
+
+
+def test_oracle_scale_clears_the_split():
+    # the lcm of the denominators of every coefficient in the split
+    specs = _cross_check_specs()
+    assert _OracleSession(specs["-1/3 + z^3 d/dz over (0, 1, 'inf')"]
+                          ).scale == 3
+    assert _OracleSession(ENTRIES["hypergeometric-like"].spec).scale == 30
+    assert _OracleSession(specs["poles at 0 and 3"]).scale == 18
+
+
+def test_integral_points_give_integer_images():
+    # the corpus and every seeded c + z^k d/dz of the index benchmark:
+    # polynomial coefficients and integral points, so the keys and every
+    # image entry over the last benchmark window are ints
+    for spec in _index_workload_specs():
+        session = _OracleSession(spec)
+        assert all(type(x) is int for x in session.points)
+        for key in session.basis_keys(D_START + 10 + session.shift):
+            for coord, v in session.image(key).items():
+                assert type(v) is int, (spec.operator, key, coord)
+                assert coord[0] == "pw" or type(coord[1]) is int
+
+
+def test_poles_three_apart_stay_exact():
+    # d = 3 - 0 in the pole-by-pole split: no float may come out of the
+    # division, and the entries that are not integral stay Fractions
+    session = _OracleSession(_cross_check_specs()["poles at 0 and 3"])
+    assert session.points == [0, 3]
+    kinds = {type(v) for key in session.basis_keys(20)
+             for v in session.image(key).values()}
+    assert kinds == {int, Fraction}
 
 
 def test_oracle_on_infinity_regular_specs():
