@@ -32,11 +32,7 @@ INF = "inf"
 
 
 def as_point(x):
-    if isinstance(x, str):
-        if x == INF:
-            return INF
-        return Fraction(x)
-    return Fraction(x)
+    return INF if x == INF else Fraction(x)
 
 
 def format_point(x):
@@ -531,7 +527,7 @@ class _OracleSession:
         pivots = linalg.pivot_columns(full)
         h0 = n_inner - sum(1 for c in pivots if c < n_inner)
         out_rows = [row for c, row in zip(coords, full)
-                    if c not in inner_set or _beyond(c, d)]
+                    if c not in inner_set]
         k_out = len(outer) - linalg.rank(out_rows)
         k_full = len(outer) - len(pivots)
         h1 = n_inner - (k_out - k_full)
@@ -563,12 +559,6 @@ def _product(f, g):
             + [(("pole", y, l - t), Fraction((-1) ** t * comb(k + t - 1, t),
                                              (-d) ** (k + t)))
                for t in range(l)])
-
-
-def _beyond(coord, d):
-    if coord[0] == "pw":
-        return coord[1] > d
-    return coord[2] > d
 
 
 def _int_point(x):

@@ -471,9 +471,9 @@ class PosetSheaf:
         return [[v[offb[p] + t] for v in bb] for p, t in free]
 
 
-def constant_sheaf(top, dim=1):
-    mats = {e: linalg.identity(dim) for e in top.hasse_edges()}
-    return PosetSheaf(top, [dim] * len(top.base), mats)
+def constant_sheaf(top):
+    mats = {e: linalg.identity(1) for e in top.hasse_edges()}
+    return PosetSheaf(top, [1] * len(top.base), mats)
 
 
 def _betti(dims, differentials):
@@ -701,12 +701,12 @@ def check_gluing(pair, f, max_family_size=2):
     return True, None
 
 
-def random_sheaf(top, rng, max_gens=2):
-    """Random sheaf as a conjugated sum of constant sheaves on closed
-    down-sets (closures of one or two points); stalk dims stay at most
-    max_gens and cohomology is genuinely varied."""
+def random_sheaf(top, rng):
+    """Random sheaf as a conjugated sum of one or two constant sheaves on
+    closed down-sets (closures of one or two points); stalk dims stay at
+    most 2 and cohomology is genuinely varied."""
     n = len(top.base)
-    k = rng.randint(1, max_gens)
+    k = rng.randint(1, 2)
     downs = []
     for _ in range(k):
         seeds = rng.sample(range(n), rng.randint(1, min(2, n)))

@@ -26,10 +26,11 @@ partitions with singleton stars.
 A square block pairs one position on each of two axes: the metric
 tower is a linear axis times a linear axis, the sectorial (blown-up)
 tower the same linear axis on the radius times a cyclic axis for the
-angle.  Parents, star certificates, identity fits, overlap and sample
-membership hold of a block exactly when they hold of both positions,
-so each axis states them per position and verification tests each axis
-position of a level once, covering every block of every level.
+angle.  Each axis answers one containment question (inside: a span
+lies in the coarser position starting at or below it); parents, fits
+and star certificates are that question.  They, overlap and sample
+membership hold of a block exactly when they hold of both positions, so
+verification tests each axis position of a level once.
 
 Each axis gives a position as closed integer spans (a window as its two
 lifts about a cut), which decide overlap and, in one sweep testing the
@@ -74,24 +75,14 @@ def _gamma(t, u):
     return t - 7 * u, -u
 
 
-def _circ_contains(s1, l1, s2, l2, modulus):
-    """Closed circular arc (start s1, length l1) inside (s2, l2)."""
-    if l2 >= modulus:
-        return True
-    if l1 > l2:
-        return False
-    return (s1 - s2) % modulus + l1 <= l2
-
-
 class ThreadClass:
     """One depth-N equivalence class of threads: a classification tag,
     a representative block, and the level-N blocks it groups."""
 
-    __slots__ = ("tag", "level", "rep", "blocks")
+    __slots__ = ("tag", "rep", "blocks")
 
-    def __init__(self, tag, level, rep, blocks):
+    def __init__(self, tag, rep, blocks):
         self.tag = tag
-        self.level = level
         self.rep = rep
         self.blocks = tuple(blocks)
 
@@ -114,7 +105,24 @@ class Covering:
 # generators
 
 
-class _LinearAxis:
+class _Axis:
+    """An axis gives a position's span and star in integer level units
+    and answers inside(lvl, lo, hi, m): the span [lo, hi] in level-lvl
+    units (lvl >= m) lies in the level-m position lo // 2^(lvl-m+1), the
+    one starting at or below lo."""
+
+    def fit(self, n, i, m):
+        """Position i of level n lies inside a single level-m position."""
+        lvl = max(n, m)
+        lo, hi = self.span(n, i)
+        return self.inside(lvl, lo << (lvl - n), hi << (lvl - n), m)
+
+    def star_ok(self, k, i, lag):
+        """The star of position i lies in a position lag levels up."""
+        return self.inside(k, *self.star(k, i), k - lag)
+
+
+class _LinearAxis(_Axis):
     """The segment [lo, hi].  At level k position i carries the interval
     [2i, 2i+3] in units of 2^-(k+1), clipped to [lo, hi]: width 3,
     stride 2, so adjacent positions share a unit-wide strip and
@@ -131,38 +139,22 @@ class _LinearAxis:
         return (max(2 * i, self.lo << (k + 1)),
                 min(2 * i + 3, self.hi << (k + 1)))
 
-    def inside_parent(self, k, i):
-        lo, hi = self.interval(k, i)
-        plo, phi = self.interval(k - 1, i // 2)
-        return 2 * plo <= lo and hi <= 2 * phi
+    def span(self, k, i):
+        return self.interval(k, i)
 
-    def star_ok(self, k, i, lag):
-        """The star of position i spans its neighbors' intervals, clipped
-        to the segment; the certificate is the position lag levels up
-        that starts at or below it, (2i - 2) // 16 for lag 3."""
-        tk = k - lag
-        t = min(max((2 * i - 2) // 16, self.lo << tk), (self.hi << tk) - 1)
-        t_lo, t_hi = self.interval(tk, t)
-        f = 1 << lag
-        return (t_lo * f <= max(2 * i - 2, self.lo << (k + 1))
-                and min(2 * i + 5, self.hi << (k + 1)) <= t_hi * f)
+    def star(self, k, i):
+        """Position i with its neighbors, clipped to the segment."""
+        return (max(2 * i - 2, self.lo << (k + 1)),
+                min(2 * i + 5, self.hi << (k + 1)))
 
-    def fit(self, n, i, m):
-        """Position i of level n lies inside a single level-m position:
-        only the largest unclipped start and the clipped low edge can
-        hold it."""
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        lo, hi = self.interval(n, i)
-        lo, hi = lo * f, hi * f
-        first, last = self.lo << m, (self.hi << m) - 1
-        for j in (min(lo // (2 * g), last), first):
-            if j < first:
-                continue
-            blo, bhi = self.interval(m, j)
-            if blo * g <= lo and hi <= bhi * g:
-                return True
-        return False
+    def inside(self, lvl, lo, hi, m):
+        """Starts grow by 2 and ends, clip included, never fall, so the
+        last position starting at or below lo holds whatever another
+        does; past either end of the segment the clip leaves an interval
+        that holds no more than the end position does."""
+        s = lvl - m
+        jlo, jhi = self.interval(m, lo >> (s + 1))
+        return jlo << s <= lo and hi <= jhi << s
 
     def candidates(self, k, lo, hi):
         """Positions whose interval could meet [lo, hi], in level-k
@@ -202,7 +194,7 @@ class _LinearAxis:
         return [j for j in (i - 1, i, i + 1) if first <= j <= last]
 
 
-class _CyclicAxis:
+class _CyclicAxis(_Axis):
     """The boundary circle, in units of 2^-(k+1) of a turn at level k.
     Position a carries the window (start 2a, length 3) mod 2^(k+1) for
     a in range(2^k), so each window overlaps its two neighbors and the
@@ -217,32 +209,22 @@ class _CyclicAxis:
     def window(self, k, a):
         return 2 * a, 3
 
-    def inside_parent(self, k, a):
-        mod = self.mod(k)
+    def span(self, k, a):
         ws, wl = self.window(k, a)
-        ps, pl = self.window(k - 1, a // 2)
-        return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
+        return ws, ws + wl
 
-    def star_ok(self, k, a, lag):
-        """The star of position a is an arc of 7 units; the certificate
-        is the window lag levels up starting at or below it, as above."""
-        tk = k - lag
-        f = 1 << lag
-        mod = self.mod(k)
-        ts, tl = self.window(tk, ((2 * a - 2) // 16) % (1 << tk))
-        return _circ_contains((2 * a - 2) % mod, 7, (ts * f) % mod, tl * f,
-                              mod)
+    def star(self, k, a):
+        """Window a with its two neighbors: an arc of 7 units."""
+        return 2 * a - 2, 2 * a + 5
 
-    def fit(self, n, a, m):
-        """Position a of level n lies inside a single level-m window: the
-        one starting at or below it."""
-        f = 1 << max(m - n, 0)
-        g = 1 << max(n - m, 0)
-        mod = self.mod(max(n, m))
-        ws, wl = self.window(n, a)
-        ws, wl = (ws * f) % mod, wl * f
-        ts, tl = self.window(m, (ws // (2 * g)) % (1 << m))
-        return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
+    def inside(self, lvl, lo, hi, m):
+        """The arc from lo to hi lies in the window: turned to start at
+        the window's start it ends by the window's end.  This is exact
+        because every window at level m >= 1 is shorter than a turn (3
+        of 2^(m+1) units), so no arc holds it twice round."""
+        s = lvl - m
+        ws, wl = self.window(m, (lo >> (s + 1)) % (1 << m))
+        return (lo - (ws << s)) % self.mod(lvl) + hi - lo <= wl << s
 
     def candidates(self, k, lo, hi):
         return self.ids(k)  # any window can meet an arc
@@ -326,9 +308,6 @@ class _Generator:
     def parent(self, k, b):
         return b
 
-    def inside_parent(self, k, b):
-        return self.parent(k, b) == b
-
     def path(self, n, b):
         """The chain of ancestors of block b of level n, level 1 first."""
         out = [b]
@@ -341,12 +320,6 @@ class _Generator:
 
     def check_star(self, k, b):
         return True  # the star of a disjoint block is the block itself
-
-    def first_outside_parent(self, k):
-        """The first block of level k, in block_ids order, that its
-        parent does not contain, or None."""
-        return next((b for b in self.block_ids(k)
-                     if not self.inside_parent(k, b)), None)
 
     def first_failed_star(self, k):
         """The first block of level k, in block_ids order, whose star
@@ -464,9 +437,6 @@ class _SquareGen(_Generator):
                 return False
         return True
 
-    def first_outside_parent(self, k):
-        return self._first_failing(k, lambda ax, i: ax.inside_parent(k, i))
-
     def first_failed_star(self, k):
         return self._first_failing(
             k, lambda ax, i: ax.star_ok(k, i, self.star_lag))
@@ -555,10 +525,10 @@ class _MetricGen(_SquareGen):
 
     def classes(self, n):
         origin = self.origin_ids()
-        yield ThreadClass("puncture", n, origin[0], origin)
+        yield ThreadClass("puncture", origin[0], origin)
         for b in self.block_ids(n):
             if not self.is_origin(b):
-                yield ThreadClass("interior", n, b, (b,))
+                yield ThreadClass("interior", b, (b,))
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -607,13 +577,13 @@ class _SectorialGen(_SquareGen):
             (0, 0), self.axes[1].spans(n, cls.rep[1], lvl, 0)[0]])
 
     def sector_members(self, k):
+        """Quarter q collects the blocks whose window, with the circle
+        cut open at the quarter turn q, ends within half a turn."""
         angle = self.axes[1]
-        mod = angle.mod(k)
         members = []
         for q in range(4):
-            ws = (q * (1 << (k - 1))) % mod
-            inside = {a for a in angle.ids(k) if _circ_contains(
-                *angle.window(k, a), ws, 1 << k, mod)}
+            inside = {a for a in angle.ids(k)
+                      if angle.spans(k, a, k, q << (k - 1))[0][1] <= 1 << k}
             members.append([b for b in self.block_ids(k) if b[1] in inside])
         return members
 
@@ -649,10 +619,10 @@ class _SectorialGen(_SquareGen):
 
     def classes(self, n):
         for a in self.axes[1].ids(n):
-            yield ThreadClass("tangential", n, (0, a), ((0, a),))
+            yield ThreadClass("tangential", (0, a), ((0, a),))
         for b in self.block_ids(n):
             if not self.is_tip(b):
-                yield ThreadClass("interior", n, b, (b,))
+                yield ThreadClass("interior", b, (b,))
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -719,9 +689,6 @@ class _PadicGen(_ResidueGen):
     def parent(self, k, b):
         return b[:-1]
 
-    def inside_parent(self, k, b):
-        return b[:k - 1] == self.parent(k, b)
-
     def identity_fits(self, n, b, m):
         return n >= m
 
@@ -744,7 +711,7 @@ class _PadicGen(_ResidueGen):
 
     def classes(self, n):
         for b in self.block_ids(n):
-            yield ThreadClass("end", n, b, (b,))
+            yield ThreadClass("end", b, (b,))
 
     def samples(self, depth):
         width = min(depth, 8 if self.p == 2 else 5)
@@ -788,7 +755,7 @@ class _FormalGen(_ResidueGen):
 
     def classes(self, n):
         for b in range(self.p):
-            yield ThreadClass("branch", n, b, (b,))
+            yield ThreadClass("branch", b, (b,))
 
     def samples(self, depth):
         return list(range(self.p))
@@ -860,7 +827,7 @@ class _FiniteGen(_Generator):
 
     def classes(self, n):
         for b in self.reps:
-            yield ThreadClass("interior", n, b, (b,))
+            yield ThreadClass("interior", b, (b,))
 
     def samples(self, depth):
         return list(range(len(self.u.base)))
@@ -984,7 +951,9 @@ def verify_tower(tower):
 
     refinement_ok = True
     for k in range(2, tower.depth + 1):
-        b = gen.first_outside_parent(k)
+        # a block lies in its parent iff it fits a single block one level
+        # up: on the square axes the only candidate there is the parent
+        b = gen.first_unfit(k, k - 1)
         if b is not None:
             refinement_ok = False
             witness = "parent@%d:%s" % (k, gen.block_name(k, b))
@@ -1115,13 +1084,27 @@ def named_covering(tower, name):
     raise ValueError("unknown covering %r" % (name,))
 
 
-def _validate_covering(tower, cov):
+def _members(tower, cov):
+    """The covering's member sets and their union, once each member is
+    checked to be a union of blocks of its level."""
     tower._check_level(cov.level)
     for mem in cov.members:
         for b in mem:
             if not tower.gen.has_block(cov.level, b):
                 raise ValueError(
                     "covering member is not a block union: %r" % (b,))
+    msets = [frozenset(m) for m in cov.members]
+    return msets, frozenset().union(*msets)
+
+
+def _in_some_member(tower, cov, members, k, b, test, x):
+    """test(cov.level, member, k, x) holds for some member, or b's
+    enclosing block is a member block, which settles any x over b (an
+    origin block holds the origin, a tip window the class window)."""
+    msets, present = members
+    if cov.level <= k and tower.ancestor(k, b, cov.level) in present:
+        return True
+    return any(test(cov.level, ms, k, x) for ms in msets)
 
 
 # uniform coverings
@@ -1148,25 +1131,15 @@ def is_uniform_covering(tower, cov):
     residue class needs its disk covered.  classes yields the limit
     classes first, so the failure witness is a limit class whenever one
     fails."""
-    _validate_covering(tower, cov)
+    members = _members(tower, cov)
     gen = tower.gen
     n = tower.depth
-    msets = [frozenset(m) for m in cov.members]
-    present = frozenset().union(*msets) if msets else frozenset()
     for cls in gen.classes(n):
-        if not _class_absorbed(tower, cov, cls, msets, present):
+        if not _in_some_member(tower, cov, members, n, cls.rep, gen.absorbs,
+                               cls):
             witness = "%s %s" % (cls.tag, gen.block_name(n, cls.rep))
             return UniformCoverReport(False, witness, cov)
     return UniformCoverReport(True, None, cov)
-
-
-def _class_absorbed(tower, cov, cls, msets, present):
-    # an enclosing block in a member settles a limit class too: an origin
-    # block holds the origin inside, a tip window holds the class window
-    n = tower.depth
-    if cov.level <= n and tower.ancestor(n, cls.rep, cov.level) in present:
-        return True
-    return any(tower.gen.absorbs(cov.level, ms, n, cls) for ms in msets)
 
 
 # Tukey refinement
@@ -1191,16 +1164,15 @@ def is_tukey_at_depth(tower, cov):
     """Some level of the tower refines the covering: every block of the
     level fits inside a single member.  A finite subcover always exists
     because members are finitely many; its size is reported."""
-    _validate_covering(tower, cov)
+    members = _members(tower, cov)
     gen = tower.gen
-    msets = [frozenset(m) for m in cov.members]
-    present = frozenset().union(*msets) if msets else frozenset()
     best = None
     witness = None
     for k in tower.levels():
         level_witness = None
         for b in gen.puncture_first(k):
-            if not _block_in_some_member(tower, cov, msets, present, k, b):
+            if not _in_some_member(tower, cov, members, k, b,
+                                   gen.covers_block, b):
                 level_witness = "%d:%s" % (k, gen.block_name(k, b))
                 break
         if level_witness is None:
@@ -1210,12 +1182,6 @@ def is_tukey_at_depth(tower, cov):
     return TukeyReport(best is not None, best,
                        None if best is not None else witness,
                        cov, len(cov.members))
-
-
-def _block_in_some_member(tower, cov, msets, present, k, b):
-    if cov.level <= k and tower.ancestor(k, b, cov.level) in present:
-        return True  # an enclosing block sits in some member outright
-    return any(tower.gen.covers_block(cov.level, ms, k, b) for ms in msets)
 
 
 # uniform continuity

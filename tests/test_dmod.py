@@ -10,8 +10,8 @@ import pytest
 import unifkit
 from unifkit import linalg
 from unifkit.dmod import (D_START, INF, ConnectionSpec, DiffOp,
-                          NewtonPolygon, _OracleSession, _beyond,
-                          _coord_key, _delta_numerators, _indicial_bound,
+                          NewtonPolygon, _OracleSession, _coord_key,
+                          _delta_numerators, _indicial_bound,
                           _shift_bound, _stirling_first, _stirling_second,
                           as_point, corpus, deligne_chi, delta_product,
                           delta_to_partial, delta_valuations,
@@ -466,6 +466,12 @@ def test_oracle_on_infinity_regular_specs():
     assert _dims(index_report(specs["d/dz"])) == (1, 2, True)
     assert _dims(index_report(specs["z d/dz"])) == (1, 1, True)
     assert _dims(index_report(specs["d/dz + 1/(z(z-1))"])) == (1, 3, True)
+
+
+def _beyond(coord, d):
+    if coord[0] == "pw":
+        return coord[1] > d
+    return coord[2] > d
 
 
 def _reference_window_dims(session, d):

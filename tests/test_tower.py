@@ -733,6 +733,15 @@ def test_cartesian_to_polar_matches_rational_geometry():
 # failing block, in block_ids order, on sound and on broken geometry
 
 
+def _circ_contains(s1, l1, s2, l2, modulus):
+    """Closed circular arc (start s1, length l1) inside (s2, l2)."""
+    if l2 >= modulus:
+        return True
+    if l1 > l2:
+        return False
+    return (s1 - s2) % modulus + l1 <= l2
+
+
 def block_inside_parent(gen, k, b):
     pb = gen.parent(k, b)
     if isinstance(gen, tower_mod._MetricGen):
@@ -748,7 +757,7 @@ def block_inside_parent(gen, k, b):
     mod = 1 << (k + 1)
     ws, wl = angle.window(k, b[1])
     ps, pl = angle.window(k - 1, pb[1])
-    return tower_mod._circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
+    return _circ_contains(ws, wl, (2 * ps) % mod, 2 * pl, mod)
 
 
 def block_star_ok(gen, k, b):
@@ -756,7 +765,7 @@ def block_star_ok(gen, k, b):
     f = 1 << (k - tk)
     if isinstance(gen, tower_mod._MetricGen):
         imin, imax = -(1 << tk), (1 << tk) - 1
-        tb = [min(max((2 * c - 2) // 16, imin), imax) for c in b]
+        tb = [min(max((2 * c - 2) // (2 * f), imin), imax) for c in b]
         r = 1 << (k + 1)
         for ax in (0, 1):
             s_lo = max(2 * b[ax] - 2, -r)
@@ -766,8 +775,8 @@ def block_star_ok(gen, k, b):
                 return False
         return True
     radius, angle = gen.axes
-    ri = min(max((2 * b[0] - 2) // 16, 0), (1 << tk) - 1)
-    aa = ((2 * b[1] - 2) // 16) % (1 << tk)
+    ri = min(max((2 * b[0] - 2) // (2 * f), 0), (1 << tk) - 1)
+    aa = ((2 * b[1] - 2) // (2 * f)) % (1 << tk)
     top = 1 << (k + 1)
     s_lo = max(2 * b[0] - 2, 0)
     s_hi = min(2 * b[0] + 5, top)
@@ -776,8 +785,8 @@ def block_star_ok(gen, k, b):
         return False
     mod = 1 << (k + 1)
     ts, tl = angle.window(tk, aa)
-    return tower_mod._circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod,
-                                    tl * f, mod)
+    return _circ_contains((2 * b[1] - 2) % mod, 7, (ts * f) % mod, tl * f,
+                          mod)
 
 
 class Lag2Metric(tower_mod._MetricGen):
@@ -836,7 +845,7 @@ class ShiftedWindow(tower_mod._SectorialGen):
 AXIS_CASES = {
     "metric": (tower_mod._MetricGen, 7, None),
     "sectorial": (tower_mod._SectorialGen, 7, None),
-    "lag2-metric": (Lag2Metric, 6, "star@3:b-8,-7"),
+    "lag2-metric": (Lag2Metric, 6, "star@3:b-8,-4"),
     "lag2-sectorial": (Lag2Sectorial, 6, "star@3:r0a0"),
     "shifted-metric": (ShiftedMetric, 6, "parent@3:b-8,7"),
     "shifted-radius": (ShiftedRadius, 6, "parent@5:r10a0"),
@@ -856,12 +865,54 @@ def test_axis_checks_name_the_first_failing_block(name):
                for k in range(2, depth + 1)}
     unstarred = {k: first_failing_block(gen, k, block_star_ok)
                  for k in range(gen.star_lag + 1, depth + 1)}
-    assert {k: gen.first_outside_parent(k) for k in orphans} == orphans
+    assert {k: gen.first_unfit(k, k - 1) for k in orphans} == orphans
     assert {k: gen.first_failed_star(k) for k in unstarred} == unstarred
     rep = verify_tower(tower_mod.CoveringTower(gen, depth))
     assert rep.witness == witness
     assert rep.refinement_ok == all(b is None for b in orphans.values())
     assert rep.star_ok == all(b is None for b in unstarred.values())
+
+
+def brute_inside(axis, lvl, lo, hi, m):
+    """Some level-m position holds the span [lo, hi] in level-lvl units:
+    on the circle, every half unit of the span lies in the window."""
+    g = 1 << (lvl - m)
+    if isinstance(axis, tower_mod._CyclicAxis):
+        turn = 2 * axis.mod(lvl)
+
+        def holds(j):
+            ws, wl = axis.window(m, j)
+            return all((t - 2 * ws * g) % turn <= 2 * wl * g
+                       for t in range(2 * lo, 2 * hi + 1))
+    else:
+        def holds(j):
+            jlo, jhi = axis.interval(m, j)
+            return jlo * g <= lo and hi <= jhi * g
+    return any(holds(j) for j in axis.ids(m))
+
+
+@pytest.mark.parametrize("axis,count", [
+    (tower_mod._LinearAxis(-1, 1), 5036), (tower_mod._LinearAxis(0, 1), 2518),
+    (tower_mod._CyclicAxis(), 2518)], ids=["side", "radius", "angle"])
+def test_inside_matches_every_position(axis, count):
+    """inside tests one candidate position; brute force tries them all,
+    on every position span of levels 1-7 against levels 1-7 and every
+    star against the levels 1-3 up."""
+    cases = []
+    for n in range(1, 8):
+        for i in axis.ids(n):
+            for m in range(1, 8):
+                lvl = max(n, m)
+                lo, hi = axis.span(n, i)
+                cases.append((lvl, lo << (lvl - n), hi << (lvl - n), m))
+            cases += [(n, *axis.star(n, i), n - lag) for lag in (1, 2, 3)
+                      if n - lag >= 1]
+    verdicts = set()
+    for case in cases:
+        want = brute_inside(axis, *case)
+        assert axis.inside(*case) == want, case
+        verdicts.add(want)
+    assert len(cases) == count and verdicts == {True, False}
 
 
 def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
@@ -940,7 +991,7 @@ def sectorial_identity_fits(gen, n, b, m):
     ws, wl = (ws * f) % mod, wl * f
     a = (ws // (2 * g)) % (1 << m)
     ts, tl = angle.window(m, a)
-    return tower_mod._circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
+    return _circ_contains(ws, wl, (ts * g) % mod, tl * g, mod)
 
 
 def metric_blocks_meet(gen, k1, b1, k2, b2):
@@ -1125,7 +1176,7 @@ def test_tips_coverage_matches_the_half_unit_grid():
         tips = [b for b in member if b[0] == 0]
         want = grid_covered(gen, cov_level, tips, lvl, (0,),
                             range(y0, y1 + 1))
-        cls = tower_mod.ThreadClass("tangential", n, (0, a), ((0, a),))
+        cls = tower_mod.ThreadClass("tangential", (0, a), ((0, a),))
         assert gen.absorbs(cov_level, member, n, cls) == want, (
             cov_level, n, a, sorted(member))
         verdicts.add(want)
@@ -1155,7 +1206,7 @@ def test_puncture_absorption_matches_the_quadrant_rule():
     origin = gen.origin_ids()
     for _ in range(2000):
         cov_level, n = rng.randint(1, 6), rng.randint(1, 6)
-        cls = tower_mod.ThreadClass("puncture", n, origin[0], origin)
+        cls = tower_mod.ThreadClass("puncture", origin[0], origin)
         ids = gen.axes[0].ids(cov_level)
         keep = rng.choice((0.5, 0.8, 0.95))
         member = frozenset((i, j) for i in range(-3, 3) for j in range(-3, 3)
