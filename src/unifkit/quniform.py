@@ -425,35 +425,29 @@ def topology_from(u):
 
 def pervin(top):
     """One entourage per open: leave the open where it is, send the rest
-    anywhere."""
+    anywhere.  Each distinct row tuple is built as one Relation."""
     base = top.base
     n = len(base)
     full = (1 << n) - 1
-    rels = set()
-    for um in top.open_masks:
-        rows = [um if um >> i & 1 else full for i in range(n)]
-        rels.add(Relation(base, rows))
-    return QUniformity(base, rels, symmetric_flag=False)
+    rows = {tuple(um if um >> i & 1 else full for i in range(n))
+            for um in top.open_masks}
+    return QUniformity(base, [Relation(base, r) for r in rows])
 
 
 def kunzi(top):
-    """Pervin refined by a compact (here: arbitrary) kernel inside each
-    open: points outside the kernel move freely."""
+    """Pervin refined by a compact (here: arbitrary) kernel K inside
+    each open U: row U at the points of K, the full row elsewhere, so
+    points outside the kernel move freely.  The kernels of U together
+    give the product over the points of (full, U) on U and (full,) off
+    U; each distinct row tuple is built as one Relation."""
     base = top.base
     n = len(base)
     full = (1 << n) - 1
-    rels = set()
+    rows = set()
     for um in top.open_masks:
-        # all kernels K inside the open
-        sub = um
-        k = sub
-        while True:
-            rows = [um if k >> i & 1 else full for i in range(n)]
-            rels.add(Relation(base, rows))
-            if k == 0:
-                break
-            k = (k - 1) & sub
-    return QUniformity(base, rels, symmetric_flag=False)
+        rows.update(itertools.product(
+            *[(full, um) if um >> i & 1 else (full,) for i in range(n)]))
+    return QUniformity(base, [Relation(base, r) for r in rows])
 
 
 def symmetrize(u):

@@ -233,22 +233,25 @@ class Relation:
         return self.is_preorder() and self.is_symmetric()
 
     def transitive_closure(self):
-        rows = list(self.rows)
-        n = len(rows)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = rows[i]
-                for j in bits(acc):
-                    acc |= rows[j]
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
-        return Relation(self.base, rows)
+        return Relation(self.base, _closed_rows(list(self.rows)))
 
     def reflexive_transitive_closure(self):
-        return self.union(Relation.diagonal(self.base)).transitive_closure()
+        rows = [r | 1 << i for i, r in enumerate(self.rows)]
+        return Relation(self.base, _closed_rows(rows))
+
+
+def _closed_rows(rows):
+    """Close a list of successor rows under transitivity, in place."""
+    changed = True
+    while changed:
+        changed = False
+        for i, acc in enumerate(rows):
+            for j in bits(acc):
+                acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    return rows
 
 
 def is_transitive_rows(rows):
@@ -262,14 +265,21 @@ def is_transitive_rows(rows):
 
 
 def intersect_all(relations):
-    """Intersection of a nonempty collection of relations over one base."""
+    """Intersection of a nonempty collection of relations over one base:
+    the rows are ANDed into one running list and one Relation is built
+    at the end.  A lone relation comes back as itself."""
     relations = list(relations)
     if not relations:
         raise ValueError("need at least one relation")
-    acc = relations[0]
+    first = relations[0]
+    if len(relations) == 1:
+        return first
+    rows = list(first.rows)
     for r in relations[1:]:
-        acc = acc.intersection(r)
-    return acc
+        _check_same_base(first, r)
+        for i, b in enumerate(r.rows):
+            rows[i] &= b
+    return Relation(first.base, rows)
 
 
 def random_relation(base, rng, density=0.5):

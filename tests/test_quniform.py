@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from unifkit.enumeration import all_equivalences, standard_base
+from unifkit.enumeration import (all_equivalences, all_preorders,
+                                 standard_base)
 from unifkit.quniform import (CoveringFamily, Proximity, QUniformity,
                               _meet_mask, check_quniformity,
                               hausdorff_quotient, is_tukey_family, kunzi,
@@ -64,6 +66,60 @@ def test_pervin_kunzi_share_the_specialization_core(sier):
 def test_topology_round_trip(sier):
     assert topology_from(pervin(sier)).open_masks == sier.open_masks
     assert topology_from(kunzi(sier)).open_masks == sier.open_masks
+
+
+def _reference_pervin(top):
+    base = top.base
+    n = len(base)
+    full = (1 << n) - 1
+    rels = set()
+    for um in top.open_masks:
+        rows = [um if um >> i & 1 else full for i in range(n)]
+        rels.add(Relation(base, rows))
+    return QUniformity(base, rels, symmetric_flag=False)
+
+
+def _reference_kunzi(top):
+    base = top.base
+    n = len(base)
+    full = (1 << n) - 1
+    rels = set()
+    for um in top.open_masks:
+        # all kernels K inside the open
+        sub = um
+        k = sub
+        while True:
+            rows = [um if k >> i & 1 else full for i in range(n)]
+            rels.add(Relation(base, rows))
+            if k == 0:
+                break
+            k = (k - 1) & sub
+    return QUniformity(base, rels, symmetric_flag=False)
+
+
+def test_pervin_kunzi_match_the_kernel_loops():
+    """The row-tuple builds give the bases of the loops over every open
+    and every kernel, in order, with the same core and topology.  The
+    core is checked against a pairwise fold and the topology against
+    the closure of the core with the diagonal, so intersect_all and the
+    closure are compared too."""
+    tops = [FiniteTopology.from_preorder(r)
+            for n in range(1, 5) for r in all_preorders(standard_base(n))]
+    assert len(tops) == 389
+    tops += [FiniteTopology.from_preorder(r)
+             for r in all_preorders(standard_base(5))[::10]]
+    for top in tops:
+        for build, reference in ((pervin, _reference_pervin),
+                                 (kunzi, _reference_kunzi)):
+            u, want = build(top), reference(top)
+            assert [e.rows for e in u.basis] == \
+                [e.rows for e in want.basis], top.open_masks
+            core = functools.reduce(Relation.intersection, want.basis)
+            assert u.e_min.rows == core.rows
+            closed = core.union(Relation.diagonal(top.base))
+            assert topology_from(u).open_masks == \
+                top.open_masks == FiniteTopology.from_preorder(
+                    closed.transitive_closure()).open_masks
 
 
 def test_weil_tukey_round_trip_preserves_core():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -108,6 +109,37 @@ def test_intersect_all(base):
                                    ("b", "a")])
     m = intersect_all([r, s])
     assert m == Relation.diagonal(base)
+
+
+def test_intersect_all_edge_cases(base):
+    r = Relation.full(base)
+    assert intersect_all([r]) is r
+    assert intersect_all(iter([r])) is r
+    other = Relation.full(FiniteSet(["a", "b", "d"]))
+    with pytest.raises(ValueError, match="^incompatible base sets$"):
+        intersect_all([r, Relation.diagonal(base), other])
+    with pytest.raises(ValueError):
+        intersect_all([])
+
+
+def _seeded_relation_lists(seed, count=200):
+    """Seeded lists of 1 to 40 random relations on 1 to 6 points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b = FiniteSet("x%d" % i for i in range(rng.randint(1, 6)))
+        density = rng.choice((0.5, 0.8, 0.95))
+        yield [random_relation(b, rng, density)
+               for _ in range(rng.randint(1, 40))]
+
+
+def test_intersect_all_is_the_pairwise_fold():
+    for rels in _seeded_relation_lists(3):
+        want = functools.reduce(Relation.intersection, rels)
+        assert intersect_all(rels) == want
+        for r in rels:
+            diag = Relation.diagonal(r.base)
+            assert r.reflexive_transitive_closure() == \
+                r.union(diag).transitive_closure()
 
 
 def test_random_relation_is_seed_deterministic(base):
