@@ -599,10 +599,22 @@ def cech_adequate(pair, members):
     """Acyclicity certificate: every iterated intersection's check-open
     must split into components each having an initial point.  Sections
     over such a component are the stalk of that point, so the Cech
-    complex over the covering computes the derived answer."""
+    complex over the covering computes the derived answer.
+
+    A check-open w is open, so it is the union of the minimal opens U_i
+    of its minimal points: the i in w whose U_i lies in no larger U_j, j
+    in w.  Each U_i is connected under comparability (all of it lies
+    over i), and no comparability links disjoint U_a and U_b: if j in
+    U_a and k in U_b are comparable, one lies in the minimal open of the
+    other, so in both U_a and U_b.  Hence when these U_i are pairwise
+    disjoint they are the components, with initial points i.
+    Conversely a component with an initial point j holds some U_i and
+    lies in U_j, which holds U_i, so it is U_i by maximality: the
+    components are the U_i, pairwise disjoint.  They are disjoint iff
+    their sizes add up to the size of w; equivalent points of a non-T0
+    space share one U_i, counted once."""
     top = pair.xhat
-    n = len(top.base)
-    mins = [top.min_open_mask(i) for i in range(n)]
+    mins = [top.min_open_mask(i) for i in range(len(top.base))]
     members = tuple(members)
     for r in range(1, len(members) + 1):
         for sigma in itertools.combinations(range(len(members)), r):
@@ -610,25 +622,11 @@ def cech_adequate(pair, members):
             for t in sigma:
                 inter &= members[t]
             w = pair.u_check_mask(inter)
-            # components via comparability inside w
-            todo = w
-            while todo:
-                seed = todo & -todo
-                comp = seed
-                frontier = seed
-                while frontier:
-                    new = 0
-                    for i in bits(frontier):
-                        for j in range(n):
-                            if w >> j & 1 and not comp >> j & 1:
-                                if mins[i] >> j & 1 or mins[j] >> i & 1:
-                                    new |= 1 << j
-                    comp |= new
-                    frontier = new
-                todo &= ~comp
-                if not any(comp >> i & 1 and comp & ~mins[i] == 0
-                           for i in range(n)):
-                    return False
+            tops = {mins[i] for i in bits(w)
+                    if not any(mins[j] >> i & 1 and mins[j] != mins[i]
+                               for j in bits(w))}
+            if sum(m.bit_count() for m in tops) != w.bit_count():
+                return False
     return True
 
 

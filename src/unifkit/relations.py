@@ -112,7 +112,7 @@ class Relation:
     (x, z) in E.compose(F) iff (x, y) in E and (y, z) in F for some y.
     """
 
-    __slots__ = ("base", "rows", "_pairs")
+    __slots__ = ("base", "rows")
 
     def __init__(self, base, rows):
         # rows[i] = bitmask of successors of element i
@@ -126,7 +126,6 @@ class Relation:
                 raise ValueError("row mask out of range")
         self.base = base
         self.rows = rows
-        self._pairs = None
 
     @classmethod
     def from_pairs(cls, base, pairs):
@@ -146,16 +145,10 @@ class Relation:
 
     @property
     def pairs(self):
-        """Frozenset of label pairs. Built on first use."""
-        if self._pairs is None:
-            labs = self.base.labels
-            self._pairs = frozenset(
-                (labs[i], labs[j])
-                for i, r in enumerate(self.rows)
-                for j in range(len(labs))
-                if r >> j & 1
-            )
-        return self._pairs
+        """Frozenset of label pairs, built on each call."""
+        labs = self.base.labels
+        return frozenset((labs[i], labs[j])
+                         for i, r in enumerate(self.rows) for j in bits(r))
 
     def __eq__(self, other):
         return (

@@ -43,11 +43,12 @@ radius 0.
 Each generator class holds its own geometry: its blocks and their
 names (block_name, and parse_block for reading them back), parents and
 stars, containment and overlap, coverage of a block by a covering
-member, and which member absorbs each of its thread classes.  The
-operations below ask the generator instead of switching on its kind or
-on a class tag (only make_tower and the domains of the chart-change
-maps name kinds), so adding or changing a uniform structure touches
-one class, or one axis.
+member, and which member absorbs each of its thread classes.  A thread
+class is a plain (tag, rep, blocks) tuple, and absorbs reads only its
+representative block rep.  The operations below ask the generator
+instead of switching on its kind or on a class tag (only make_tower
+and the domains of the chart-change maps name kinds), so adding or
+changing a uniform structure touches one class, or one axis.
 """
 
 from __future__ import annotations
@@ -73,21 +74,6 @@ def _gamma(t, u):
     if t <= 6 * u:
         return -u, 5 * u - t
     return t - 7 * u, -u
-
-
-class ThreadClass:
-    """One depth-N equivalence class of threads: a classification tag,
-    a representative block, and the level-N blocks it groups."""
-
-    __slots__ = ("tag", "rep", "blocks")
-
-    def __init__(self, tag, rep, blocks):
-        self.tag = tag
-        self.rep = rep
-        self.blocks = tuple(blocks)
-
-    def __repr__(self):
-        return "ThreadClass(%s, %r)" % (self.tag, self.rep)
 
 
 class Covering:
@@ -283,9 +269,10 @@ def _spans_meet(axis, k1, i1, k2, i2):
 class _Generator:
     """What a generator owns: its blocks and their names, parents, stars,
     containment, overlap, coverage by a covering member, and its thread
-    classes, of which classes(n) yields those over the puncture first.
-    The defaults fit a generator whose levels all repeat one covering by
-    pairwise disjoint blocks; the others override what differs."""
+    classes, which classes(n) yields as (tag, rep, blocks) tuples, those
+    over the puncture first.  The defaults fit a generator whose levels
+    all repeat one covering by pairwise disjoint blocks; the others
+    override what differs."""
 
     symmetric = True
     star_lag = 1
@@ -318,34 +305,27 @@ class _Generator:
     def neighbors(self, k, b):
         return iter(())  # one level's blocks are disjoint
 
-    def check_star(self, k, b):
-        return True  # the star of a disjoint block is the block itself
-
     def first_failed_star(self, k):
         """The first block of level k, in block_ids order, whose star
-        fails its certificate, or None."""
-        return next((b for b in self.block_ids(k)
-                     if not self.check_star(k, b)), None)
+        fails its certificate, or None: the star of a disjoint block is
+        the block itself."""
+        return None
 
     def puncture_first(self, k):
         """The level's blocks, those a sector can never hold first, so
         that scans of failing levels stay cheap."""
         return self.block_ids(k)
 
-    def absorbs(self, cov_level, member, n, cls):
+    def absorbs(self, cov_level, member, n, rep):
         """The member's level-cov_level blocks hold the depth-n thread
-        class cls: by default, they cover its block."""
-        return self.covers_block(cov_level, member, n, cls.rep)
-
-    def identity_fits(self, n, b, m):
-        """Block b of level n lies inside a single level-m block."""
-        return True  # the levels repeat one covering
+        class with representative block rep: by default, they cover it."""
+        return self.covers_block(cov_level, member, n, rep)
 
     def first_unfit(self, n, m):
         """The first block of level n, in block_ids order, that lies in
-        no single level-m block, or None."""
-        return next((b for b in self.block_ids(n)
-                     if not self.identity_fits(n, b, m)), None)
+        no single level-m block, or None: the levels repeat one
+        covering."""
+        return None
 
     def tangential_cycle_ok(self, n):
         return False
@@ -491,13 +471,13 @@ class _MetricGen(_SquareGen):
             if not self.is_origin(b):
                 yield b
 
-    def absorbs(self, cov_level, member, n, cls):
+    def absorbs(self, cov_level, member, n, rep):
         """The puncture class (rep an origin block) needs a punctured
         neighborhood of the origin: the box [-1, 1]^2 in level
         cov_level + 1 units, where member block ends are even, so it is
         covered iff each open quadrant at 0 lies in one block."""
-        if not self.is_origin(cls.rep):
-            return super().absorbs(cov_level, member, n, cls)
+        if not self.is_origin(rep):
+            return super().absorbs(cov_level, member, n, rep)
         return self._covers_box(cov_level, member, cov_level + 1,
                                 [(-1, 1), (-1, 1)])
 
@@ -525,10 +505,10 @@ class _MetricGen(_SquareGen):
 
     def classes(self, n):
         origin = self.origin_ids()
-        yield ThreadClass("puncture", origin[0], origin)
+        yield "puncture", origin[0], origin
         for b in self.block_ids(n):
             if not self.is_origin(b):
-                yield ThreadClass("interior", b, (b,))
+                yield "interior", b, (b,)
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -567,14 +547,14 @@ class _SectorialGen(_SquareGen):
     def is_tip(self, b):
         return b[0] == 0
 
-    def absorbs(self, cov_level, member, n, cls):
+    def absorbs(self, cov_level, member, n, rep):
         """A tangential class (rep a tip block) needs a thin sector over
         its window: the box over radius 0, which only tips hold."""
-        if not self.is_tip(cls.rep):
-            return super().absorbs(cov_level, member, n, cls)
+        if not self.is_tip(rep):
+            return super().absorbs(cov_level, member, n, rep)
         lvl = max(cov_level, n)
         return self._covers_box(cov_level, member, lvl, [
-            (0, 0), self.axes[1].spans(n, cls.rep[1], lvl, 0)[0]])
+            (0, 0), self.axes[1].spans(n, rep[1], lvl, 0)[0]])
 
     def sector_members(self, k):
         """Quarter q collects the blocks whose window, with the circle
@@ -619,10 +599,10 @@ class _SectorialGen(_SquareGen):
 
     def classes(self, n):
         for a in self.axes[1].ids(n):
-            yield ThreadClass("tangential", (0, a), ((0, a),))
+            yield "tangential", (0, a), ((0, a),)
         for b in self.block_ids(n):
             if not self.is_tip(b):
-                yield ThreadClass("interior", b, (b,))
+                yield "interior", b, (b,)
 
     def samples(self, depth):
         h = Fraction(1, 1 << min(depth + 2, 16))
@@ -689,8 +669,10 @@ class _PadicGen(_ResidueGen):
     def parent(self, k, b):
         return b[:-1]
 
-    def identity_fits(self, n, b, m):
-        return n >= m
+    def first_unfit(self, n, m):
+        """A disk of radius p^-n lies in one of radius p^-m iff n >= m;
+        otherwise every disk fails, the first one first."""
+        return None if n >= m else next(self.block_ids(n))
 
     def blocks_meet(self, k1, b1, k2, b2):
         return b1.startswith(b2) or b2.startswith(b1)
@@ -711,7 +693,7 @@ class _PadicGen(_ResidueGen):
 
     def classes(self, n):
         for b in self.block_ids(n):
-            yield ThreadClass("end", b, (b,))
+            yield "end", b, (b,)
 
     def samples(self, depth):
         width = min(depth, 8 if self.p == 2 else 5)
@@ -755,7 +737,7 @@ class _FormalGen(_ResidueGen):
 
     def classes(self, n):
         for b in range(self.p):
-            yield ThreadClass("branch", b, (b,))
+            yield "branch", b, (b,)
 
     def samples(self, depth):
         return list(range(self.p))
@@ -805,16 +787,19 @@ class _FiniteGen(_Generator):
         m = self.masks[b]
         return iter(x for x in self.reps if x != b and self.masks[x] & m)
 
-    def check_star(self, k, b):
-        # levels repeat, so the certificate is honest only when the
-        # star of the ball stays inside some ball; depth-1 embeddings
-        # never reach this check
-        m = self.masks[b]
-        star = 0
-        for x in self.reps:
-            if self.masks[x] & m:
-                star |= self.masks[x]
-        return any(star & ~self.masks[x] == 0 for x in self.reps)
+    def first_failed_star(self, k):
+        """Levels repeat, so the certificate is honest only when the star
+        of each ball stays inside some ball; depth-1 embeddings never
+        reach this check."""
+        masks = [self.masks[x] for x in self.reps]
+        for b, m in zip(self.reps, masks):
+            star = 0
+            for x in masks:
+                if x & m:
+                    star |= x
+            if not any(star & ~x == 0 for x in masks):
+                return b
+        return None
 
     def blocks_meet(self, k1, b1, k2, b2):
         return self.masks[b1] & self.masks[b2] != 0
@@ -827,7 +812,7 @@ class _FiniteGen(_Generator):
 
     def classes(self, n):
         for b in self.reps:
-            yield ThreadClass("interior", b, (b,))
+            yield "interior", b, (b,)
 
     def samples(self, depth):
         return list(range(len(self.u.base)))
@@ -1015,8 +1000,8 @@ class ThreadReport:
 
     def count_by_tag(self):
         out = {}
-        for c in self.iter_classes():
-            out[c.tag] = out.get(c.tag, 0) + 1
+        for tag, _, _ in self.iter_classes():
+            out[tag] = out.get(tag, 0) + 1
         return out
 
     def tangential_cycle_ok(self):
@@ -1025,12 +1010,13 @@ class ThreadReport:
         return self.tower.gen.tangential_cycle_ok(self.tower.depth)
 
     def class_line(self, c):
+        tag, rep, blocks = c
         gen = self.tower.gen
-        path = gen.path(self.tower.depth, c.rep)
+        path = gen.path(self.tower.depth, rep)
         names = "/".join(gen.block_name(k, b)
                          for k, b in enumerate(path, start=1))
-        extra = "" if len(c.blocks) == 1 else " blocks=%d" % len(c.blocks)
-        return "%s %s%s" % (c.tag, names, extra)
+        extra = "" if len(blocks) == 1 else " blocks=%d" % len(blocks)
+        return "%s %s%s" % (tag, names, extra)
 
     def lines(self):
         body = sorted(self.class_line(c) for c in self.iter_classes())
@@ -1097,14 +1083,14 @@ def _members(tower, cov):
     return msets, frozenset().union(*msets)
 
 
-def _in_some_member(tower, cov, members, k, b, test, x):
-    """test(cov.level, member, k, x) holds for some member, or b's
-    enclosing block is a member block, which settles any x over b (an
+def _in_some_member(tower, cov, members, k, b, test):
+    """test(cov.level, member, k, b) holds for some member, or b's
+    enclosing block is a member block, which settles the test (an
     origin block holds the origin, a tip window the class window)."""
     msets, present = members
     if cov.level <= k and tower.ancestor(k, b, cov.level) in present:
         return True
-    return any(test(cov.level, ms, k, x) for ms in msets)
+    return any(test(cov.level, ms, k, b) for ms in msets)
 
 
 # uniform coverings
@@ -1134,10 +1120,9 @@ def is_uniform_covering(tower, cov):
     members = _members(tower, cov)
     gen = tower.gen
     n = tower.depth
-    for cls in gen.classes(n):
-        if not _in_some_member(tower, cov, members, n, cls.rep, gen.absorbs,
-                               cls):
-            witness = "%s %s" % (cls.tag, gen.block_name(n, cls.rep))
+    for tag, rep, _ in gen.classes(n):
+        if not _in_some_member(tower, cov, members, n, rep, gen.absorbs):
+            witness = "%s %s" % (tag, gen.block_name(n, rep))
             return UniformCoverReport(False, witness, cov)
     return UniformCoverReport(True, None, cov)
 
@@ -1172,7 +1157,7 @@ def is_tukey_at_depth(tower, cov):
         level_witness = None
         for b in gen.puncture_first(k):
             if not _in_some_member(tower, cov, members, k, b,
-                                   gen.covers_block, b):
+                                   gen.covers_block):
                 level_witness = "%d:%s" % (k, gen.block_name(k, b))
                 break
         if level_witness is None:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from unifkit import gtop, linalg
-from unifkit.enumeration import (all_partial_orders, dense_pairs,
-                                 standard_base)
+from unifkit.enumeration import (all_partial_orders, all_preorders,
+                                 dense_pairs, dense_subsets, standard_base)
 from unifkit.gtop import (DensePair, GCoveringSystem, PosetSheaf,
                           cech_adequate, cech_cohomology, check_gluing,
                           check_grothendieck, check_l7, constant_sheaf,
@@ -90,6 +90,67 @@ def test_half_circle_finest_covering_is_degenerate():
     pair = pseudo_circle(False)
     members = finest_g_covering(pair)
     assert not cech_adequate(pair, members)
+
+
+def oracle_cech_adequate(pair, members):
+    """The component search cech_adequate replaces, kept verbatim as the
+    reference."""
+    top = pair.xhat
+    n = len(top.base)
+    mins = [top.min_open_mask(i) for i in range(n)]
+    members = tuple(members)
+    for r in range(1, len(members) + 1):
+        for sigma in itertools.combinations(range(len(members)), r):
+            inter = pair.x_mask
+            for t in sigma:
+                inter &= members[t]
+            w = pair.u_check_mask(inter)
+            # components via comparability inside w
+            todo = w
+            while todo:
+                seed = todo & -todo
+                comp = seed
+                frontier = seed
+                while frontier:
+                    new = 0
+                    for i in bits(frontier):
+                        for j in range(n):
+                            if w >> j & 1 and not comp >> j & 1:
+                                if mins[i] >> j & 1 or mins[j] >> i & 1:
+                                    new |= 1 << j
+                    comp |= new
+                    frontier = new
+                todo &= ~comp
+                if not any(comp >> i & 1 and comp & ~mins[i] == 0
+                           for i in range(n)):
+                    return False
+    return True
+
+
+def test_cech_adequate_matches_the_component_search():
+    """Every dense pair on at most four points, from the partial orders
+    and from all preorders (T0 or not), with its finest covering and
+    three seeded random families of nonempty trace-opens."""
+    pairs = list(_pairs_up_to(4))
+    for n in range(1, 5):
+        for r in all_preorders(standard_base(n)):
+            top = FiniteTopology.from_preorder(r)
+            pairs += [DensePair(top, d) for d in dense_subsets(top)]
+    rng = random.Random(2012)
+    verdicts = set()
+    count = 0
+    for pair in pairs:
+        opens = [m for m in pair.trace_open_masks() if m]
+        families = [finest_g_covering(pair)] + [
+            rng.sample(opens, rng.randint(1, min(3, len(opens))))
+            for _ in range(3)]
+        for members in families:
+            want = oracle_cech_adequate(pair, members)
+            assert cech_adequate(pair, members) == want, (pair, members)
+            verdicts.add(want)
+            count += 1
+    assert count == 13812
+    assert verdicts == {True, False}
 
 
 def test_cech_requires_a_distinguished_covering():

@@ -287,6 +287,27 @@ def test_finite_embedding_tower():
     assert names == {"ea", "ec"}
 
 
+def chain_uniformity():
+    """The 4-point chain a-b-c-d with neighbors close: E_min rows ab,
+    abc, bcd, cd, four distinct balls whose stars are not balls."""
+    base = FiniteSet(["a", "b", "c", "d"])
+    e = Relation.from_pairs(base, [(x, y) for x in "abcd" for y in "abcd"
+                                   if abs(ord(x) - ord(y)) <= 1])
+    return QUniformity(base, [e], symmetric_flag=True)
+
+
+def test_finite_star_certificate_fails_on_the_chain():
+    # the star of ball ab is abcd, which no ball holds; depth 1 has no
+    # star check, so only the repeated levels fail
+    assert verify_tower(make_tower("finite", 1,
+                                   uniformity=chain_uniformity())).ok
+    rep = verify_tower(make_tower("finite", 2, uniformity=chain_uniformity()))
+    assert not rep.star_ok
+    assert rep.refinement_ok and rep.covering_ok and rep.sample_ok
+    assert rep.witness == "star@2:ea"
+    assert "star=FAIL" in rep.lines()
+
+
 # pinned report lines: every generator against the operations whose
 # per-generator geometry the tests above leave uncovered
 
@@ -873,6 +894,50 @@ def test_axis_checks_name_the_first_failing_block(name):
     assert rep.star_ok == all(b is None for b in unstarred.values())
 
 
+def oracle_identity_fits(gen, n, b, m):
+    """The per-block refinement test the residue and finite generators
+    answered before, kept as the reference: a p-adic disk of level n
+    lies in a single level-m disk iff n >= m; the other generators
+    repeat one covering at every level."""
+    return n >= m if gen.kind == "padic_disk" else True
+
+
+def oracle_check_star(gen, k, b):
+    """The per-block star test the residue and finite generators
+    answered before, kept as the reference: residue blocks are disjoint,
+    so their stars are themselves; a finite ball's star must stay inside
+    some ball."""
+    if gen.kind != "finite":
+        return True
+    m = gen.masks[b]
+    star = 0
+    for x in gen.reps:
+        if gen.masks[x] & m:
+            star |= gen.masks[x]
+    return any(star & ~gen.masks[x] == 0 for x in gen.reps)
+
+
+def test_residue_and_finite_checks_match_the_block_walks():
+    gens = [make_tower("padic_disk", 1, p=2).gen,
+            make_tower("padic_disk", 1, p=3).gen,
+            make_tower("formal", 1, p=3).gen,
+            make_tower("finite", 1, uniformity=chain_uniformity()).gen,
+            make_tower("finite", 1, uniformity=finite_uniformity()).gen]
+    found = set()
+    for gen in gens:
+        for n in range(1, 6):
+            want = first_failing_block(gen, n, oracle_check_star)
+            assert gen.first_failed_star(n) == want, (gen.kind, n)
+            found.add(("star", want is not None))
+            for m in range(1, 6):
+                want = first_failing_block(
+                    gen, n, lambda g, k, b: oracle_identity_fits(g, k, b, m))
+                assert gen.first_unfit(n, m) == want, (gen.kind, n, m)
+                found.add(("fit", want is not None))
+    assert found == {("star", True), ("star", False),
+                     ("fit", True), ("fit", False)}
+
+
 def brute_inside(axis, lvl, lo, hi, m):
     """Some level-m position holds the span [lo, hi] in level-lvl units:
     on the circle, every half unit of the span lies in the window."""
@@ -1176,8 +1241,7 @@ def test_tips_coverage_matches_the_half_unit_grid():
         tips = [b for b in member if b[0] == 0]
         want = grid_covered(gen, cov_level, tips, lvl, (0,),
                             range(y0, y1 + 1))
-        cls = tower_mod.ThreadClass("tangential", (0, a), ((0, a),))
-        assert gen.absorbs(cov_level, member, n, cls) == want, (
+        assert gen.absorbs(cov_level, member, n, (0, a)) == want, (
             cov_level, n, a, sorted(member))
         verdicts.add(want)
     assert verdicts == {True, False}
@@ -1206,13 +1270,12 @@ def test_puncture_absorption_matches_the_quadrant_rule():
     origin = gen.origin_ids()
     for _ in range(2000):
         cov_level, n = rng.randint(1, 6), rng.randint(1, 6)
-        cls = tower_mod.ThreadClass("puncture", origin[0], origin)
         ids = gen.axes[0].ids(cov_level)
         keep = rng.choice((0.5, 0.8, 0.95))
         member = frozenset((i, j) for i in range(-3, 3) for j in range(-3, 3)
                            if i in ids and j in ids and rng.random() < keep)
         want = oracle_absorbs_origin(gen, cov_level, member)
-        assert gen.absorbs(cov_level, member, n, cls) == want, (
+        assert gen.absorbs(cov_level, member, n, origin[0]) == want, (
             cov_level, n, sorted(member))
         verdicts.add(want)
     assert verdicts == {True, False}
@@ -1223,6 +1286,6 @@ def test_limit_classes_come_first(name):
     """is_uniform_covering scans classes in order and names the first
     unabsorbed one, so the classes over the puncture must lead."""
     for depth in range(1, 5):
-        tags = [c.tag for c in TOWERS[name](depth).gen.classes(depth)]
+        tags = [c[0] for c in TOWERS[name](depth).gen.classes(depth)]
         limit = [t != "interior" for t in tags]
         assert limit == sorted(limit, reverse=True), (name, depth)
