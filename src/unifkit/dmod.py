@@ -76,12 +76,7 @@ class DiffOp:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, RatFunc):
-                cs.append(c)
-            else:
-                cs.append(RatFunc(c))
+        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
         if len(cs) < 2:
@@ -504,33 +499,43 @@ class _OracleSession:
         other points and the coefficients' own poles reach lower orders
         only.  So unless K is a root of that polynomial, Lv leaves W_d,
         and L(V) & W_d = L(V_(d+s)) & W_d, per window; _indicial_bound
-        gives the d from which (h0, h1) are those of L on V.  k_out -
-        k_full below is the dimension of the outer images inside W_d."""
+        gives the d from which (h0, h1) are those of L on V.
+
+        One elimination reads all three counts.  Each coordinate is a
+        sparse row {column: int} over the outer basis, window first; a
+        column holding a Fraction is scaled by the lcm of its
+        denominators, which keeps the pivot columns and the rank of
+        every set of rows.  The rows outside W_d enter linalg._insert
+        first, leaving rank(out_rows) = n_outer - k_out pivots; the
+        window's rows follow.  A column is a pivot exactly when it is
+        outside the span of the columns before it, whatever the row
+        order, so the final pivots are the whole matrix's: n_outer -
+        k_full of them, those below n_inner the window's rank.  k_out -
+        k_full is the dimension of the outer images inside W_d."""
         inner = self.basis_keys(d)
         inner_set = set(inner)
-        # inner keys first, so the first n_inner columns are the window
         outer = inner + [k for k in self.basis_keys(d + self.shift)
                          if k not in inner_set]
-        cols = [self.image(k) for k in outer]
-        coords = sorted({c for v in cols for c in v},
-                        key=_coord_key)
-        cindex = {c: i for i, c in enumerate(coords)}
-        full = [[0] * len(outer) for _ in coords]
-        for j, vec in enumerate(cols):
-            for c, val in vec.items():
-                full[cindex[c]][j] = val
+        rows = {}
+        for j, key in enumerate(outer):
+            vec = self.image(key)
+            if any(type(x) is not int for x in vec.values()):
+                den = lcm(*[x.denominator for x in vec.values()])
+                vec = {c: x.numerator * (den // x.denominator)
+                       for c, x in vec.items()}
+            for c, x in vec.items():
+                rows.setdefault(c, {})[j] = x
+        pivots = {}
+        for c, row in rows.items():
+            if c not in inner_set:
+                linalg._insert(pivots, row)
+        rank_out = len(pivots)
+        for c, row in rows.items():
+            if c in inner_set:
+                linalg._insert(pivots, row)
         n_inner = len(inner)
-        # a pivot column is one outside the span of the columns before
-        # it, whatever the row order (linalg.pivot_columns), so the
-        # pivots of full below n_inner count the rank of its first
-        # n_inner columns
-        pivots = linalg.pivot_columns(full)
         h0 = n_inner - sum(1 for c in pivots if c < n_inner)
-        out_rows = [row for c, row in zip(coords, full)
-                    if c not in inner_set]
-        k_out = len(outer) - linalg.rank(out_rows)
-        k_full = len(outer) - len(pivots)
-        h1 = n_inner - (k_out - k_full)
+        h1 = n_inner - (len(pivots) - rank_out)
         return h0, h1
 
 
@@ -564,12 +569,6 @@ def _product(f, g):
 def _int_point(x):
     # an integral point as an int: cheap to hash, its powers stay ints
     return x.numerator if x.denominator == 1 else x
-
-
-def _coord_key(c):
-    if c[0] == "pw":
-        return (0, 0, c[1])
-    return (1, c[1], c[2])
 
 
 class IndexReport(namedtuple("IndexReport", [

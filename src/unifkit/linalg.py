@@ -5,8 +5,11 @@ kernel sees each row as its nonzero entries {column: int}, multiplied
 by the lcm of their denominators, so a row combination touches only
 the columns where either row is nonzero; the 0/+-1 differentials of
 the order complexes have a few entries per row.  Rows are inserted one
-at a time: a row whose leading column already holds a pivot row with
-pivot p has its leading entry f cleared by cross-multiplication,
+at a time by _insert, the one row-insertion entry point: _echelon
+feeds it the rows of a matrix, and a caller that already holds sparse
+integer rows (the index oracle, dmod._OracleSession.window_dims) feeds
+it those directly.  A row whose leading column already holds a pivot
+row with pivot p has its leading entry f cleared by cross-multiplication,
 row := (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), and is divided
 by its content (the gcd of its entries), until its leading column is
 new (it becomes a pivot row there) or it vanishes.  Every row
@@ -102,20 +105,26 @@ def _combine(row, prow, c):
     return new
 
 
+def _insert(pivots, row):
+    """Reduce the sparse integer row against pivots, {pivot column:
+    pivot row}, and add what is left as a new pivot row at its leading
+    column, unless it vanishes."""
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = row
+            return
+        row = _combine(row, prow, c)
+
+
 def _echelon(m):
     """Insert the rows of m one at a time; returns {pivot column: pivot
     row}, the rows sparse and integer with their leading entry at the
     key."""
     pivots = {}
     for row in m:
-        row = _int_row(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            row = _combine(row, prow, c)
+        _insert(pivots, _int_row(row))
     return pivots
 
 

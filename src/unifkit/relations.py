@@ -45,7 +45,8 @@ class FiniteSet:
         return label in self._index
 
     def __eq__(self, other):
-        return isinstance(other, FiniteSet) and self.labels == other.labels
+        return self is other or (isinstance(other, FiniteSet)
+                                 and self.labels == other.labels)
 
     def __hash__(self):
         return hash(self.labels)
@@ -100,7 +101,7 @@ def _wide_bits(mask):
 
 
 def _check_same_base(a, b):
-    if a.base != b.base:
+    if a.base is not b.base and a.base != b.base:
         raise ValueError("incompatible base sets")
 
 

@@ -10,7 +10,7 @@ import pytest
 import unifkit
 from unifkit import linalg
 from unifkit.dmod import (D_START, INF, ConnectionSpec, DiffOp,
-                          NewtonPolygon, _OracleSession, _coord_key,
+                          NewtonPolygon, _OracleSession,
                           _delta_numerators, _indicial_bound,
                           _shift_bound, _stirling_first, _stirling_second,
                           as_point, corpus, deligne_chi, delta_product,
@@ -474,6 +474,13 @@ def _beyond(coord, d):
     return coord[2] > d
 
 
+def _coord_key(c):
+    # polynomial coordinates by degree, then poles by point and order
+    if c[0] == "pw":
+        return (0, 0, c[1])
+    return (1, c[1], c[2])
+
+
 def _reference_window_dims(session, d):
     # three separate ranks: the window's own columns, the rows outside
     # the window and the full matrix, in basis_keys order
@@ -519,6 +526,26 @@ def test_window_dims_match_three_ranks(name):
     session = _OracleSession(_cross_check_specs()[name])
     for d in range(10, 36, 5):
         assert session.window_dims(d) == _reference_window_dims(session, d), d
+
+
+@pytest.mark.parametrize("family", ["workload", "cross-check", "euler"])
+def test_report_windows_match_three_ranks(family):
+    # every window index_report runs, fractional images included
+    specs = {"workload": _index_workload_specs,
+             "cross-check": lambda: _cross_check_specs().values(),
+             "euler": lambda: (_euler(r, s) for r in range(-30, 31, 7)
+                               for s in range(-30, 31, 5))}[family]()
+    for spec in specs:
+        session = _OracleSession(spec)
+        start = max(D_START, _d_star(spec) + session.shift)
+        for d in range(start, start + 11, 5):
+            try:
+                want = _reference_window_dims(session, d)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    session.window_dims(d)
+                continue
+            assert session.window_dims(d) == want, (spec.operator, d)
 
 
 def oracle_derham(spec, degree_bound):

@@ -117,6 +117,24 @@ def test_pivot_columns_do_not_depend_on_the_row_order(m, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_two_row_groups_read_both_ranks_from_one_elimination(m, data):
+    # the index oracle's one elimination: after the first group of rows
+    # the pivots count its rank, and the second group brings them to the
+    # pivot columns of the whole matrix, whichever rows go first
+    order = data.draw(st.permutations(range(len(m))))
+    cut = data.draw(st.integers(0, len(m)))
+    first = [m[i] for i in order[:cut]]
+    pivots = {}
+    for row in first:
+        linalg._insert(pivots, linalg._int_row(row))
+    assert len(pivots) == linalg.rank(first) == len(oracle_rref(first)[1])
+    for i in order[cut:]:
+        linalg._insert(pivots, linalg._int_row(m[i]))
+    assert sorted(pivots) == linalg.pivot_columns(m) == oracle_rref(m)[1]
+
+
+@settings(max_examples=200, deadline=None)
 @given(matrices(max_rows=6, max_cols=6), st.data())
 def test_solve_many_solves_consistent_and_rejects_inconsistent(a, data):
     if not a or not a[0]:
