@@ -160,8 +160,10 @@ def _sheaf_pair_corpus():
 
 def _c5():
     """Nerve cohomology over the finest distinguished covering equals
-    direct sheaf cohomology for 200 randomized sheaves."""
-    from .gtop import cech_cohomology, random_sheaf, sheaf_cohomology
+    direct sheaf cohomology for 200 randomized sheaves, each of which
+    satisfies the sheaf condition on every listed covering."""
+    from .gtop import (cech_cohomology, check_gluing, random_sheaf,
+                       sheaf_cohomology)
     pairs = _sheaf_pair_corpus()
     if len(pairs) < 5:
         return False, "corpus collapsed to %d pairs" % len(pairs)
@@ -170,6 +172,10 @@ def _c5():
     while checked < 200:
         for pair, members in pairs:
             f = random_sheaf(pair.xhat, rng)
+            glued, witness = check_gluing(pair, f)
+            if not glued:
+                return False, "gluing fails on %r: U %r, family %r" % (
+                    (sorted(pair.x_labels),) + witness)
             a = tuple(cech_cohomology(pair, f, members))
             b = tuple(sheaf_cohomology(f))
             pad = max(len(a), len(b))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .relations import FiniteSet, bits
@@ -376,8 +377,16 @@ class PosetSheaf:
     minimal opens.  Every point of U_x is reached from x along Hasse
     edges inside U_x, so a section over U_x is fixed by its value at x,
     and that value is free exactly when every route out of x composes
-    to the same map: the edge matrices compose consistently iff
-    dim F(U_x) == dims[x] at every x."""
+    to the same map.  So F(U_x) is built by transport, not elimination:
+    walking U_x by decreasing minimal open (an edge i -> j has U_j
+    inside U_i, so i comes first), the stalk basis at x is carried
+    along each edge; the first edge into j gives the values at j, and
+    every other edge into j must give the same, or the restrictions
+    are not functorial at x.  When they agree, the value at x is free,
+    so x's columns are the free ones of section_space's elimination,
+    and the kernel vector of free column (x, k) is the one section
+    whose value at x is e_k: the transported basis is the basis that
+    section_space would find."""
 
     __slots__ = ("top", "dims", "edge_mats", "_out", "_sections")
 
@@ -404,9 +413,21 @@ class PosetSheaf:
             self._out[i].append((j, m))
         self._sections = {}
         for x in range(n):
-            if self.dim_sections(top.min_open_mask(x)) != dims[x]:
-                raise ValueError("restrictions are not functorial at %s"
-                                 % top.base.labels[x])
+            ux = top.min_open_mask(x)
+            offs = self._blocks(ux)
+            # vals[p][k]: the value at p of the section that is e_k at x
+            vals = {x: linalg.identity(dims[x])}
+            for i in reversed(offs):
+                for j, m in self._out[i]:
+                    got = [[sum(map(mul, row, v), linalg.ZERO) for row in m]
+                           for v in vals[i]]
+                    if vals.setdefault(j, got) != got:
+                        raise ValueError("restrictions are not functorial "
+                                         "at %s" % top.base.labels[x])
+            basis = [[c for p in offs for c in vals[p][k]]
+                     for k in range(dims[x])]
+            self._sections[ux] = (offs, basis,
+                                  [(x, t) for t in range(dims[x])])
 
     def restriction(self, x, y):
         """Map stalk(x) -> stalk(y) for x below y: the y block of the
@@ -420,10 +441,10 @@ class PosetSheaf:
         ties by index, so over U_x the point x comes last: the columns
         before it are independent (a section vanishing at x vanishes),
         so x's columns are the free ones and the basis is x's stalk
-        basis.  free[k] = (point, stalk index) is the free column of
-        basis vector k, where it is 1 and the others are 0
-        (linalg.kernel_basis), so a section's values there are its
-        coordinates.  An edge i -> j and stalk row rj give one row,
+        basis (the constructor transports it there).  free[k] =
+        (point, stalk index) is the free column of basis vector k, where
+        it is 1 and the others are 0 (linalg.kernel_basis), so a
+        section's values there are its coordinates.  An edge i -> j and stalk row rj give one row,
         e_(j, rj) - row rj of the edge matrix in the i block; the edges
         out of the points of an open W stay inside it and the blocks of
         i != j are disjoint, so each entry is assigned once."""
@@ -433,16 +454,10 @@ class PosetSheaf:
             pass
         if not self.top.is_open_mask(mask):
             raise ValueError("sections are only defined on opens")
-        # bits ascend and sorted is stable: ties stay in index order
-        mins = self.top.min_open_mask
-        points = sorted(bits(mask), key=lambda i: mins(i).bit_count())
-        offs = {}
-        cols = []
-        for p in points:
-            offs[p] = len(cols)
-            cols += [(p, t) for t in range(self.dims[p])]
+        offs = self._blocks(mask)
+        cols = [(p, t) for p in offs for t in range(self.dims[p])]
         rows = []
-        for i in points:
+        for i in offs:
             for j, m in self._out[i]:
                 for rj, mrow in enumerate(m):
                     row = [0] * len(cols)
@@ -455,6 +470,18 @@ class PosetSheaf:
         out = (offs, basis, free)
         self._sections[mask] = out
         return out
+
+    def _blocks(self, mask):
+        """{point: offset of its stalk block} over the points of mask,
+        in block order: by growing minimal open, ties by index."""
+        # bits ascend and sorted is stable: ties stay in index order
+        mins = self.top.min_open_mask
+        offs = {}
+        total = 0
+        for p in sorted(bits(mask), key=lambda i: mins(i).bit_count()):
+            offs[p] = total
+            total += self.dims[p]
+        return offs
 
     def dim_sections(self, mask):
         return len(self.section_space(mask)[1])
@@ -478,11 +505,11 @@ def constant_sheaf(top):
 
 def _betti(dims, differentials):
     """Betti numbers of a cochain complex with cochain dimensions dims
-    and the matrices of d^0, d^1, ... ([] for a zero map): dims[q] -
+    and the sparse rows of d^0, d^1, ... ([] for a zero map): dims[q] -
     rank d^q - rank d^(q-1), trailing zero degrees above degree 0
     dropped.  Each matrix is ranked as it arrives, so a generator keeps
     one alive at a time."""
-    ranks = [linalg.rank(d) for d in differentials]
+    ranks = [linalg.sparse_rank(d) for d in differentials]
     betti = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
              for q in range(len(dims))]
     while len(betti) > 1 and betti[-1] == 0:
@@ -492,16 +519,17 @@ def _betti(dims, differentials):
 
 def _coboundary(rows, cols, cells, index, face_map):
     """The rows x cols matrix of an alternating coboundary into the given
-    cells, each a tuple.  The face of a cell that drops entry t enters
-    with sign (-1)^t, as the block face_map(face, cell) at row offset
-    index[cell] and column offset index[face]; [] stands for a zero
-    map.  The entries of a cell are distinct (the points of a strict
-    chain, the positions of an index tuple), so its faces are distinct
-    and so are their column blocks: each entry is assigned once, into
-    rows of int 0 fill."""
+    cells, each a tuple, as sparse rows {column: nonzero value} (the
+    form linalg.sparse_rank takes).  The face of a cell that drops entry
+    t enters with sign (-1)^t, as the block face_map(face, cell) at row
+    offset index[cell] and column offset index[face]; [] stands for a
+    zero map.  The entries of a cell are distinct (the points of a
+    strict chain, the positions of an index tuple), so its faces are
+    distinct and so are their column blocks: each entry is assigned
+    once, and no zero is stored."""
     if not rows or not cols:
         return []
-    m = [[0] * cols for _ in range(rows)]
+    m = [{} for _ in range(rows)]
     for c in cells:
         roff = index[c]
         for t in range(len(c)):
@@ -565,16 +593,9 @@ def simplicial_cohomology(top):
     def differential(q):
         if q + 1 == len(by_deg):
             return []
-        # the faces of a strict chain are distinct: one assignment each
-        m = [[0] * len(by_deg[q]) for _ in by_deg[q + 1]]
-        for c in by_deg[q + 1]:
-            r = index[c]
-            sign = 1
-            for t in range(len(c)):
-                face = c[:t] + c[t + 1:]
-                m[r][index[face]] = sign
-                sign = -sign
-        return m
+        # the faces of a strict chain are distinct: one entry each
+        return [{index[c[:t] + c[t + 1:]]: -1 if t & 1 else 1
+                 for t in range(len(c))} for c in by_deg[q + 1]]
 
     return _betti([len(cs) for cs in by_deg],
                   (differential(q) for q in range(len(by_deg))))
@@ -677,6 +698,15 @@ def cech_cohomology(pair, f, members):
         _nerve_coboundary(f, members, nerve, q + 2) for q in range(r)))
 
 
+def _kills(row, m):
+    """Whether the sparse row times the sparse rows of m is zero."""
+    acc = {}
+    for k, y in row.items():
+        for c, x in m[k].items():
+            acc[c] = acc.get(c, 0) + y * x
+    return not any(acc.values())
+
+
 def check_gluing(pair, f, max_family_size=2):
     """Sheaf condition for the pulled-back presheaf U -> F(check U) on
     every listed distinguished covering: the augmented Cech complex
@@ -691,10 +721,9 @@ def check_gluing(pair, f, max_family_size=2):
             d_u, total = nerve[2][0], nerve[2][1]
             alpha = _nerve_coboundary(f, fam, nerve, 1)
             beta = _nerve_coboundary(f, fam, nerve, 2)
-            square_zero = not alpha or not beta or not any(
-                any(row) for row in linalg.matmul(beta, alpha))
-            if (linalg.rank(alpha) != d_u or total - linalg.rank(beta) != d_u
-                    or not square_zero):
+            if (linalg.sparse_rank(alpha) != d_u
+                    or total - linalg.sparse_rank(beta) != d_u
+                    or alpha and not all(_kills(row, alpha) for row in beta)):
                 return False, (um, fam)
     return True, None
 

@@ -6,13 +6,15 @@ by the lcm of their denominators, so a row combination touches only
 the columns where either row is nonzero; the 0/+-1 differentials of
 the order complexes have a few entries per row.  Rows are inserted one
 at a time by _insert, the one row-insertion entry point: _echelon
-feeds it the rows of a matrix, and a caller that already holds sparse
-integer rows (the index oracle, dmod._OracleSession.window_dims) feeds
-it those directly.  A row whose leading column already holds a pivot
-row with pivot p has its leading entry f cleared by cross-multiplication,
-row := (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), and is divided
-by its content (the gcd of its entries), until its leading column is
-new (it becomes a pivot row there) or it vanishes.  Every row
+feeds it the rows of a matrix, sparse_rank the rows that arrive
+sparse, {column: rational} (the coboundaries of gtop), and a caller
+that already holds sparse integer rows (the index oracle,
+dmod._OracleSession.window_dims) feeds it those directly.  A row
+whose leading column already holds a pivot row with pivot p has its
+leading entry f cleared by cross-multiplication, row := (p/g)*row -
+(f/g)*pivot_row with g = gcd(p, f), and is divided by its content
+(the gcd of its entries), until its leading column is new (it
+becomes a pivot row there) or it vanishes.  Every row
 therefore stays the primitive integer vector along the row that
 elimination over Q would give, so entry sizes stay bounded by the
 matching minors (Bareiss 1968).
@@ -77,13 +79,17 @@ def matmul(a, b):
     return out
 
 
-def _int_row(row):
-    """The nonzero entries of a rational row as {column: int}, scaled by
-    the lcm of their denominators."""
-    entries = {c: x for c, x in enumerate(row) if x}
+def _cleared(entries):
+    """The rational entries {column: nonzero x} as {column: int}, scaled
+    by the lcm of their denominators."""
     den = lcm(*[x.denominator for x in entries.values()])
     return {c: x.numerator * (den // x.denominator)
             for c, x in entries.items()}
+
+
+def _int_row(row):
+    """The nonzero entries of a dense rational row, cleared."""
+    return _cleared({c: x for c, x in enumerate(row) if x})
 
 
 def _combine(row, prow, c):
@@ -166,6 +172,15 @@ def pivot_columns(m):
 
 def rank(m):
     return len(pivot_columns(m))
+
+
+def sparse_rank(rows):
+    """Rank of the matrix whose rows are given by their nonzero entries,
+    {column: int or Fraction}, in any order and with no zero fill."""
+    pivots = {}
+    for row in rows:
+        _insert(pivots, _cleared(row))
+    return len(pivots)
 
 
 def kernel_basis(m, ncols=None):

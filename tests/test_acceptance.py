@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from unifkit import acceptance, linalg
+from unifkit import acceptance, gtop, linalg
 from unifkit.acceptance import CRITERIA, run_all
 
 
@@ -54,6 +54,24 @@ def test_criterion_04_site_axioms(verdicts):
 
 def test_criterion_05_nerve_vs_direct(verdicts):
     _check(verdicts, 5)
+    assert "13 pairs, 208 sheaves" in verdicts[5][1]
+
+
+def test_criterion_05_names_the_covering_that_fails_to_glue(monkeypatch):
+    pairs = []
+
+    def fails_on_the_third_sheaf(pair, f):
+        pairs.append(pair)
+        if len(pairs) == 3:
+            return False, (pair.x_mask, (pair.x_mask,))
+        return True, None
+
+    monkeypatch.setattr(gtop, "check_gluing", fails_on_the_third_sheaf)
+    ok, detail = acceptance._c5()
+    assert len(pairs) == 3
+    x = pairs[-1].x_mask
+    assert (ok, detail) == (False, "gluing fails on %r: U %d, family (%d,)"
+                            % (sorted(pairs[-1].x_labels), x, x))
 
 
 def test_criterion_06_disk_towers(verdicts):

@@ -339,40 +339,56 @@ def oracle_simplicial_differentials(top):
     return out
 
 
-def differentials(monkeypatch, route, *args, coboundary=None):
-    """(Betti numbers, the differentials that _betti ranked) of one
-    cohomology route, with _coboundary replaced if one is given."""
-    seen = []
-    betti = gtop._betti
+def densified(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
-    def spy(dims, ds):
+
+def differentials(monkeypatch, route, *args):
+    """(the differentials that _betti ranked, and for each _coboundary
+    call its sparse rows densified next to the accumulating oracle's
+    matrix) of one cohomology route."""
+    seen, pairs = [], []
+    betti, coboundary = gtop._betti, gtop._coboundary
+
+    def betti_spy(dims, ds):
         seen.extend(ds)
         return betti(dims, seen)
 
+    def coboundary_spy(rows, cols, cells, index, face_map):
+        cells = list(cells)
+        got = coboundary(rows, cols, cells, index, face_map)
+        pairs.append((densified(got, cols),
+                      oracle_coboundary(rows, cols, cells, index, face_map)))
+        return got
+
     with monkeypatch.context() as mp:
-        mp.setattr(gtop, "_betti", spy)
-        if coboundary is not None:
-            mp.setattr(gtop, "_coboundary", coboundary)
-        return route(*args), seen
+        mp.setattr(gtop, "_betti", betti_spy)
+        mp.setattr(gtop, "_coboundary", coboundary_spy)
+        route(*args)
+    return seen, pairs
 
 
 def check_coboundaries(monkeypatch, pair, f):
-    """Compares the differentials of every route; returns how many of
-    them were nonzero matrices."""
+    """Compares the sparse differentials of every route, densified, with
+    the dense oracles; returns how many of the sheaf routes' were
+    nonzero matrices."""
     nonzero = 0
     routes = [(sheaf_cohomology, (f,))]
     if pair is not None:
         routes.append((cech_cohomology,
                        (pair, f, finest_g_covering(pair))))
     for route, args in routes:
-        got = differentials(monkeypatch, route, *args)
-        want = differentials(monkeypatch, route, *args,
-                             coboundary=oracle_coboundary)
-        assert got == want
-        nonzero += sum(1 for d in got[1] if any(map(any, d)))
-    got = differentials(monkeypatch, simplicial_cohomology, f.top)
-    assert got[1] == oracle_simplicial_differentials(f.top)
-    assert all(type(x) is int for d in got[1] for row in d for x in row)
+        seen, pairs = differentials(monkeypatch, route, *args)
+        assert all(x for d in seen for row in d for x in row.values())
+        for got, want in pairs:
+            assert got == want
+        nonzero += sum(1 for _, want in pairs if any(map(any, want)))
+    seen, _ = differentials(monkeypatch, simplicial_cohomology, f.top)
+    by_deg = gtop._chains_by_degree(f.top)
+    assert [densified(d, len(cs)) for d, cs in zip(seen, by_deg)] == \
+        oracle_simplicial_differentials(f.top)
+    assert all(type(x) is int for d in seen for row in d
+               for x in row.values())
     return nonzero
 
 
@@ -522,6 +538,78 @@ def test_functoriality_check_matches_the_composed_oracle():
             PosetSheaf(top, dims, mats)
             outcomes[True] += 1
     assert outcomes[True] > 500 and outcomes[False] > 50, outcomes
+
+
+def oracle_min_open_sections(top, dims, edge_mats):
+    """{U_x: section_space(U_x)} by the kernel route that the
+    constructor's transport replaces: one constraint row per edge and
+    stalk row, then linalg.kernel_basis.  Raises the constructor's
+    ValueError at the first x, in index order, with dim F(U_x) !=
+    dims[x]."""
+    mins = top.min_open_mask
+    out = {}
+    for x in range(len(top.base)):
+        mask = mins(x)
+        offs, cols = {}, []
+        for p in sorted(bits(mask), key=lambda i: mins(i).bit_count()):
+            offs[p] = len(cols)
+            cols += [(p, t) for t in range(dims[p])]
+        rows = []
+        for (i, j), m in edge_mats.items():
+            if mask >> i & 1:
+                for rj, mrow in enumerate(m):
+                    row = [0] * len(cols)
+                    row[offs[j] + rj] = 1
+                    for ci, v in enumerate(mrow):
+                        row[offs[i] + ci] = -Fraction(v)
+                    rows.append(row)
+        basis = linalg.kernel_basis(rows, len(cols))
+        if len(basis) != dims[x]:
+            raise ValueError("restrictions are not functorial at %s"
+                             % top.base.labels[x])
+        free = [cols[max(c for c, v in enumerate(vec) if v)]
+                for vec in basis]
+        out[mask] = (offs, basis, free)
+    return out
+
+
+def transport_cases():
+    """(top, dims, edge matrices): the gluing cases, a constant and a
+    seeded sheaf on each order on 4 points, each of these with one edge
+    matrix doubled in turn, and the puncture quotients at depths 2-6."""
+    rng = random.Random(27)
+    sheaves = [f for _, f in gluing_cases()]
+    for rel in all_partial_orders(standard_base(4)):
+        top = FiniteTopology.from_preorder(rel)
+        sheaves += [constant_sheaf(top), random_sheaf(top, rng)]
+    for f in sheaves:
+        yield f.top, f.dims, f.edge_mats
+        for e, m in f.edge_mats.items():
+            yield f.top, f.dims, {**f.edge_mats,
+                                  e: [[2 * x for x in row] for row in m]}
+    for f in puncture_sheaves():
+        yield f.top, f.dims, f.edge_mats
+
+
+def test_transported_sections_match_the_kernel_route():
+    outcomes = {True: 0, False: 0}
+    for top, dims, mats in transport_cases():
+        try:
+            want = oracle_min_open_sections(top, dims, mats)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                PosetSheaf(top, dims, mats)
+            assert str(got.value) == str(exc)
+            outcomes[False] += 1
+            continue
+        f = PosetSheaf(top, dims, mats)
+        for mask, (offs, basis, free) in want.items():
+            got_offs, got_basis, got_free = f.section_space(mask)
+            assert list(got_offs.items()) == list(offs.items())
+            assert got_basis == basis and got_free == free, (top, mask)
+            assert all(type(v) is Fraction for vec in got_basis for v in vec)
+        outcomes[True] += 1
+    assert outcomes[True] > 2000 and outcomes[False] > 50, outcomes
 
 
 def test_g_covering_rejects_a_non_open_set():

@@ -134,6 +134,16 @@ def test_two_row_groups_read_both_ranks_from_one_elimination(m, data):
     assert sorted(pivots) == linalg.pivot_columns(m) == oracle_rref(m)[1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_rank_matches_the_dense_rank(m, data):
+    # rows given as their nonzero entries, zeros dropped, in any order
+    rows = [{c: x for c, x in enumerate(row) if x}
+            for row in data.draw(st.permutations(m))]
+    assert linalg.sparse_rank(rows) == linalg.rank(m) \
+        == len(oracle_rref(m)[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(max_rows=6, max_cols=6), st.data())
 def test_solve_many_solves_consistent_and_rejects_inconsistent(a, data):

@@ -14,8 +14,6 @@ BENCHMARK = sorted(p for p in (ROOT / "perfbench").glob("*.py")
                    if not p.name.startswith("test_"))
 
 KEPT = {
-    "check_gluing": "the sheaf condition that makes a uniform sheaf, the "
-                    "paper's central notion",
     "symmetrize": "a five-line builder of symmetric uniformities that "
                   "three test files use; moving it would remove nothing",
 }
