@@ -352,7 +352,3 @@ def run_all(criteria=None, out=print):
             num, "PASS" if ok else "FAIL", title, detail, dt, budget))
     return all_ok
 
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(0 if run_all(sys.argv[1] if len(sys.argv) > 1 else None) else 1)

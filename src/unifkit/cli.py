@@ -308,11 +308,11 @@ def cmd_dmod_polygon(args):
     spec = _load_operator(args)
     np = newton_polygon(spec.operator, as_point(args.at))
     for i, y in np.points:
-        print("point %d %s" % (i, formats.format_rational(y)))
+        print("point %d %s" % (i, y))
     for i, y in np.hull:
-        print("vertex %d %s" % (i, formats.format_rational(y)))
+        print("vertex %d %s" % (i, y))
     for lam, length in np.slopes:
-        print("slope %s length %d" % (formats.format_rational(lam), length))
+        print("slope %s length %d" % (lam, length))
     print("irregularity=%d" % np.irregularity)
     return 0
 

@@ -81,8 +81,6 @@ class DiffOp:
             cs.pop()
         if len(cs) < 2:
             raise ValueError("operator order must be at least 1")
-        if cs[-1].is_zero():
-            raise ValueError("leading coefficient must be nonzero")
         self.coeffs = tuple(cs)
 
     @property
@@ -318,8 +316,8 @@ class ConnectionSpec:
             if a.is_zero():
                 continue
             for f in (a, a / lead):
-                roots, cof = rational_roots(f.den)
-                if cof.degree > 0:
+                roots, rest = rational_roots(f.den)
+                if rest:
                     raise ValueError("operator has non-rational singular points")
                 needed.update(roots)
         missing = needed - finite
@@ -504,14 +502,14 @@ class _OracleSession:
         One elimination reads all three counts.  Each coordinate is a
         sparse row {column: int} over the outer basis, window first; a
         column holding a Fraction is scaled by the lcm of its
-        denominators, which keeps the pivot columns and the rank of
-        every set of rows.  The rows outside W_d enter linalg._insert
-        first, leaving rank(out_rows) = n_outer - k_out pivots; the
-        window's rows follow.  A column is a pivot exactly when it is
-        outside the span of the columns before it, whatever the row
-        order, so the final pivots are the whole matrix's: n_outer -
-        k_full of them, those below n_inner the window's rank.  k_out -
-        k_full is the dimension of the outer images inside W_d."""
+        denominators (linalg._cleared), which keeps the pivot columns
+        and the rank of every set of rows.  The rows outside W_d enter
+        linalg._insert first, leaving rank(out_rows) = n_outer - k_out
+        pivots; the window's rows follow.  A column is a pivot exactly
+        when it is outside the span of the columns before it, whatever
+        the row order, so the final pivots are the whole matrix's:
+        n_outer - k_full of them, those below n_inner the window's rank.
+        k_out - k_full is the dimension of the outer images inside W_d."""
         inner = self.basis_keys(d)
         inner_set = set(inner)
         outer = inner + [k for k in self.basis_keys(d + self.shift)
@@ -520,9 +518,7 @@ class _OracleSession:
         for j, key in enumerate(outer):
             vec = self.image(key)
             if any(type(x) is not int for x in vec.values()):
-                den = lcm(*[x.denominator for x in vec.values()])
-                vec = {c: x.numerator * (den // x.denominator)
-                       for c, x in vec.items()}
+                vec = linalg._cleared(vec)
             for c, x in vec.items():
                 rows.setdefault(c, {})[j] = x
         pivots = {}

@@ -358,13 +358,6 @@ def parse_rational(tok, path, lineno, col):
         raise FormatError(path, lineno, col, "bad rational %r" % tok)
 
 
-def format_rational(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 class _ExprParser:
     """Recursive descent over + - * / ^ ( ) z and integer literals."""
 
@@ -493,11 +486,10 @@ def format_poly(p):
         if c == 0:
             continue
         if k == 0:
-            body = format_rational(abs(c))
+            body = str(abs(c))
         else:
             zpow = "z" if k == 1 else "z^%d" % k
-            body = zpow if abs(c) == 1 else "%s*%s" % (
-                format_rational(abs(c)), zpow)
+            body = zpow if abs(c) == 1 else "%s*%s" % (abs(c), zpow)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

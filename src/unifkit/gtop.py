@@ -429,12 +429,6 @@ class PosetSheaf:
             self._sections[ux] = (offs, basis,
                                   [(x, t) for t in range(dims[x])])
 
-    def restriction(self, x, y):
-        """Map stalk(x) -> stalk(y) for x below y: the y block of the
-        basis of F(U_x), which is the stalk basis at x."""
-        offs, basis, _ = self.section_space(self.top.min_open_mask(x))
-        return [[v[offs[y] + r] for v in basis] for r in range(self.dims[y])]
-
     def section_space(self, mask):
         """(offsets, basis, free) of F(W), W open, inside the direct sum
         of the stalks over W.  The blocks run by growing minimal open,
@@ -558,12 +552,14 @@ def _chains_by_degree(top):
 
 def sheaf_cohomology(f):
     """Betti numbers of the ordered-chain complex: cochains assign to a
-    strict chain a vector in the stalk of its top point.  A face that
-    keeps the top point enters by the identity; the face that drops it
-    composes with the restriction from the new top point."""
+    strict chain a vector in the stalk of its top point.  Every face
+    enters by the restriction F(U_x) -> F(U_y) from its top point x to
+    the chain's top point y (restrict_sections on minimal opens, the
+    identity when the face keeps y)."""
     by_deg = _chains_by_degree(f.top)
     if not by_deg:
         return (0,)
+    mins = f.top.min_open_mask
     index = {}
     dims_q = []
     for cs in by_deg:
@@ -576,10 +572,9 @@ def sheaf_cohomology(f):
     def differential(q):
         if q + 1 == len(by_deg):
             return []
-        eye = {d: linalg.identity(d) for d in set(f.dims)}
         return _coboundary(dims_q[q + 1], dims_q[q], by_deg[q + 1], index,
-                           lambda face, c: f.restriction(face[-1], c[-1])
-                           if face[-1] != c[-1] else eye[f.dims[c[-1]]])
+                           lambda face, c: f.restrict_sections(
+                               mins(face[-1]), mins(c[-1])))
 
     return _betti(dims_q, (differential(q) for q in range(len(by_deg))))
 
@@ -707,14 +702,14 @@ def _kills(row, m):
     return not any(acc.values())
 
 
-def check_gluing(pair, f, max_family_size=2):
+def check_gluing(pair, f):
     """Sheaf condition for the pulled-back presheaf U -> F(check U) on
     every listed distinguished covering: the augmented Cech complex
     F(check U) -alpha-> prod F(check U_i) -beta-> prod F(check U_ij) is
     exact at its first two terms, so the value embeds as the equalizer of
     the member values against the pairwise intersections.  Returns (ok,
     witness)."""
-    g = GCoveringSystem(pair, max_family_size)
+    g = GCoveringSystem(pair)
     for um in pair.trace_open_masks():
         for fam in g.listed(um):
             nerve = _nerve(pair, f, um, fam, range(3))

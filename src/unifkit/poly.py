@@ -205,36 +205,25 @@ def _as_poly(v):
 
 
 def rational_roots(p):
-    """All rational roots with multiplicities, and the root-free
-    cofactor left after dividing them out."""
+    """All rational roots with multiplicities, and the degree they leave
+    unexplained.  With p cleared to integers, the root 0 has the index
+    of the lowest nonzero coefficient as multiplicity, and every other
+    root is some +-r/q, r dividing that coefficient and q the leading
+    one (the rational root theorem); the unexplained degree is 0 exactly
+    when p splits into linear factors over Q."""
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots = {}
-    v0 = p.valuation_at(0)
-    if v0:
-        roots[ZERO] = v0
-        p = p // Polynomial.monomial(v0)
-    while p.degree > 0:
-        # clear to integers for the candidate search
-        den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-        ints = [int(c * den_lcm) for c in p.coeffs]
-        found = None
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    v0 = next(i for i, c in enumerate(ints) if c)
+    roots = {ZERO: v0} if v0 else {}
+    if p.degree > v0:  # else p / z^v0 is a constant
         for q in _divisors(ints[-1]):
-            for r in _divisors(ints[0]):
+            for r in _divisors(ints[v0]):
                 for cand in (Fraction(r, q), Fraction(-r, q)):
-                    if p.eval(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        mult = p.valuation_at(found)
-        roots[found] = mult
-        p = p // (Polynomial((-found, ONE)) ** mult)
-    return roots, p
+                    if cand not in roots and not p.eval(cand):
+                        roots[cand] = p.valuation_at(cand)
+    return roots, p.degree - sum(roots.values())
 
 
 def _divisors(n):

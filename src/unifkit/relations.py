@@ -159,7 +159,7 @@ class Relation:
         )
 
     def __hash__(self):
-        return hash((self.base, self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         return "Relation(%r, %d pairs)" % (self.base.labels, len(self.pairs))

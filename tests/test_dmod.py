@@ -287,6 +287,23 @@ def test_spec_requires_singular_points_listed():
         ConnectionSpec(bad, ["inf"])
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    # coefficient poles at 2 and 5: the least missing point is named
+    ([RatFunc(1, (z - 2) * (z - 5)), RatFunc(1)],
+     "Z omits the singular point 2"),
+    # no coefficient has a pole; a_0 / a_1 has one at 3
+    ([RatFunc(1), RatFunc(z - 3)], "Z omits the singular point 3"),
+    ([RatFunc(1, z ** 2 + 1), RatFunc(1)],
+     "operator has non-rational singular points"),
+    ([RatFunc(1), RatFunc(z ** 2 - 2)],
+     "operator has non-rational singular points"),
+])
+def test_spec_rejections_keep_their_messages(coeffs, message):
+    with pytest.raises(ValueError) as err:
+        ConnectionSpec(DiffOp(coeffs), [0, INF])
+    assert str(err.value) == message
+
+
 def test_closed_form_index_on_corpus():
     for e in corpus():
         assert deligne_chi(e.spec) == e.chi, e.name

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from unifkit.poly import Polynomial, RatFunc, partial_fractions, rational_roots
+from unifkit.poly import (ONE, ZERO, Polynomial, RatFunc, _divisors,
+                          partial_fractions, rational_roots)
 
 z = Polynomial.variable()
 
@@ -47,9 +49,67 @@ def test_valuation_at_root():
 
 def test_rational_roots():
     p = (2 * z - 1) ** 2 * (z + 3)
-    roots, cofactor = rational_roots(p)
+    roots, rest = rational_roots(p)
     assert roots == {Fraction(1, 2): 2, Fraction(-3): 1}
-    assert cofactor.degree == 0
+    assert rest == 0
+
+
+def _peeling_rational_roots(p):
+    """The root finder that divided out each root it found, kept as the
+    oracle for the divisor test."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    roots = {}
+    v0 = p.valuation_at(0)
+    if v0:
+        roots[ZERO] = v0
+        p = p // Polynomial.monomial(v0)
+    while p.degree > 0:
+        # clear to integers for the candidate search
+        den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * den_lcm) for c in p.coeffs]
+        found = None
+        for q in _divisors(ints[-1]):
+            for r in _divisors(ints[0]):
+                for cand in (Fraction(r, q), Fraction(-r, q)):
+                    if p.eval(cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        mult = p.valuation_at(found)
+        roots[found] = mult
+        p = p // (Polynomial((-found, ONE)) ** mult)
+    return roots, p
+
+
+def test_rational_roots_match_the_peeling_oracle():
+    rng = random.Random(11)
+    pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+            Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(-6)]
+    quadratics = [None, z ** 2 + 1, z ** 2 - 2, 2 * z ** 2 + z + 3]
+    split = unsplit = 0
+    for _ in range(200):
+        want = {x: rng.randint(1, 3)
+                for x in rng.sample(pool, rng.randint(0, 4))}
+        p = Polynomial.const(Fraction(rng.choice([1, -2, 3]),
+                                      rng.choice([1, 7])))
+        for x, m in want.items():
+            p = p * Polynomial((-x, ONE)) ** m
+        quad = rng.choice(quadratics)
+        if quad is not None:
+            p = p * quad
+        roots, rest = rational_roots(p)
+        old_roots, cofactor = _peeling_rational_roots(p)
+        assert roots == old_roots == want, p
+        assert rest == cofactor.degree == (2 if quad else 0), p
+        split += not rest
+        unsplit += bool(rest)
+    assert split > 20 and unsplit > 20
 
 
 def test_ratfunc_reduction():
