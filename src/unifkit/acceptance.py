@@ -148,8 +148,8 @@ def _sheaf_pair_corpus():
                        pseudo_circle, sierpinski_pair)
     cands = [sierpinski_pair(), pseudo_circle(True), pseudo_circle(False)]
     for n, step in ((3, 7), (4, 97), (5, 997)):
-        flat = list(dense_pairs(n))
-        cands.extend(DensePair(t, d) for t, d in flat[::step][:6])
+        cands.extend(DensePair(t, d) for t, d in
+                     itertools.islice(dense_pairs(n), 0, 6 * step, step))
     out = []
     for p in cands:
         members = finest_g_covering(p)
@@ -330,11 +330,15 @@ def _crash_detail(exc):
 
 def run_all(criteria=None, out=print):
     """Run the numbered criteria (all by default; `criteria` may be an
-    iterable of numbers or a comma-separated string).  One line per
-    criterion; returns overall success."""
+    iterable of numbers or a comma-separated string; an unknown number
+    is a ValueError before any runs).  One line per criterion; returns
+    overall success."""
     if isinstance(criteria, str):
         criteria = [int(t) for t in criteria.split(",") if t.strip()]
     wanted = set(criteria) if criteria else None
+    unknown = sorted((wanted or set()) - {c[0] for c in CRITERIA})
+    if unknown:
+        raise ValueError("unknown criterion %d" % unknown[0])
     all_ok = True
     for num, title, fn, budget in CRITERIA:
         if wanted is not None and num not in wanted:

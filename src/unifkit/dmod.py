@@ -305,7 +305,7 @@ class ConnectionSpec:
     be listed too unless the caller certifies the operator regular
     there and the pullback check confirms it."""
 
-    __slots__ = ("operator", "points", "infinity_regular")
+    __slots__ = ("operator", "points")
 
     def __init__(self, operator, points, infinity_regular=False):
         pts = frozenset(as_point(p) for p in points)
@@ -332,7 +332,6 @@ class ConnectionSpec:
                 raise ValueError("operator is not regular at infinity")
         self.operator = operator
         self.points = pts
-        self.infinity_regular = INF not in pts
 
     @property
     def order(self):

@@ -34,7 +34,8 @@ row-major rational matrix per edge (rows = target stalk dimension):
     edge <x> <y> <entry> ... <entry>
 
 Operator file: coefficient lines in a minimal arithmetic grammar over
-z and integer literals, and the singular set:
+z and integer literals (e^-k is the reciprocal power 1/e^k), and the
+singular set:
 
     a_<i> = <expr>
     Z = {<point>, ..., inf}
@@ -446,12 +447,9 @@ class _ExprParser:
             if t is None or not t.isdigit():
                 self.fail("exponent must be an integer literal")
             k = int(self.take())
-            if neg:
-                if v.is_zero():
-                    self.fail("division by zero")
-                v = v.inverted() ** k
-            else:
-                v = v ** k
+            if neg and v.is_zero():
+                self.fail("division by zero")
+            v = v ** (-k if neg else k)
         return v
 
     def atom(self):

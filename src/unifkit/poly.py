@@ -37,10 +37,10 @@ class Polynomial:
         return cls((ZERO, ONE))
 
     @classmethod
-    def monomial(cls, k, c=ONE):
+    def monomial(cls, k):
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls((ZERO,) * k + (Fraction(c),))
+        return cls((ZERO,) * k + (ONE,))
 
     @property
     def degree(self):
@@ -338,12 +338,6 @@ class RatFunc:
         if self.is_zero():
             return None
         return self.den.degree - self.num.degree
-
-    def eval(self, x):
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval(x) / d
 
     def inverted(self):
         """The same function of 1/z, as a function of the new variable."""

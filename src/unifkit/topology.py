@@ -98,10 +98,6 @@ class FiniteTopology:
             self._opens = tuple(up_sets(self._min_open, (1 << len(self.base)) - 1))
         return self._opens
 
-    @property
-    def opens(self):
-        return tuple(self.base.labels_of(m) for m in self.open_masks)
-
     def __eq__(self, other):
         """Equal when the minimal opens agree: they determine every open
         of a finite space."""

@@ -26,18 +26,21 @@ partitions with singleton stars.
 A square block pairs one position on each of two axes: the metric
 tower is a linear axis times a linear axis, the sectorial (blown-up)
 tower the same linear axis on the radius times a cyclic axis for the
-angle.  Each axis answers one containment question (inside: a span
-lies in the coarser position starting at or below it); parents, fits
-and star certificates are that question.  They, overlap and sample
-membership hold of a block exactly when they hold of both positions, so
-verification tests each axis position of a level once.
+angle.  An axis answers through two methods.  inside(lvl, lo, hi, m)
+is containment: the span [lo, hi] in level-lvl units (lvl >= m) lies
+in the level-m position lo // 2^(lvl-m+1), the one starting at or below
+lo; parents, fits and star certificates are that question.  They,
+overlap and sample membership hold of a block exactly when they hold of
+both positions, so verification tests each axis position of a level
+once.
 
-Each axis gives a position as closed integer spans (a window as its two
-lifts about a cut), which decide overlap and, in one sweep testing the
-second axis at every first-axis span end and midpoint, coverage of a
-box by a covering member.  That sweep absorbs every square thread
-class: an interior class over its block, the puncture class over the
-box [-1, 1]^2 about the origin, a tangential class over its window at
+spans(k, i, lvl, cut) is extent: position i of level k as closed
+integer spans in level-lvl units (a window as its two lifts about a
+cut), which decide overlap and, in one sweep testing the second axis
+at every first-axis span end and midpoint, coverage of a box by a
+covering member.  That sweep absorbs every square thread class: an
+interior class over its block, the puncture class over the box
+[-1, 1]^2 about the origin, a tangential class over its window at
 radius 0.
 
 Each generator class holds its own geometry: its blocks and their
@@ -91,24 +94,7 @@ class Covering:
 # generators
 
 
-class _Axis:
-    """An axis gives a position's span and star in integer level units
-    and answers inside(lvl, lo, hi, m): the span [lo, hi] in level-lvl
-    units (lvl >= m) lies in the level-m position lo // 2^(lvl-m+1), the
-    one starting at or below lo."""
-
-    def fit(self, n, i, m):
-        """Position i of level n lies inside a single level-m position."""
-        lvl = max(n, m)
-        lo, hi = self.span(n, i)
-        return self.inside(lvl, lo << (lvl - n), hi << (lvl - n), m)
-
-    def star_ok(self, k, i, lag):
-        """The star of position i lies in a position lag levels up."""
-        return self.inside(k, *self.star(k, i), k - lag)
-
-
-class _LinearAxis(_Axis):
+class _LinearAxis:
     """The segment [lo, hi].  At level k position i carries the interval
     [2i, 2i+3] in units of 2^-(k+1), clipped to [lo, hi]: width 3,
     stride 2, so adjacent positions share a unit-wide strip and
@@ -124,9 +110,6 @@ class _LinearAxis(_Axis):
     def interval(self, k, i):
         return (max(2 * i, self.lo << (k + 1)),
                 min(2 * i + 3, self.hi << (k + 1)))
-
-    def span(self, k, i):
-        return self.interval(k, i)
 
     def star(self, k, i):
         """Position i with its neighbors, clipped to the segment."""
@@ -180,7 +163,7 @@ class _LinearAxis(_Axis):
         return [j for j in (i - 1, i, i + 1) if first <= j <= last]
 
 
-class _CyclicAxis(_Axis):
+class _CyclicAxis:
     """The boundary circle, in units of 2^-(k+1) of a turn at level k.
     Position a carries the window (start 2a, length 3) mod 2^(k+1) for
     a in range(2^k), so each window overlaps its two neighbors and the
@@ -194,10 +177,6 @@ class _CyclicAxis(_Axis):
 
     def window(self, k, a):
         return 2 * a, 3
-
-    def span(self, k, a):
-        ws, wl = self.window(k, a)
-        return ws, ws + wl
 
     def star(self, k, a):
         """Window a with its two neighbors: an arc of 7 units."""
@@ -418,11 +397,13 @@ class _SquareGen(_Generator):
         return True
 
     def first_failed_star(self, k):
-        return self._first_failing(
-            k, lambda ax, i: ax.star_ok(k, i, self.star_lag))
+        return self._first_failing(k, lambda ax, i: ax.inside(
+            k, *ax.star(k, i), k - self.star_lag))
 
     def first_unfit(self, n, m):
-        return self._first_failing(n, lambda ax, i: ax.fit(n, i, m))
+        lvl = max(n, m)
+        return self._first_failing(n, lambda ax, i: ax.inside(
+            lvl, *ax.spans(n, i, lvl, 0)[0], m))
 
     def _first_failing(self, k, ok):
         """A block fails when its position on either axis fails, so the

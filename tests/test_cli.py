@@ -402,6 +402,25 @@ def test_operator_leaving_the_function_space_is_input_error(tmp_path,
                    "infinity, which is not in Z\n")
 
 
+def test_negative_exponent_reads_as_the_reciprocal(tmp_path):
+    lines = {}
+    for name, a0 in (("power", "(z-1)^-1"), ("quotient", "1/(z-1)")):
+        p = tmp_path / ("%s.op" % name)
+        p.write_text("a_0 = %s\na_1 = 1\nZ = {0, 1, inf}\n" % a0)
+        code, lines[name], _ = run(["dmod", "report", str(p)])
+        assert code == 0
+    assert lines["power"] == lines["quotient"]
+    assert "chi_formula=-1\nh0=1\n" in lines["power"]
+    assert "ir[inf]=0\n" in lines["power"]
+
+
+@pytest.mark.parametrize("criteria", ["42", "10,42"])
+def test_unknown_criterion_is_input_error(criteria):
+    code, out, err = run(["corpus", "run", "--criteria", criteria])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown criterion 42\n"
+
+
 def test_unknown_flag_is_input_error(airy_file):
     code, _, _ = run(["dmod", "chi", airy_file, "--frobnicate"])
     assert code == 2

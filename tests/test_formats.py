@@ -113,6 +113,16 @@ def test_expression_error_positions():
     assert (exc.value.line, exc.value.col) == (3, 4)
     with pytest.raises(FormatError, match="division by zero"):
         parse_expression("1/(z - z)")
+    with pytest.raises(FormatError, match="division by zero") as exc:
+        parse_expression("0^-1")
+    assert exc.value.col == 5
+
+
+@pytest.mark.parametrize("power,reciprocal", [
+    ("z^-2", "1/z^2"), ("(z-1)^-1", "1/(z-1)"), ("(z+1)^-2", "1/(z+1)^2"),
+    ("(2*z)^-1", "1/(2*z)"), ("2^-1", "1/2")])
+def test_negative_exponent_is_the_reciprocal_power(power, reciprocal):
+    assert parse_expression(power) == parse_expression(reciprocal)
 
 
 # the corpus in the operator file format, one text per entry

@@ -28,23 +28,26 @@ KEPT = {
 
 
 def _names(tree):
-    """Every name a module uses: variables, attributes, imports, and
-    string constants that are dotted identifiers, with which getattr
-    dispatch and the benchmark's tracer address functions.  A method
-    that shares a public function's name counts as a use of it, so the
-    scan can miss an unreached name but never flags a reached one."""
-    out = set()
+    """The names a module uses, as (names, bare).  names holds variables,
+    attributes, imports, and the last part of dotted identifier strings,
+    with which the benchmark's tracer addresses methods.  bare holds
+    undotted identifier strings, which getattr on a module can turn into
+    a module-level name but not into a method.  A method that shares a
+    public function's name counts as a use of it, so the scan can miss
+    an unreached name but never flags a reached one."""
+    names, bare = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and all(part.isidentifier() for part in node.value.split("."))):
-            out.add(node.value.rpartition(".")[2])
-    return out
+            _, dot, tail = node.value.rpartition(".")
+            (names if dot else bare).add(tail)
+    return names, bare
 
 
 def _public(nodes):
@@ -57,15 +60,19 @@ def unreached():
     """Unreached module-level names, and unreached public methods of
     module-level classes as Class.method."""
     trees = {p: ast.parse(p.read_text()) for p in LIBRARY + BENCHMARK}
-    used = set().union(*map(_names, trees.values()))
+    names, bare = set(), set()
+    for tree in trees.values():
+        n, b = _names(tree)
+        names |= n
+        bare |= b
     out = set()
     for p in LIBRARY:
         for node in _public(trees[p].body):
-            if node.name not in used:
+            if node.name not in names | bare:
                 out.add(node.name)
             if isinstance(node, ast.ClassDef):
                 out.update("%s.%s" % (node.name, m.name)
-                           for m in _public(node.body) if m.name not in used)
+                           for m in _public(node.body) if m.name not in names)
     return out
 
 

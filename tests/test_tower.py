@@ -968,8 +968,7 @@ def test_inside_matches_every_position(axis, count):
         for i in axis.ids(n):
             for m in range(1, 8):
                 lvl = max(n, m)
-                lo, hi = axis.span(n, i)
-                cases.append((lvl, lo << (lvl - n), hi << (lvl - n), m))
+                cases.append((lvl, *axis.spans(n, i, lvl, 0)[0], m))
             cases += [(n, *axis.star(n, i), n - lag) for lag in (1, 2, 3)
                       if n - lag >= 1]
     verdicts = set()
@@ -978,6 +977,50 @@ def test_inside_matches_every_position(axis, count):
         assert axis.inside(*case) == want, case
         verdicts.add(want)
     assert len(cases) == count and verdicts == {True, False}
+
+
+# The axis fit and star tests that first_unfit and first_failed_star
+# inline, kept verbatim as the reference with the span they read.
+
+
+def oracle_span(axis, k, i):
+    if isinstance(axis, tower_mod._CyclicAxis):
+        ws, wl = axis.window(k, i)
+        return ws, ws + wl
+    return axis.interval(k, i)
+
+
+def oracle_fit(axis, n, i, m):
+    """Position i of level n lies inside a single level-m position."""
+    lvl = max(n, m)
+    lo, hi = oracle_span(axis, n, i)
+    return axis.inside(lvl, lo << (lvl - n), hi << (lvl - n), m)
+
+
+def oracle_star_ok(axis, k, i, lag):
+    """The star of position i lies in a position lag levels up."""
+    return axis.inside(k, *axis.star(k, i), k - lag)
+
+
+def first_failing_by_position(gen, k, ok):
+    """The per-block walk, each axis position's verdict computed once."""
+    x_ok, y_ok = ({i: ok(ax, i) for i in ax.ids(k)} for ax in gen.axes)
+    return next((b for b in gen.block_ids(k)
+                 if not (x_ok[b[0]] and y_ok[b[1]])), None)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CASES))
+def test_inlined_axis_tests_match_the_oracles(name):
+    gen = AXIS_CASES[name][0]()
+    for n in range(1, 8):
+        for m in range(1, 8):
+            want = first_failing_by_position(
+                gen, n, lambda ax, i: oracle_fit(ax, n, i, m))
+            assert gen.first_unfit(n, m) == want, (n, m)
+    for k in range(4, 8):
+        want = first_failing_by_position(
+            gen, k, lambda ax, i: oracle_star_ok(ax, k, i, gen.star_lag))
+        assert gen.first_failed_star(k) == want, k
 
 
 def _fit_linear(lo, hi, scale, interval_fn, imin, imax):
