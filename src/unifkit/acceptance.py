@@ -329,19 +329,19 @@ def _crash_detail(exc):
 
 
 def run_all(criteria=None, out=print):
-    """Run the numbered criteria (all by default; `criteria` may be an
-    iterable of numbers or a comma-separated string; an unknown number
-    is a ValueError before any runs).  One line per criterion; returns
-    overall success."""
-    if isinstance(criteria, str):
-        criteria = [int(t) for t in criteria.split(",") if t.strip()]
-    wanted = set(criteria) if criteria else None
-    unknown = sorted((wanted or set()) - {c[0] for c in CRITERIA})
-    if unknown:
-        raise ValueError("unknown criterion %d" % unknown[0])
+    """Run the numbered criteria (all by default, else the iterable of
+    numbers `criteria`; an empty or unknown selection is a ValueError
+    before any runs).  One line per criterion; returns overall
+    success."""
+    known = {c[0] for c in CRITERIA}
+    wanted = known if criteria is None else set(criteria)
+    if not wanted:
+        raise ValueError("no criterion selected")
+    if wanted - known:
+        raise ValueError("unknown criterion %d" % min(wanted - known))
     all_ok = True
     for num, title, fn, budget in CRITERIA:
-        if wanted is not None and num not in wanted:
+        if num not in wanted:
             continue
         t0 = time.perf_counter()
         try:

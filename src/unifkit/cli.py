@@ -294,19 +294,28 @@ def _load_operator(args):
     return formats.parse_operator(_read(args.path), args.path)
 
 
+def point(text):
+    """A rational or inf, as --at reads it."""
+    from .dmod import as_point
+    try:
+        return as_point(text)
+    except ZeroDivisionError:  # a zero denominator, 1/0
+        raise ValueError(text) from None
+
+
 def cmd_dmod_delta(args):
-    from .dmod import as_point, to_delta_form
+    from .dmod import to_delta_form
     spec = _load_operator(args)
-    bs = to_delta_form(spec.operator, as_point(args.at))
+    bs = to_delta_form(spec.operator, args.at)
     for i, b in enumerate(bs):
         print("b_%d = %s" % (i, formats.format_ratfunc(b)))
     return 0
 
 
 def cmd_dmod_polygon(args):
-    from .dmod import as_point, newton_polygon
+    from .dmod import newton_polygon
     spec = _load_operator(args)
-    np = newton_polygon(spec.operator, as_point(args.at))
+    np = newton_polygon(spec.operator, args.at)
     for i, y in np.points:
         print("point %d %s" % (i, y))
     for i, y in np.hull:
@@ -318,10 +327,10 @@ def cmd_dmod_polygon(args):
 
 
 def cmd_dmod_irregularity(args):
-    from .dmod import as_point, format_point, irregularity
+    from .dmod import format_point, irregularity
     spec = _load_operator(args)
     if args.at is not None:
-        pts = [as_point(args.at)]
+        pts = [args.at]
     else:
         pts = spec.sorted_points()
     for p in pts:
@@ -353,6 +362,12 @@ def cmd_dmod_report(args):
 
 
 # the acceptance suite
+
+
+def criteria(text):
+    """Comma-separated criterion numbers, as --criteria reads them; none
+    at all reaches run_all, which rejects it."""
+    return [int(t) for t in text.split(",") if t.strip()]
 
 
 def cmd_corpus_run(args):
@@ -458,11 +473,8 @@ def _parser():
             ("report", cmd_dmod_report, False, True)):
         q = dsub.add_parser(name)
         q.add_argument("path")
-        if with_at == "optional":
-            q.add_argument("--at", default=None,
-                           help="point (a rational or inf)")
-        elif with_at:
-            q.add_argument("--at", required=True,
+        if with_at:
+            q.add_argument("--at", type=point, required=with_at is True,
                            help="point (a rational or inf)")
         if dmax:
             q.add_argument("--dmax", type=int, default=80,
@@ -472,7 +484,7 @@ def _parser():
     c = sub.add_parser("corpus", help="the acceptance suite")
     csub = c.add_subparsers(dest="sub", required=True, metavar="operation")
     q = csub.add_parser("run")
-    q.add_argument("--criteria", default=None,
+    q.add_argument("--criteria", type=criteria, default=None,
                    help="comma-separated criterion numbers (default all)")
     q.set_defaults(func=cmd_corpus_run)
     return p

@@ -123,7 +123,7 @@ def _delta_numerators(op, x):
         if a.is_zero():
             continue
         num, d = a.num, a.den
-        if x != INF and x:
+        if x != INF:
             num, d = num.shift(x), d.shift(x)
         if den.degree:
             num = num * den
@@ -144,11 +144,6 @@ def _delta_numerators(op, x):
     return nums, den
 
 
-def _low_order(p):
-    """Index of the first nonzero coefficient of a nonzero polynomial."""
-    return next(m for m, c in enumerate(p.coeffs) if c)
-
-
 def to_delta_form(op, x):
     """Coefficients b_0..b_n with L = sum b_j delta^j, delta the scaled
     derivative (z-x) d/dz at a finite x.  At infinity the substitution
@@ -163,10 +158,9 @@ def to_delta_form(op, x):
     if x == INF:
         return tuple(RatFunc(p, den).inverted() * ((-1) ** j)
                      for j, p in enumerate(nums))
-    if x:
-        # back from t = z - x to z
-        nums = [p.shift(-x) for p in nums]
-        den = den.shift(-x)
+    # back from t = z - x to z
+    nums = [p.shift(-x) for p in nums]
+    den = den.shift(-x)
     return tuple(RatFunc(p, den) for p in nums)
 
 
@@ -183,8 +177,8 @@ def delta_valuations(op, x, numerators=None):
         # order at w = 0 of a function of z is its degree drop
         return tuple(None if p.is_zero() else den.degree + n - p.degree
                      for p in nums)
-    vd = _low_order(den) + n
-    return tuple(None if p.is_zero() else _low_order(p) - vd for p in nums)
+    vd = den.valuation_at(0) + n
+    return tuple(None if p.is_zero() else p.valuation_at(0) - vd for p in nums)
 
 
 def delta_product(bs, cs):
@@ -397,7 +391,7 @@ def _indicial_bound(numerators):
     best = 0
     for x, (nums, _) in numerators.items():
         sign, m = ((1, max(p.degree for p in nums)) if x == INF
-                   else (-1, min(_low_order(p) for p in nums if p.coeffs)))
+                   else (-1, min(p.valuation_at(0) for p in nums if p.coeffs)))
         ind = [p.coeffs[m] if m <= p.degree else ZERO for p in nums]
         # an integer root k != 0 divides I's lowest nonzero coefficient
         low = next(c for c in ind if c) * lcm(*(c.denominator for c in ind))

@@ -44,7 +44,7 @@ singular set:
 
 from fractions import Fraction
 
-from .dmod import ConnectionSpec, DiffOp, as_point
+from .dmod import ConnectionSpec, DiffOp
 from .gtop import DensePair, PosetSheaf
 from .poly import Polynomial, RatFunc
 from .quniform import CoveringFamily, QUniformity

@@ -1,23 +1,22 @@
 """Exact linear algebra over the rationals on one sparse integer kernel.
 
 Matrices are lists of equal-length rows of ints or Fractions.  The
-kernel sees each row as its nonzero entries {column: int}, multiplied
-by the lcm of their denominators, so a row combination touches only
-the columns where either row is nonzero; the 0/+-1 differentials of
-the order complexes have a few entries per row.  Rows are inserted one
-at a time by _insert, the one row-insertion entry point: _echelon
-feeds it the rows of a matrix, sparse_rank the rows that arrive
-sparse, {column: rational} (the coboundaries of gtop), and a caller
-that already holds sparse integer rows (the index oracle,
-dmod._OracleSession.window_dims) feeds it those directly.  A row
-whose leading column already holds a pivot row with pivot p has its
+kernel sees each row as its nonzero entries {column: int}, multiplied by
+the lcm of their denominators, so a row combination touches only the
+columns where either row is nonzero; the 0/+-1 differentials of the
+order complexes have a few entries per row.  Rows are inserted one at a
+time by _insert, the one row-insertion entry point, fed by one loop,
+_echelon, which clears each row given as its nonzero entries {column:
+rational}: read off a matrix by _entries, or arriving sparse (the
+coboundaries of gtop, through sparse_rank).  A caller that holds sparse
+integer rows (dmod._OracleSession.window_dims) calls _insert itself.  A
+row whose leading column already holds a pivot row with pivot p has its
 leading entry f cleared by cross-multiplication, row := (p/g)*row -
-(f/g)*pivot_row with g = gcd(p, f), and is divided by its content
-(the gcd of its entries), until its leading column is new (it
-becomes a pivot row there) or it vanishes.  Every row
-therefore stays the primitive integer vector along the row that
-elimination over Q would give, so entry sizes stay bounded by the
-matching minors (Bareiss 1968).
+(f/g)*pivot_row with g = gcd(p, f), and is divided by its content (the
+gcd of its entries), until its leading column is new (it becomes a pivot
+row there) or it vanishes.  Every row therefore stays the primitive
+integer vector along the row that elimination over Q would give, so
+entry sizes stay bounded by the matching minors (Bareiss 1968).
 
 The pivot rows span the row space and have distinct leading columns,
 so they are a row echelon basis of it, and the leading columns of any
@@ -87,9 +86,9 @@ def _cleared(entries):
             for c, x in entries.items()}
 
 
-def _int_row(row):
-    """The nonzero entries of a dense rational row, cleared."""
-    return _cleared({c: x for c, x in enumerate(row) if x})
+def _entries(m):
+    """Each row of the dense matrix m as its nonzero entries."""
+    return ({c: x for c, x in enumerate(row) if x} for row in m)
 
 
 def _combine(row, prow, c):
@@ -124,13 +123,13 @@ def _insert(pivots, row):
         row = _combine(row, prow, c)
 
 
-def _echelon(m):
-    """Insert the rows of m one at a time; returns {pivot column: pivot
-    row}, the rows sparse and integer with their leading entry at the
-    key."""
+def _echelon(rows):
+    """Insert the rows, each given by its nonzero entries {column:
+    rational}, cleared one at a time; returns {pivot column: pivot row},
+    the rows sparse and integer with their leading entry at the key."""
     pivots = {}
-    for row in m:
-        _insert(pivots, _int_row(row))
+    for row in rows:
+        _insert(pivots, _cleared(row))
     return pivots
 
 
@@ -151,7 +150,7 @@ def _reduced(pivots):
 def rref(m):
     """Reduced row echelon form. Returns (rows, pivot_columns)."""
     nc = _width(m)
-    rows = _reduced(_echelon(m))
+    rows = _reduced(_echelon(_entries(m)))
     out = []
     for c, row in rows:
         dense = [ZERO] * nc
@@ -162,25 +161,15 @@ def rref(m):
     return out, [c for c, _ in rows]
 
 
-def pivot_columns(m):
-    """Pivot columns of the row echelon form, ascending.  Column c is a
-    pivot exactly when it is not in the span of the columns before it,
-    so the pivots below c count the rank of the first c columns."""
-    _width(m)
-    return sorted(_echelon(m))
-
-
 def rank(m):
-    return len(pivot_columns(m))
+    _width(m)
+    return len(_echelon(_entries(m)))
 
 
 def sparse_rank(rows):
     """Rank of the matrix whose rows are given by their nonzero entries,
     {column: int or Fraction}, in any order and with no zero fill."""
-    pivots = {}
-    for row in rows:
-        _insert(pivots, _cleared(row))
-    return len(pivots)
+    return len(_echelon(rows))
 
 
 def kernel_basis(m, ncols=None):
@@ -190,7 +179,7 @@ def kernel_basis(m, ncols=None):
     (each reduced pivot row holds free columns after its pivot), so c
     is its last nonzero entry."""
     ncols = _width(m, ncols)
-    rows = _reduced(_echelon(m))
+    rows = _reduced(_echelon(_entries(m)))
     pivots = {c for c, _ in rows}
     basis = {fc: [ZERO] * ncols for fc in range(ncols) if fc not in pivots}
     for fc, v in basis.items():
@@ -213,7 +202,7 @@ def solve_many(a, bs):
     if any(len(b) != nr for b in bs):
         raise ValueError("right-hand side of the wrong length")
     aug = [list(a[i]) + [b[i] for b in bs] for i in range(nr)]
-    rows = _reduced(_echelon(aug))
+    rows = _reduced(_echelon(_entries(aug)))
     if rows and rows[-1][0] >= nc:
         raise ValueError("inconsistent system")
     sols = [[ZERO] * nc for _ in bs]

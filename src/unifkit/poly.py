@@ -1,10 +1,10 @@
 """Exact univariate polynomials and rational functions over Q.
 
 Thin immutable wrappers around tuples of Fractions.  Beyond ring
-arithmetic, only what valuation bookkeeping needs: division order at a
-rational point, degree at infinity, Taylor shifts, substitution of the
-inverted variable, and exact partial fractions with a verified
-reconstruction.
+arithmetic, only what valuation bookkeeping needs: Taylor shifts, the
+one route to local data at a rational point (orders of vanishing, pole
+multiplicities), degree at infinity, substitution of the inverted
+variable, and exact partial fractions with a verified reconstruction.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ class Polynomial:
 
     def shift(self, x):
         """Coefficients of p(u + x), by repeated synthetic division."""
+        if not x:
+            return self
         x = Fraction(x)
         work = list(self.coeffs)
         out = []
@@ -169,19 +171,11 @@ class Polynomial:
         return Polynomial(out)
 
     def valuation_at(self, x):
-        """Order of vanishing at x; None for the zero polynomial."""
+        """Order of vanishing at x, the index of the first nonzero Taylor
+        coefficient there; None for the zero polynomial."""
         if self.is_zero():
             return None
-        x = Fraction(x)
-        p = self
-        lin = Polynomial((-x, ONE))
-        v = 0
-        while True:
-            q, r = divmod(p, lin)
-            if not r.is_zero():
-                return v
-            p = q
-            v += 1
+        return next(m for m, c in enumerate(self.shift(x).coeffs) if c)
 
     def reversed_coeffs(self, upto):
         """Coefficients of z^upto * p(1/z); upto must cover the degree."""
@@ -215,7 +209,7 @@ def rational_roots(p):
         raise ValueError("zero polynomial has every root")
     den = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den) for c in p.coeffs]
-    v0 = next(i for i, c in enumerate(ints) if c)
+    v0 = p.valuation_at(0)
     roots = {ZERO: v0} if v0 else {}
     if p.degree > v0:  # else p / z^v0 is a constant
         for q in _divisors(ints[-1]):
@@ -364,39 +358,36 @@ def partial_fractions(f, points):
     finite points.  Returns (poly_part, {x: {k: coeff}}).  Raises if the
     denominator has a root outside the allowed set; the reconstruction
     is verified exactly before returning."""
-    points = [Fraction(x) for x in points]
     poly_part, rem = divmod(f.num, f.den)
     parts = {}
     den = f.den
     mults = {}
-    for x in points:
-        e = den.valuation_at(x)
-        if e:
-            mults[x] = e
-    stripped = den
-    for x, e in mults.items():
-        stripped = stripped // (Polynomial((-x, ONE)) ** e)
-    if stripped.degree > 0:
-        raise ValueError("pole outside the allowed set")
-    for x, e in mults.items():
-        g = den // (Polynomial((-x, ONE)) ** e)
-        # Taylor data at x: h = rem/g mod u^e via series division
+    for x in dict.fromkeys(Fraction(x) for x in points):
+        # den = (z - x)^e g with g(x) != 0, so den(u + x) = u^e g(u + x):
+        # e leading zeros, then the Taylor coefficients of g at x
+        ds = den.shift(x)
+        e = ds.valuation_at(0)
+        if not e:
+            continue
+        mults[x] = e
+        # h = rem/g mod u^e via series division
         rs = rem.shift(x).coeffs
-        gs = g.shift(x).coeffs
+        gs = ds.coeffs[e:]
         inv0 = 1 / gs[0]
         h = []
         for j in range(e):
             acc = rs[j] if j < len(rs) else ZERO
-            for t in range(1, j + 1):
-                if t < len(gs):
-                    acc -= gs[t] * h[j - t]
+            for t in range(1, min(j + 1, len(gs))):
+                acc -= gs[t] * h[j - t]
             h.append(acc * inv0)
-        coeffs = {}
-        for j in range(e):
-            if h[j]:
-                coeffs[e - j] = h[j]
+        coeffs = {e - j: c for j, c in enumerate(h) if c}
         if coeffs:
             parts[x] = coeffs
+    # the (z - x)^e at distinct x are coprime and each divides den, so
+    # their product does, and den / product, of degree deg den - sum e,
+    # has a root outside the points exactly when that degree is positive
+    if sum(mults.values()) < den.degree:
+        raise ValueError("pole outside the allowed set")
     # exact reconstruction check over the common denominator
     recon = poly_part * den
     for x, coeffs in parts.items():

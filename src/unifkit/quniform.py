@@ -51,10 +51,6 @@ class QUniformity:
     def discrete(cls, base):
         return cls(base, [Relation.diagonal(base)], symmetric_flag=True)
 
-    @classmethod
-    def indiscrete(cls, base):
-        return cls(base, [Relation.full(base)], symmetric_flag=True)
-
     @property
     def e_min(self):
         """Intersection of the basis, the smallest entourage of the

@@ -196,12 +196,10 @@ class Relation:
         return Relation(self.base, out)
 
     def inverse(self):
-        n = len(self.base)
-        out = [0] * n
+        out = [0] * len(self.base)
         for i, r in enumerate(self.rows):
-            for j in range(n):
-                if r >> j & 1:
-                    out[j] |= 1 << i
+            for j in bits(r):
+                out[j] |= 1 << i
         return Relation(self.base, out)
 
     # predicates

@@ -111,3 +111,11 @@ def test_crash_line_names_type_and_innermost_frame(monkeypatch):
     assert m, line
     src = Path(linalg.__file__).read_text().splitlines()
     assert "raise ValueError" in src[int(m.group(1)) - 1]
+
+
+@pytest.mark.parametrize("criteria", [[], (), set()])
+def test_empty_selection_is_an_error(criteria):
+    lines = []
+    with pytest.raises(ValueError, match="^no criterion selected$"):
+        run_all(criteria=criteria, out=lines.append)
+    assert lines == []

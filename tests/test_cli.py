@@ -258,6 +258,42 @@ def test_finite_tower_reads_space_reference(tmp_path, pervin_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("decl, sizes", [
+    ("metric_disk depth=4", [16, 64, 256, 1024]),
+    ("sectorial_disk depth=4", [4, 16, 64, 256]),
+    ("padic_disk depth=3 p=3", [3, 9, 27]),
+])
+def test_tower_level_coverings(tmp_path, decl, sizes):
+    t = tmp_path / "t.tower"
+    t.write_text("tower %s\n" % decl)
+    for k, size in enumerate(sizes, 1):
+        cov = "level:%d" % k
+        code, out, _ = run(["tower", "uniform-cover", str(t),
+                            "--covering", cov])
+        assert (code, out) == (0, "covering=%s\nuniform=true\n" % cov)
+        code, out, _ = run(["tower", "tukey", str(t), "--covering", cov])
+        assert (code, out) == (0, "covering=%s\ntukey=true\n"
+                               "refining_level=%d\nfinite_subcover_size=%d\n"
+                               % (cov, k, size))
+
+
+def test_finite_tower_at_depth_two(tmp_path, pervin_file):
+    import os.path
+    t = tmp_path / "fin.tower"
+    t.write_text("tower finite depth=2 space=%s\n"
+                 % os.path.basename(pervin_file))
+    code, out, _ = run(["tower", "build", str(t)])
+    assert (code, out.splitlines()) == (0, [
+        "generator=finite", "depth=2", "symmetric=false", "star_lag=1",
+        "blocks[1]=2", "blocks[2]=2", "refinement=ok", "star=ok",
+        "covering=ok", "sample=ok"])
+    code, out, _ = run(["tower", "threads", str(t)])
+    assert (code, out) == (0, "interior ep0/ep0\ninterior ep1/ep1\n")
+    code, out, _ = run(["tower", "tukey", str(t), "--covering", "level:1"])
+    assert (code, out) == (0, "covering=level:1\ntukey=true\n"
+                           "refining_level=1\nfinite_subcover_size=2\n")
+
+
 @pytest.mark.parametrize("param", ["p=7", "space=nowhere.space"])
 def test_tower_rejects_parameter_the_generator_does_not_take(tmp_path, param):
     t = tmp_path / "met.tower"
@@ -419,6 +455,31 @@ def test_unknown_criterion_is_input_error(criteria):
     code, out, err = run(["corpus", "run", "--criteria", criteria])
     assert (code, out) == (2, "")
     assert err == "error: unknown criterion 42\n"
+
+
+@pytest.mark.parametrize("criteria", [",", ""])
+def test_empty_criteria_is_input_error(criteria):
+    # an empty selection runs nothing, not every criterion
+    code, out, err = run(["corpus", "run", "--criteria", criteria])
+    assert (code, out, err) == (2, "", "error: no criterion selected\n")
+
+
+@pytest.mark.parametrize("criteria", ["x", "1,x", "1.5"])
+def test_malformed_criteria_is_input_error(criteria):
+    code, out, err = run(["corpus", "run", "--criteria", criteria])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("unifkit corpus run: error: argument "
+                                    "--criteria: invalid criteria value: %r"
+                                    % criteria)
+
+
+@pytest.mark.parametrize("sub", ["delta", "polygon", "irregularity"])
+@pytest.mark.parametrize("at", ["x", "1/0", ""])
+def test_malformed_point_is_input_error(airy_file, sub, at):
+    code, out, err = run(["dmod", sub, airy_file, "--at", at])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("unifkit dmod %s: error: argument --at: "
+                                    "invalid point value: %r" % (sub, at))
 
 
 def test_unknown_flag_is_input_error(airy_file):

@@ -111,7 +111,7 @@ def test_kernel_vector_of_a_free_column_ends_there(m):
 def test_pivot_columns_do_not_depend_on_the_row_order(m, data):
     shuffled = data.draw(st.permutations(m))
     _, want = oracle_rref(m)
-    assert linalg.pivot_columns(shuffled) == linalg.pivot_columns(m) == want
+    assert linalg.rref(shuffled)[1] == linalg.rref(m)[1] == want
     assert linalg.rank(shuffled) == len(want)
     assert linalg.rref(shuffled) == linalg.rref(m)
 
@@ -125,13 +125,14 @@ def test_two_row_groups_read_both_ranks_from_one_elimination(m, data):
     order = data.draw(st.permutations(range(len(m))))
     cut = data.draw(st.integers(0, len(m)))
     first = [m[i] for i in order[:cut]]
+    rows = [linalg._cleared(e) for e in linalg._entries(m)]
     pivots = {}
-    for row in first:
-        linalg._insert(pivots, linalg._int_row(row))
+    for i in order[:cut]:
+        linalg._insert(pivots, rows[i])
     assert len(pivots) == linalg.rank(first) == len(oracle_rref(first)[1])
     for i in order[cut:]:
-        linalg._insert(pivots, linalg._int_row(m[i]))
-    assert sorted(pivots) == linalg.pivot_columns(m) == oracle_rref(m)[1]
+        linalg._insert(pivots, rows[i])
+    assert sorted(pivots) == linalg.rref(m)[1] == oracle_rref(m)[1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,6 +47,55 @@ def test_valuation_at_root():
     assert p.valuation_at(Fraction(2)) == 0
 
 
+def _dividing_valuation(p, x):
+    """The valuation that divided by (z - x) until a remainder appeared,
+    kept as the oracle for the Taylor-shift route."""
+    if p.is_zero():
+        return None
+    x = Fraction(x)
+    lin = Polynomial((-x, ONE))
+    v = 0
+    while True:
+        q, r = divmod(p, lin)
+        if not r.is_zero():
+            return v
+        p = q
+        v += 1
+
+
+_ROOT_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+              Fraction(-3, 4), Fraction(5, 3)]
+
+
+def _seeded_product(rng):
+    """A rational scalar times (z - r)^m over a sample of the pool, each
+    m at most 4, and the multiplicities."""
+    want = {r: rng.randint(1, 4)
+            for r in rng.sample(_ROOT_POOL, rng.randint(0, 4))}
+    p = Polynomial.const(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 7])))
+    for r, m in want.items():
+        p = p * Polynomial((-r, ONE)) ** m
+    return p, want
+
+
+def _as_given(x):
+    # integral points as ints, the others as Fractions
+    return int(x) if x.denominator == 1 else x
+
+
+def test_valuation_at_matches_the_division_oracle():
+    rng = random.Random(30)
+    for x in _ROOT_POOL + [Fraction(2)]:
+        assert Polynomial().valuation_at(x) is None
+        assert Polynomial().valuation_at(_as_given(x)) is None
+    for _ in range(150):
+        p, want = _seeded_product(rng)
+        for x in _ROOT_POOL + [Fraction(2), Fraction(-6, 5)]:
+            v = _dividing_valuation(p, x)
+            assert v == want.get(x, 0), (p, x)
+            assert p.valuation_at(x) == p.valuation_at(_as_given(x)) == v
+
+
 def test_rational_roots():
     p = (2 * z - 1) ** 2 * (z + 3)
     roots, rest = rational_roots(p)
@@ -197,3 +246,86 @@ def test_partial_fractions_rejects_hidden_pole():
     f = RatFunc(Polynomial.const(1), z - 1)
     with pytest.raises(ValueError):
         partial_fractions(f, [Fraction(0)])
+
+
+def _stripping_partial_fractions(f, points):
+    """The split that stripped each pole's factor off the denominator,
+    kept as the oracle for the one Taylor shift per point."""
+    points = [Fraction(x) for x in points]
+    poly_part, rem = divmod(f.num, f.den)
+    parts = {}
+    den = f.den
+    mults = {}
+    for x in points:
+        e = _dividing_valuation(den, x)
+        if e:
+            mults[x] = e
+    stripped = den
+    for x, e in mults.items():
+        stripped = stripped // (Polynomial((-x, ONE)) ** e)
+    if stripped.degree > 0:
+        raise ValueError("pole outside the allowed set")
+    for x, e in mults.items():
+        g = den // (Polynomial((-x, ONE)) ** e)
+        # Taylor data at x: h = rem/g mod u^e via series division
+        rs = rem.shift(x).coeffs
+        gs = g.shift(x).coeffs
+        inv0 = 1 / gs[0]
+        h = []
+        for j in range(e):
+            acc = rs[j] if j < len(rs) else ZERO
+            for t in range(1, j + 1):
+                if t < len(gs):
+                    acc -= gs[t] * h[j - t]
+            h.append(acc * inv0)
+        coeffs = {}
+        for j in range(e):
+            if h[j]:
+                coeffs[e - j] = h[j]
+        if coeffs:
+            parts[x] = coeffs
+    # exact reconstruction check over the common denominator
+    recon = poly_part * den
+    for x, coeffs in parts.items():
+        g = den // (Polynomial((-x, ONE)) ** mults[x])
+        for k, c in coeffs.items():
+            recon = recon + g * (Polynomial((-x, ONE)) ** (mults[x] - k)) * c
+    if recon != f.num:
+        raise ArithmeticError("partial fraction reconstruction failed")
+    return poly_part, parts
+
+
+def _split_or_message(f, points, split):
+    try:
+        poly_part, parts = split(f, points)
+    except ValueError as e:
+        return str(e)
+    return poly_part, list(parts.items())
+
+
+def test_partial_fractions_match_the_stripping_oracle():
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(150):
+        den, poles = _seeded_product(rng)
+        num = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                          for _ in range(rng.randint(0, den.degree + 3))])
+        f = RatFunc(num, den)
+        # repeated points, points that are not poles, and sometimes a
+        # pole left out of the list
+        points = [_as_given(x) for x in rng.sample(_ROOT_POOL, 4)]
+        points += rng.sample(points, 2) + [_as_given(x) for x in poles]
+        if poles and rng.random() < 0.3:
+            gone = rng.choice(sorted(poles))
+            points = [x for x in points if x != gone]
+        rng.shuffle(points)
+        got = _split_or_message(f, points, partial_fractions)
+        want = _split_or_message(f, points, _stripping_partial_fractions)
+        assert got == want, (f, points)
+        rejected += isinstance(got, str)
+    # an irreducible factor of the denominator is a pole outside any list
+    f = RatFunc(z, (z ** 2 + 1) * (z - 1))
+    assert _split_or_message(f, [1, 0], partial_fractions) \
+        == _split_or_message(f, [1, 0], _stripping_partial_fractions) \
+        == "pole outside the allowed set"
+    assert rejected > 5

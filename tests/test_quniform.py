@@ -139,7 +139,8 @@ def test_tukey_family_indiscrete_four_points():
     # that has the whole set as a block, and that block alone is the
     # one minimal member
     base = standard_base(4)
-    fam = weil_to_tukey(QUniformity.indiscrete(base))
+    fam = weil_to_tukey(
+        QUniformity(base, [Relation.full(base)], symmetric_flag=True))
     assert len(fam) == 16384
     assert is_tukey_family(fam).valid
 
