@@ -13,7 +13,7 @@ with integer endpoints in level units; the angular coordinate lives on
 the piecewise linear boundary circle of the square, parametrized by
 arc length with total length 8.  Chart changes stay in integers too: a
 level-n polar block maps to a box with integer ends in metric
-level-(2n+1) units, and only the sample points are rational.  Blocks
+level-(2n+1) units.  Blocks
 at consecutive levels overlap by construction, which is what makes
 star-refinement certifiable: a partition can never absorb the star of
 a boundary block, an overlap of half a block width can.  The
@@ -29,9 +29,10 @@ tower the same linear axis on the radius times a cyclic axis for the
 angle.  An axis answers through two methods.  inside(lvl, lo, hi, m)
 is containment: the span [lo, hi] in level-lvl units (lvl >= m) lies
 in the level-m position lo // 2^(lvl-m+1), the one starting at or below
-lo; parents, fits and star certificates are that question.  They,
-overlap and sample membership hold of a block exactly when they hold of
-both positions, so verification tests each axis position of a level
+lo; parents, fits and star certificates are that question.  They and
+overlap hold of a block exactly when they hold of both positions, and
+a block's neighbors pair the near positions of its two, so
+verification, adjacency included, tests each axis position of a level
 once.
 
 spans(k, i, lvl, cut) is extent: position i of level k as closed
@@ -57,7 +58,6 @@ changing a uniform structure touches one class, or one axis.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 
 from .relations import FiniteSet, Relation
@@ -127,8 +127,7 @@ class _LinearAxis:
 
     def candidates(self, k, lo, hi):
         """Positions whose interval could meet [lo, hi], in level-k
-        units; callers re-check exactly.  Fraction // int floors to an
-        integer, so mixed inputs are fine."""
+        units; callers re-check exactly."""
         first = max((lo - 3) // 2, self.lo << k)
         last = min(hi // 2, (self.hi << k) - 1)
         return range(first, last + 1)
@@ -138,16 +137,6 @@ class _LinearAxis:
         f = 1 << (lvl - k)
         lo, hi = self.interval(k, i)
         return ((lo * f - cut, hi * f - cut),)
-
-    def holding(self, k, x):
-        """The level-k positions whose interval holds the point x."""
-        x = Fraction(x) * (1 << (k + 1))
-        out = []
-        for i in self.candidates(k, x, x):
-            lo, hi = self.interval(k, i)
-            if lo <= x <= hi:
-                out.append(i)
-        return out
 
     def covers(self, k):
         reach = self.lo << (k + 1)
@@ -203,21 +192,6 @@ class _CyclicAxis:
         ws, wl = self.window(k, a)
         s = (ws * f - cut) % mod
         return (s, s + wl * f), (s - mod, s - mod + wl * f)
-
-    def holding(self, k, t):
-        """The level-k positions whose window holds arc length t."""
-        mod = self.mod(k)
-        tau = Fraction(t) * mod / FULL_CIRCLE
-        # window a is [2a, 2a + 3] mod 2c, so only the windows starting at
-        # the even points 2*floor(tau/2) and the one before it can hold tau
-        c = 1 << k
-        half = tau // 2
-        out = []
-        for a in sorted({(half - 1) % c, half % c}):
-            ws, wl = self.window(k, a)
-            if (tau - ws) % mod <= wl:
-                out.append(a)
-        return out
 
     def covers(self, k):
         mod = self.mod(k)
@@ -306,6 +280,13 @@ class _Generator:
         covering."""
         return None
 
+    def first_unadjacent(self, k):
+        """The first pair of blocks of level k that meet without being
+        neighbors, or None.  Residue and formal levels are partitions,
+        so blocks of one level meet only themselves, and a finite
+        tower's neighbors are exactly the balls that meet."""
+        return None
+
     def tangential_cycle_ok(self, n):
         return False
 
@@ -346,11 +327,6 @@ class _SquareGen(_Generator):
     def blocks_meet(self, k1, b1, k2, b2):
         return all(_spans_meet(ax, k1, i1, k2, i2)
                    for ax, i1, i2 in zip(self.axes, b1, b2))
-
-    def member_blocks(self, k, s):
-        x, y = self.axes
-        ys = y.holding(k, s[1])
-        return [(i, j) for i in x.holding(k, s[0]) for j in ys]
 
     def covers_space(self, k):
         return all(ax.covers(k) for ax in self.axes)
@@ -414,6 +390,39 @@ class _SquareGen(_Generator):
         bad_x = next(((i, ys[0]) for i in xs if not ok(x, i)), None)
         bad_y = next(((xs[0], j) for j in ys if not ok(y, j)), None)
         return min((b for b in (bad_x, bad_y) if b is not None), default=None)
+
+    def first_unadjacent(self, k):
+        """Blocks meet iff their positions meet on each axis, and a
+        block's neighbors pair the near positions of its two, so blocks
+        that meet without being neighbors have positions that meet
+        without being near on some axis.  In block order the first such
+        pair is the least failing pair of positions of one axis, each
+        with the first position of the other, which meets no lesser
+        one.  Positions two or more apart are disjoint (stride 2 and
+        width 3 on both axes, as tangential_cycle_ok argues for the
+        circle), so each pair at most two apart in ids order, wrapped
+        round as on the circle, is tested once; a pair wrapped round a
+        segment does not meet."""
+        bad = {}
+        for ax in self.axes:
+            if ax in bad:
+                continue  # the metric tower's two axes are one object
+            ids = ax.ids(k)
+            n = len(ids)
+            near = [ax.near(k, i) for i in ids]
+            bad[ax] = []
+            for t, i in enumerate(ids):
+                for u in ((t + 1) % n, (t + 2) % n):
+                    j = ids[u]
+                    # meeting is symmetric, near lists need not be
+                    if ((j not in near[t] or i not in near[u])
+                            and _spans_meet(ax, k, i, k, j)):
+                        bad[ax] += [(a, b) for a, b, c in
+                                    ((i, j, t), (j, i, u)) if b not in near[c]]
+        x, y = self.axes
+        x0, y0 = x.ids(k)[0], y.ids(k)[0]
+        return min([((i, y0), (j, y0)) for i, j in bad[x]]
+                   + [((x0, i), (x0, j)) for i, j in bad[y]], default=None)
 
 
 class _MetricGen(_SquareGen):
@@ -490,19 +499,6 @@ class _MetricGen(_SquareGen):
         for b in self.block_ids(n):
             if not self.is_origin(b):
                 yield "interior", b, (b,)
-
-    def samples(self, depth):
-        h = Fraction(1, 1 << min(depth + 2, 16))
-        return [(Fraction(3, 4), Fraction(3, 4)),
-                (Fraction(-1, 2), Fraction(1, 2)),
-                (Fraction(-2, 3), Fraction(-2, 3)),
-                (Fraction(1), Fraction(-1)),
-                (Fraction(1, 3), Fraction(0)),
-                (Fraction(0), Fraction(-1, 5)),
-                (h, h), (-h, h), (h, -h), (-h, -h)]
-
-    def sample_name(self, s):
-        return "(%s,%s)" % s
 
 
 class _SectorialGen(_SquareGen):
@@ -585,18 +581,6 @@ class _SectorialGen(_SquareGen):
             if not self.is_tip(b):
                 yield "interior", b, (b,)
 
-    def samples(self, depth):
-        h = Fraction(1, 1 << min(depth + 2, 16))
-        return [(Fraction(1), Fraction(0)),
-                (Fraction(1, 2), Fraction(3, 2)),
-                (Fraction(1, 3), Fraction(7, 2)),
-                (Fraction(2, 3), Fraction(13, 2)),
-                (Fraction(1, 5), Fraction(4)),
-                (h, Fraction(1, 3)), (h, Fraction(5))]
-
-    def sample_name(self, s):
-        return "(%s;%s)" % s
-
 
 class _ResidueGen(_Generator):
     """Residue disks of the integers under a prime p; their levels are
@@ -676,18 +660,6 @@ class _PadicGen(_ResidueGen):
         for b in self.block_ids(n):
             yield "end", b, (b,)
 
-    def samples(self, depth):
-        width = min(depth, 8 if self.p == 2 else 5)
-        return [s + "0" * (depth - width) for s in self.block_ids(width)]
-
-    def sample_name(self, s):
-        return s
-
-    def member_blocks(self, k, s):
-        if len(s) < k:
-            raise ValueError("sample too short for this level")
-        return [s[:k]]
-
 
 class _FormalGen(_ResidueGen):
     """One-level residue covering repeated at every depth: blocks never
@@ -719,15 +691,6 @@ class _FormalGen(_ResidueGen):
     def classes(self, n):
         for b in range(self.p):
             yield "branch", b, (b,)
-
-    def samples(self, depth):
-        return list(range(self.p))
-
-    def sample_name(self, s):
-        return str(s)
-
-    def member_blocks(self, k, s):
-        return [s]
 
 
 class _FiniteGen(_Generator):
@@ -794,15 +757,6 @@ class _FiniteGen(_Generator):
     def classes(self, n):
         for b in self.reps:
             yield "interior", b, (b,)
-
-    def samples(self, depth):
-        return list(range(len(self.u.base)))
-
-    def sample_name(self, s):
-        return str(self.u.base.labels[s])
-
-    def member_blocks(self, k, s):
-        return [x for x in self.reps if self.masks[x] >> s & 1]
 
     def covers_space(self, k):
         acc = 0
@@ -907,11 +861,11 @@ class TowerReport(namedtuple("TowerReport", [
 
 def verify_tower(tower):
     """Check parent containment and star certificates on every block of
-    every level, covering of the space, and pairwise adjacency of the
-    blocks containing each sample point.  The generator answers with
-    the first failing block of a level; the square generators test each
-    axis position once instead of each block.  The witness names the
-    first failure in block order."""
+    every level, covering of the space, and that blocks of one level
+    that meet are neighbors (reported as sample).  The generator answers
+    with the first failing block, or block pair, of a level; the square
+    generators test each axis position once instead of each block.  The
+    witness names the first failure in block order."""
     gen = tower.gen
     witness = None
 
@@ -940,26 +894,12 @@ def verify_tower(tower):
         witness = "level fails to cover the space"
 
     sample_ok = True
-    for s in gen.samples(tower.depth):
-        for k in tower.levels():
-            blocks = gen.member_blocks(k, s)
-            if not blocks:
-                sample_ok = False
-                witness = witness or "uncovered sample %s" % gen.sample_name(s)
-                break
-            ok = True
-            for x in blocks:
-                nbs = set(gen.neighbors(k, x))
-                for y in blocks:
-                    if x != y and y not in nbs:
-                        ok = False
-                        witness = witness or (
-                            "adjacency@%d:%s/%s" %
-                            (k, gen.block_name(k, x), gen.block_name(k, y)))
-            if not ok:
-                sample_ok = False
-                break
-        if not sample_ok:
+    for k in tower.levels():
+        pair = gen.first_unadjacent(k)
+        if pair is not None:
+            sample_ok = False
+            witness = witness or "adjacency@%d:%s/%s" % (
+                k, gen.block_name(k, pair[0]), gen.block_name(k, pair[1]))
             break
 
     return TowerReport(tower, refinement_ok, star_ok, covering_ok,

@@ -249,6 +249,40 @@ def test_tower_bornology(tmp_path):
     assert "Z=b2,2" in out.splitlines()
 
 
+@pytest.mark.parametrize("decl, level, blocks, bornology, build", [
+    ("sectorial_disk depth=4", 3, "r0a0;r1a7;r5a3",
+     ["meets[1]=4", "meets[2]=13", "meets[3]=20", "meets[4]=61",
+      "Z=r0a0,r5a3", "iterations=2"],
+     ["generator=sectorial_disk", "depth=4", "symmetric=true", "star_lag=3",
+      "blocks[1]=4", "blocks[2]=16", "blocks[3]=64", "blocks[4]=256"]),
+    ("padic_disk depth=4 p=3", 2, "d01;d02;d21",
+     ["meets[1]=2", "meets[2]=3", "meets[3]=9", "meets[4]=27",
+      "Z=d01,d02,d21", "iterations=1"],
+     ["generator=padic_disk", "p=3", "depth=4", "symmetric=true",
+      "star_lag=1", "blocks[1]=3", "blocks[2]=9", "blocks[3]=27",
+      "blocks[4]=81"]),
+    ("formal depth=3 p=5", 2, "d1;d3",
+     ["meets[1]=2", "meets[2]=2", "meets[3]=2", "Z=d1,d3", "iterations=1"],
+     ["generator=formal", "p=5", "depth=3", "symmetric=true", "star_lag=1",
+      "blocks[1]=5", "blocks[2]=5", "blocks[3]=5"]),
+    ("finite depth=2 space=pervin.space", 1, "ep1",
+     ["meets[1]=2", "meets[2]=2", "Z=ep1", "iterations=1"],
+     ["generator=finite", "depth=2", "symmetric=false", "star_lag=1",
+      "blocks[1]=2", "blocks[2]=2"]),
+], ids=["sectorial", "padic", "formal", "finite"])
+def test_tower_bornology_and_build_goldens(tmp_path, pervin_file, decl,
+                                           level, blocks, bornology, build):
+    t = tmp_path / "t.tower"
+    t.write_text("tower %s\n" % decl)
+    code, out, _ = run(["tower", "bornology", str(t), "--level", str(level),
+                        "--blocks", blocks])
+    assert (code, out.splitlines()) == (
+        0, ["precompact=true", "bounded=true"] + bornology)
+    code, out, _ = run(["tower", "build", str(t)])
+    assert (code, out.splitlines()) == (0, build + [
+        "refinement=ok", "star=ok", "covering=ok", "sample=ok"])
+
+
 def test_finite_tower_reads_space_reference(tmp_path, pervin_file):
     import os.path
     t = tmp_path / "fin.tower"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 import pytest
@@ -11,7 +12,7 @@ from unifkit import tower as tower_mod
 from unifkit.cli import main
 from unifkit.enumeration import standard_base
 from unifkit.gtop import constant_sheaf
-from unifkit.quniform import QUniformity, pervin, symmetrize
+from unifkit.quniform import QUniformity, pervin, symmetrize, weil_to_tukey
 from unifkit.relations import FiniteSet, Relation
 from unifkit.topology import FiniteTopology
 from unifkit.tower import (Covering, bornology_at_depth,
@@ -238,46 +239,6 @@ def test_large_quotients_never_list_their_lattice(monkeypatch):
         assert tuple(sheaf_betti) == (1, 1) == tuple(complex_betti)
         assert "minimal opens" in repr(puncture_quotient(tower)[0])
     assert listed == []
-
-
-def _scan_member_blocks(self, k, s):
-    # every angular window tested, as member_blocks did before it
-    # narrowed the scan to the two windows that can hold tau
-    radius, angle = self.axes
-    rho = Fraction(s[0]) * (1 << (k + 1))
-    tau = Fraction(s[1]) * (1 << (k + 1)) / tower_mod.FULL_CIRCLE
-    c = 1 << k
-    mod = 1 << (k + 1)
-    res = []
-    for i in radius.candidates(k, rho, rho):
-        lo, hi = radius.interval(k, i)
-        if not lo <= rho <= hi:
-            continue
-        for a in range(c):
-            ws, wl = angle.window(k, a)
-            if (tau - ws) % mod <= wl:
-                res.append((i, a))
-    return res
-
-
-def test_sectorial_member_blocks_match_full_scan():
-    gen = make_tower("sectorial_disk", 7).gen
-    rng = random.Random(10)
-    for k in range(8):
-        mod = 1 << (k + 1)
-        samples = list(gen.samples(7))
-        # tau on window ends, at the wrap-around at 0, and seeded
-        taus = [Fraction(t) for t in (0, 1, 2, 3, mod - 1, mod, -1)]
-        taus += [Fraction(rng.randint(-4 * mod, 4 * mod), rng.randint(1, 7))
-                 for _ in range(12)]
-        taus += [Fraction(-1, 1 << 12), Fraction(mod) - Fraction(1, 1 << 12)]
-        for tau in taus:
-            for rho in (Fraction(0), Fraction(1), Fraction(1, 3),
-                        Fraction(rng.randint(0, 64), 64)):
-                samples.append((rho, tau * tower_mod.FULL_CIRCLE / mod))
-        for s in samples:
-            assert gen.member_blocks(k, s) == _scan_member_blocks(gen, k, s), \
-                (k, s)
 
 
 def test_finite_embedding_tower():
@@ -1204,6 +1165,169 @@ def test_square_neighbors_are_listed_once(kind):
         for b in gen.block_ids(k):
             nbs = list(gen.neighbors(k, b))
             assert len(nbs) == len(set(nbs)) and b not in nbs, (k, b)
+
+
+# adjacency: blocks of one level that meet are neighbors, decided per
+# axis position by first_unadjacent and checked here on block pairs
+
+
+class LinearNearDrops(tower_mod._LinearAxis):
+    """near lists that leave out position i + drop."""
+
+    def __init__(self, lo, hi, drop):
+        super().__init__(lo, hi)
+        self.drop = drop
+
+    def near(self, k, i):
+        return [j for j in super().near(k, i) if j != i + self.drop]
+
+
+class CyclicNearDrops(tower_mod._CyclicAxis):
+    """near lists that leave out window a + drop."""
+
+    def __init__(self, drop):
+        self.drop = drop
+
+    def near(self, k, a):
+        return [j for j in super().near(k, a)
+                if j != (a + self.drop) % (1 << k)]
+
+
+def with_axes(cls, x, y):
+    gen = cls()
+    gen.axes = (x, y)
+    return gen
+
+
+def mutant_metric(drop):
+    side = LinearNearDrops(-1, 1, drop)  # one object on both axes
+    return with_axes(tower_mod._MetricGen, side, side)
+
+
+# mutant near lists and the witness verify_tower prints for each
+NEAR_MUTANTS = {
+    "metric-next": (lambda: mutant_metric(1),
+                    "adjacency@1:b-2,-2/b-2,-1"),
+    "metric-prev": (lambda: mutant_metric(-1),
+                    "adjacency@1:b-2,-1/b-2,-2"),
+    "radius-next": (lambda: with_axes(
+        tower_mod._SectorialGen, LinearNearDrops(0, 1, 1),
+        tower_mod._CyclicAxis()), "adjacency@1:r0a0/r1a0"),
+    "radius-prev": (lambda: with_axes(
+        tower_mod._SectorialGen, LinearNearDrops(0, 1, -1),
+        tower_mod._CyclicAxis()), "adjacency@1:r1a0/r0a0"),
+    "angle-next": (lambda: with_axes(
+        tower_mod._SectorialGen, tower_mod._LinearAxis(0, 1),
+        CyclicNearDrops(1)), "adjacency@1:r0a0/r0a1"),
+    "angle-prev": (lambda: with_axes(
+        tower_mod._SectorialGen, tower_mod._LinearAxis(0, 1),
+        CyclicNearDrops(-1)), "adjacency@1:r0a0/r0a1"),
+}
+
+
+def brute_unadjacent(gen, k):
+    """The first pair of level-k blocks, in block order, that meet
+    without being neighbors, from every pair of blocks."""
+    blocks = sorted(gen.block_ids(k))
+    for b1 in blocks:
+        nbs = set(gen.neighbors(k, b1))
+        for b2 in blocks:
+            if b2 != b1 and b2 not in nbs and gen.blocks_meet(k, b1, k, b2):
+                return b1, b2
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MUTANTS))
+def test_mutant_near_lists_fail_adjacency(name):
+    make, witness = NEAR_MUTANTS[name]
+    gen = make()
+    for k in range(1, 5):
+        want = brute_unadjacent(gen, k)
+        assert want is not None and gen.first_unadjacent(k) == want, k
+    rep = verify_tower(tower_mod.CoveringTower(gen, 4))
+    assert rep.refinement_ok and rep.star_ok and rep.covering_ok
+    assert not rep.sample_ok and not rep.ok
+    assert rep.witness == witness
+    assert "sample=FAIL" in rep.lines()
+
+
+@pytest.mark.parametrize("name", sorted(set(AXIS_CASES) | set(TOWERS)))
+def test_blocks_that_meet_are_neighbors(name):
+    if name in AXIS_CASES:
+        gen = AXIS_CASES[name][0]()
+    else:
+        gen = TOWERS[name](3).gen
+    for k in range(1, 4):
+        assert brute_unadjacent(gen, k) is None, k
+        assert gen.first_unadjacent(k) is None, k
+
+
+def test_positions_two_apart_that_meet_fail_adjacency():
+    # the moved level-4 radial interval [11, 14] meets position 7's
+    # [14, 17], two positions on; its children misfit at level 5 only
+    gen = ShiftedRadius()
+    assert gen.first_unadjacent(4) == brute_unadjacent(gen, 4) == (
+        (5, 0), (7, 0))
+    rep = verify_tower(tower_mod.CoveringTower(gen, 4))
+    assert rep.refinement_ok and not rep.sample_ok
+    assert rep.witness == "adjacency@4:r5a0/r7a0"
+
+
+@pytest.mark.parametrize("axis", [
+    tower_mod._LinearAxis(-1, 1), tower_mod._LinearAxis(0, 1),
+    tower_mod._CyclicAxis()], ids=["side", "radius", "angle"])
+def test_positions_meet_iff_near(axis):
+    """Every pair of positions at levels up to 5, and every position
+    with those up to three away at levels 6 to 10: positions two or
+    more apart are disjoint, so first_unadjacent tests enough."""
+    for k in range(1, 11):
+        ids = axis.ids(k)
+        for t, i in enumerate(ids):
+            near = axis.near(k, i)
+            others = ids if k <= 5 else {ids[(t + d) % len(ids)]
+                                         for d in range(-3, 4)}
+            for j in others:
+                assert (tower_mod._spans_meet(axis, k, i, k, j)
+                        == (j in near)), (k, i, j)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [[first]] + p
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+
+
+def test_finite_tukey_matches_weil_to_tukey():
+    """Every equivalence uniformity on at most four points, and every
+    family of at most three block unions of its finite tower: Tukey at
+    depth 2 iff the family is in the Weil-Tukey translation, which holds
+    each covering refined by E_min.  735 of the families cover."""
+    coverings = 0
+    for n in range(1, 5):
+        base = FiniteSet("abcd"[:n])
+        for part in set_partitions(list(range(n))):
+            rows = [sum(1 << y for blk in part if x in blk for y in blk)
+                    for x in range(n)]
+            u = QUniformity(base, [Relation(base, rows)], symmetric_flag=True)
+            families = weil_to_tukey(u).families
+            t = make_tower("finite", 2, uniformity=u)
+            blocks = list(t.block_ids(1))
+            unions = [c for r in range(1, len(blocks) + 1)
+                      for c in combinations(blocks, r)]
+            for r in range(1, 4):
+                for members in combinations(unions, r):
+                    f = 0
+                    for m in members:
+                        f |= 1 << (sum(t.gen.masks[b] for b in m) - 1)
+                    got = is_tukey_at_depth(t, Covering("c", 1, members)).ok
+                    assert got == (f in families), (part, members)
+                    coverings += got
+    assert coverings == 735
 
 
 # coverage by a covering member against brute force: every end is an
