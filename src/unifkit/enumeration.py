@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .relations import FiniteSet, Relation, is_transitive_rows
+from .relations import FiniteSet, Relation, bits
 from .topology import FiniteTopology, up_sets
 
 
@@ -34,11 +34,20 @@ def reflexive_rows(n):
 
 
 def all_preorders(base):
-    """Every preorder on base: the transitive reflexive rows.  The
-    2^(n^2-n) candidates get filtered, so n above 4 is not realistic
-    here."""
-    return [Relation(base, rows) for rows in reflexive_rows(len(base))
-            if is_transitive_rows(rows)]
+    """Every preorder on base, in reflexive_rows order: a preorder is a
+    partial order (_poset_rows) on the classes of x ~ y iff x <= y <= x,
+    one per set partition, and a sort of the row tuples restores the
+    product order; 6942 on 5 points, where a filter tests 2^20 tuples."""
+    posets = [_poset_rows(k) for k in range(len(base) + 1)]
+    out = []
+    for eq in all_equivalences(base):
+        classes = tuple(dict.fromkeys(eq.rows))
+        for q in posets[len(classes)]:
+            up = {c: sum(classes[b] for b in bits(r))
+                  for c, r in zip(classes, q)}
+            out.append(tuple(up[r] for r in eq.rows))
+    out.sort()
+    return [Relation(base, rows) for rows in out]
 
 
 def all_partial_orders(base):

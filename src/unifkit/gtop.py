@@ -405,7 +405,8 @@ class PosetSheaf:
                 raise ValueError("matrix shape mismatch on edge %r" % ((i, j),))
         self.top = top
         self.dims = dims
-        self.edge_mats = {e: [[Fraction(x) for x in row] for row in m]
+        self.edge_mats = {e: [[x if type(x) is Fraction else Fraction(x)
+                               for x in row] for row in m]
                           for e, m in edge_mats.items()}
         # the Hasse edges out of each point, with their matrices
         self._out = [[] for _ in range(n)]
@@ -419,7 +420,9 @@ class PosetSheaf:
             vals = {x: linalg.identity(dims[x])}
             for i in reversed(offs):
                 for j, m in self._out[i]:
-                    got = [[sum(map(mul, row, v), linalg.ZERO) for row in m]
+                    # each sum starts from its first term (ZERO if none)
+                    got = [[sum(t, next(t, linalg.ZERO))
+                            for t in (map(mul, row, v) for row in m)]
                            for v in vals[i]]
                     if vals.setdefault(j, got) != got:
                         raise ValueError("restrictions are not functorial "
@@ -537,26 +540,15 @@ def _coboundary(rows, cols, cells, index, face_map):
     return m
 
 
-def _chains_by_degree(top):
-    """The strict chains of a T0 space, the simplices of its order
-    complex, as one sorted list per degree (chain length - 1).  Faces
-    of a chain are chains, so every degree up to the top one is
-    filled."""
-    by_deg = []
-    for c in sorted(top.strict_chains(), key=lambda c: (len(c), c)):
-        if len(c) > len(by_deg):
-            by_deg.append([])
-        by_deg[-1].append(c)
-    return by_deg
-
-
 def sheaf_cohomology(f):
     """Betti numbers of the ordered-chain complex: cochains assign to a
-    strict chain a vector in the stalk of its top point.  Every face
-    enters by the restriction F(U_x) -> F(U_y) from its top point x to
-    the chain's top point y (restrict_sections on minimal opens, the
-    identity when the face keeps y)."""
-    by_deg = _chains_by_degree(f.top)
+    strict chain a vector in the stalk of its top point.  The chains
+    come from strict_chains, one sorted list per degree, each degree
+    grown from the one below.  Every face enters by the restriction
+    F(U_x) -> F(U_y) from its top point x to the chain's top point y
+    (restrict_sections on minimal opens, the identity when the face
+    keeps y)."""
+    by_deg = f.top.strict_chains()
     if not by_deg:
         return (0,)
     mins = f.top.min_open_mask
@@ -582,7 +574,7 @@ def sheaf_cohomology(f):
 def simplicial_cohomology(top):
     """Rational cohomology of the order complex, the independent route
     for constant coefficients."""
-    by_deg = _chains_by_degree(top)
+    by_deg = top.strict_chains()
     index = {c: k for cs in by_deg for k, c in enumerate(cs)}
 
     def differential(q):
@@ -647,31 +639,41 @@ def cech_adequate(pair, members):
 
 
 def _nerve(pair, f, um, members, sizes):
-    """The Cech nerve of members over the trace-open um, for the given
-    numbers of members: the check-open of each intersection, keyed by
-    the sorted tuple of member positions (() for um itself), the offset
-    of its values among those of its size, and the total dimension per
-    size."""
-    w_of, index, dims = {}, {}, {}
-    for size in sizes:
-        off = 0
-        for sigma in itertools.combinations(range(len(members)), size):
-            inter = um
-            for t in sigma:
-                inter &= members[t]
-            w_of[sigma] = w = pair.u_check_mask(inter)
-            index[sigma] = off
-            off += f.dim_sections(w)
-        dims[size] = off
-    return w_of, index, dims
+    """The Cech nerve of members over the trace-open um, for the member
+    counts in the range sizes: per size, the cells (sorted tuples of
+    member positions, () for um) with a nonempty intersection, in
+    lexicographic order, each grown from one of the size below by a
+    later member and mapped to its intersection; the check-open and
+    offset of each; the dimension per size.  Dropping empty
+    intersections is exact: X is dense, so the only open with empty
+    trace is the empty set, whose F is 0, and such a cell adds only zero
+    rows and columns.  Offsets, matrices, Betti numbers and
+    check_gluing's verdicts and witnesses are those of the full nerve;
+    faces of a kept cell meet in more, so they are kept."""
+    w_of, index, dims, cells = {}, {}, {}, {}
+    level = {(): um} if um else {}
+    for size in range(sizes.stop):
+        if size:
+            level = {sigma + (t,): meet for sigma, inter in level.items()
+                     for t in range(sigma[-1] + 1 if sigma else 0,
+                                    len(members))
+                     if (meet := inter & members[t])}
+        if size >= sizes.start:
+            off = 0
+            for sigma, inter in level.items():
+                w_of[sigma] = w = pair.u_check_mask(inter)
+                index[sigma] = off
+                off += f.dim_sections(w)
+            dims[size] = off
+            cells[size] = level
+    return w_of, index, dims, cells
 
 
-def _nerve_coboundary(f, members, nerve, size):
-    """The Cech coboundary into the intersections of size members."""
-    w_of, index, dims = nerve
+def _nerve_coboundary(f, nerve, size):
+    """The Cech coboundary into the kept intersections of size members."""
+    w_of, index, dims, cells = nerve
     return _coboundary(
-        dims[size], dims[size - 1],
-        itertools.combinations(range(len(members)), size), index,
+        dims[size], dims[size - 1], cells[size], index,
         lambda face, sigma: f.restrict_sections(w_of[face], w_of[sigma]))
 
 
@@ -690,7 +692,7 @@ def cech_cohomology(pair, f, members):
     # none, so the last coboundary is the zero map
     nerve = _nerve(pair, f, full_trace, members, range(1, r + 2))
     return _betti([nerve[2][q + 1] for q in range(r)], (
-        _nerve_coboundary(f, members, nerve, q + 2) for q in range(r)))
+        _nerve_coboundary(f, nerve, q + 2) for q in range(r)))
 
 
 def _kills(row, m):
@@ -714,8 +716,8 @@ def check_gluing(pair, f):
         for fam in g.listed(um):
             nerve = _nerve(pair, f, um, fam, range(3))
             d_u, total = nerve[2][0], nerve[2][1]
-            alpha = _nerve_coboundary(f, fam, nerve, 1)
-            beta = _nerve_coboundary(f, fam, nerve, 2)
+            alpha = _nerve_coboundary(f, nerve, 1)
+            beta = _nerve_coboundary(f, nerve, 2)
             if (linalg.sparse_rank(alpha) != d_u
                     or total - linalg.sparse_rank(beta) != d_u
                     or alpha and not all(_kills(row, alpha) for row in beta)):

@@ -148,25 +148,23 @@ class FiniteTopology:
         return Relation(self.base, self._min_open)
 
     def strict_chains(self):
-        """All chains x0 < x1 < ... < xq in the specialization order of a
-        T0 space, as index tuples, singletons included.  These are the
-        simplices of the order complex."""
+        """The chains x0 < x1 < ... < xq in the specialization order of a
+        T0 space, as index tuples: the simplices of the order complex,
+        one sorted list per degree q (chain length - 1), [] on no points.
+        Degree q + 1 extends each chain of degree q, in order, by each
+        strict successor of its last point, ascending, so every list
+        comes out sorted; faces of a chain are chains, so every degree
+        up to the top one is filled."""
         if not self.is_t0():
             raise ValueError("order complex needs a T0 space")
-        n = len(self.base)
-        mins = self._min_open
-        # strict successors of i, i excluded
-        succ = [mins[i] & ~(1 << i) for i in range(n)]
+        # tuples: bits of a mask past eight points is a one-shot generator
+        succ = [tuple(bits(m & ~(1 << i)))
+                for i, m in enumerate(self._min_open)]
         out = []
-
-        def grow(chain, last):
-            out.append(tuple(chain))
-            for j in bits(succ[last]):
-                chain.append(j)
-                grow(chain, j)
-                chain.pop()
-        for i in range(n):
-            grow([i], i)
+        level = [(i,) for i in range(len(succ))]
+        while level:
+            out.append(level)
+            level = [c + (j,) for c in level for j in succ[c[-1]]]
         return out
 
     def hasse_edges(self):

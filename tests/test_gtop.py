@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -298,8 +300,141 @@ def test_euler_characteristic_is_chain_count():
     top = pseudo_circle(True).xhat
     betti = sheaf_cohomology(constant_sheaf(top))
     chi = sum((-1) ** k * d for k, d in enumerate(betti))
-    chains = top.strict_chains()
-    assert chi == sum((-1) ** (len(c) - 1) for c in chains)
+    by_deg = top.strict_chains()
+    assert chi == sum((-1) ** q * len(cs) for q, cs in enumerate(by_deg))
+
+
+def oracle_strict_chains(top):
+    """The recursive chain lister and its sort, kept as the reference:
+    every strict chain, one (len, chain)-sorted list per degree."""
+    n = len(top.base)
+    succ = [top.min_open_mask(i) & ~(1 << i) for i in range(n)]
+    out = []
+
+    def grow(chain, last):
+        out.append(tuple(chain))
+        for j in bits(succ[last]):
+            chain.append(j)
+            grow(chain, j)
+            chain.pop()
+    for i in range(n):
+        grow([i], i)
+    by_deg = []
+    for c in sorted(out, key=lambda c: (len(c), c)):
+        if len(c) > len(by_deg):
+            by_deg.append([])
+        by_deg[-1].append(c)
+    return by_deg
+
+
+def poset_top(n, below):
+    """The T0 space on n points whose specialization order is the
+    reflexive closure of below(i, j)."""
+    rows = [sum(1 << j for j in range(n) if i == j or below(i, j))
+            for i in range(n)]
+    return FiniteTopology.from_preorder(Relation(standard_base(n), rows))
+
+
+def test_strict_chains_match_the_recursive_lister():
+    """Every T0 space on at most five points, the puncture quotients
+    from 4 to 128 sectors, and two posets past eight points with long
+    chains (a 12-point chain and the 3 x 4 grid), where relations.bits
+    returns a one-shot generator."""
+    tops = [FiniteTopology.from_preorder(po) for n in range(6)
+            for po in all_partial_orders(standard_base(n))]
+    assert len(tops) == 1 + 1 + 3 + 19 + 219 + 4231
+    tops += [puncture_quotient(make_tower("sectorial_disk", depth))[0]
+             for depth in range(2, 7)]
+    chain12 = poset_top(12, lambda i, j: i < j)
+    grid = poset_top(12, lambda i, j: i // 4 <= j // 4 and i % 4 <= j % 4)
+    tops += [chain12, grid]
+    for top in tops:
+        assert top.strict_chains() == oracle_strict_chains(top), top
+    assert [len(cs) for cs in chain12.strict_chains()] == \
+        [math.comb(12, k) for k in range(1, 13)]
+    assert len(grid.strict_chains()) == 6
+
+
+def oracle_nerve(pair, f, um, members, sizes):
+    """The nerve over every subset of members (itertools.combinations),
+    kept as the reference, with the cells of each size listed in the
+    form _nerve returns."""
+    w_of, index, dims, cells = {}, {}, {}, {}
+    for size in sizes:
+        cells[size] = list(itertools.combinations(range(len(members)), size))
+        off = 0
+        for sigma in cells[size]:
+            inter = um
+            for t in sigma:
+                inter &= members[t]
+            w_of[sigma] = w = pair.u_check_mask(inter)
+            index[sigma] = off
+            off += f.dim_sections(w)
+        dims[size] = off
+    return w_of, index, dims, cells
+
+
+def adequate_nerve_cases():
+    """Every dense pair on at most four points whose finest covering is
+    adequate, with the constant sheaf, two seeded random sheaves and a
+    constant sheaf whose restrictions out of the last member's
+    check-open are doubled, which fails check_gluing on some pairs."""
+    count = 0
+    for pair in _pairs_up_to(4):
+        members = finest_g_covering(pair)
+        if not cech_adequate(pair, members):
+            continue
+        top = pair.xhat
+        yield pair, members, constant_sheaf(top)
+        for seed in range(2):
+            yield pair, members, random_sheaf(
+                top, random.Random(1000 * count + seed))
+        doubled = DoubledSide(top, [1] * len(top.base),
+                              {e: [[1]] for e in top.hasse_edges()})
+        doubled.side = pair.u_check_mask(members[-1])
+        yield pair, members, doubled
+        count += 1
+
+
+def test_nerve_cells_are_the_nonempty_intersections():
+    count = 0
+    for pair, members, f in adequate_nerve_cases():
+        families = [(pair.x_mask, members, range(1, len(members) + 2))]
+        g = GCoveringSystem(pair)
+        families += [(um, fam, range(3)) for um in pair.trace_open_masks()
+                     for fam in g.listed(um)]
+        for um, fam, sizes in families:
+            w_of, index, dims, cells = gtop._nerve(pair, f, um, fam, sizes)
+            want = oracle_nerve(pair, f, um, fam, sizes)
+            assert dims == want[2]
+            for size in sizes:
+                kept = [s for s in want[3][size]
+                        if functools.reduce(int.__and__,
+                                            (fam[t] for t in s), um)]
+                assert list(cells[size]) == kept, (pair, um, fam, size)
+                assert all(w_of[s] == want[0][s] and index[s] == want[1][s]
+                           for s in kept)
+                assert all(want[0][s] == 0 and f.dim_sections(0) == 0
+                           for s in want[3][size] if s not in w_of)
+            count += 1
+    assert count > 5000, count
+
+
+def test_nerve_routes_match_the_full_nerve(monkeypatch):
+    """cech_cohomology and check_gluing over the kept cells against the
+    same routes over every member subset."""
+    verdicts, count = set(), 0
+    for pair, members, f in adequate_nerve_cases():
+        got = (cech_cohomology(pair, f, members), check_gluing(pair, f))
+        with monkeypatch.context() as mp:
+            mp.setattr(gtop, "_nerve", oracle_nerve)
+            want = (cech_cohomology(pair, f, members),
+                    check_gluing(pair, f))
+        assert got == want, pair
+        verdicts.add(got[1][0])
+        count += 1
+    assert verdicts == {True, False}
+    assert count > 1000, count
 
 
 def oracle_coboundary(rows, cols, cells, index, face_map):
@@ -322,7 +457,7 @@ def oracle_coboundary(rows, cols, cells, index, face_map):
 
 def oracle_simplicial_differentials(top):
     """The order-complex differentials accumulated with +=."""
-    by_deg = gtop._chains_by_degree(top)
+    by_deg = top.strict_chains()
     index = {c: k for cs in by_deg for k, c in enumerate(cs)}
     out = []
     for q in range(len(by_deg)):
@@ -384,7 +519,7 @@ def check_coboundaries(monkeypatch, pair, f):
             assert got == want
         nonzero += sum(1 for _, want in pairs if any(map(any, want)))
     seen, _ = differentials(monkeypatch, simplicial_cohomology, f.top)
-    by_deg = gtop._chains_by_degree(f.top)
+    by_deg = f.top.strict_chains()
     assert [densified(d, len(cs)) for d, cs in zip(seen, by_deg)] == \
         oracle_simplicial_differentials(f.top)
     assert all(type(x) is int for d in seen for row in d

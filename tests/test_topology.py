@@ -107,6 +107,21 @@ def test_enumeration_counts():
     assert len(all_equivalences(standard_base(4))) == 15
 
 
+def test_preorders_match_the_transitivity_filter():
+    """Partial orders on the classes of each set partition list the
+    transitive reflexive rows, in reflexive_rows order; on five points
+    every tenth one is what test_pervin_kunzi_match_the_kernel_loops
+    reads."""
+    for n in range(6):
+        want = [rows for rows in reflexive_rows(n)
+                if is_transitive_rows(rows)]
+        got = all_preorders(standard_base(n))
+        assert [r.rows for r in got] == want, n
+        assert all(r.is_preorder() for r in got)
+    assert len(got) == 6942
+    assert [r.rows for r in got[::10]] == want[::10]
+
+
 # differential check of the enumerators against the direct filters:
 # every orientation assignment tested for transitivity, and every subset
 # tested by its closure

@@ -206,6 +206,20 @@ def test_puncture_quotients():
     assert tuple(complex_betti) == (1, 1)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_metric_puncture_cohomology_is_a_point(depth):
+    # one point, one strict chain: the one-point path of strict_chains
+    assert puncture_cohomology(make_tower("metric_disk", depth)) == \
+        ((1,), (1,))
+
+
+def test_tangential_cycle_needs_the_sectorial_tower():
+    # the _Generator default: no angular windows, no cycle
+    for tower in (make_tower("metric_disk", 3),
+                  make_tower("padic_disk", 2, p=3)):
+        assert enumerate_threads(tower).tangential_cycle_ok() is False
+
+
 def test_basis_only_quotient_knows_every_open():
     top, _ = puncture_quotient(make_tower("sectorial_disk", 4))
     assert len(top.base) == 32  # stored by its minimal opens only
